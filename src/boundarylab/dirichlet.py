@@ -19,14 +19,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import sde
 from .classifier import Verdict, classify
 from .errors import ExtensionUndefined, ModelError, NoConvergence
+from .fd import Factors, check_residual, csr, stencil
 from .fields import ChartModel
 from .geometry import DomainKind, DomainModel, TWO_PI, wrap_angle
-from .halfcyl import HalfCylinderGrid, _factorize, solve_conditioned, solve_u
+from .halfcyl import HalfCylinderGrid, solve_conditioned, solve_u
 
 
 @dataclass(frozen=True)
@@ -145,10 +145,15 @@ class DiskOperator:
         """Radial-radial Ito diffusion entry, for boundary bridge tests."""
         x = np.asarray(x, dtype=float)
         _, a11, a12, a22 = self.cartesian_ito(x)
-        r = np.maximum(np.linalg.norm(x, axis=-1), 1e-12)
-        c = x[..., 0] / r
-        s = x[..., 1] / r
-        return a11 * c * c + 2.0 * a12 * c * s + a22 * s * s
+        return _radial_component(x, a11, a12, a22)
+
+
+def _radial_component(x, a11, a12, a22):
+    """Radial-radial entry at points x of the matrix with entries (a11, a12, a22)."""
+    r = np.maximum(np.linalg.norm(x, axis=-1), 1e-12)
+    c = x[..., 0] / r
+    s = x[..., 1] / r
+    return a11 * c * c + 2.0 * a12 * c * s + a22 * s * s
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +231,7 @@ def solve_fd(op: DiskOperator, psi_d, n_theta: int = 64,
     dom = op.dom
     disk = dom.kind is DomainKind.DISK
     if r_nodes is None:
-        r_nodes = radial_nodes(max(op.eps, 1e-2), dom)
+        r_nodes = radial_nodes(op.eps, dom)
     theta = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
     n_r = r_nodes.size - 1          # index of the outer boundary node
     dtheta = TWO_PI / n_theta
@@ -246,13 +251,12 @@ def solve_fd(op: DiskOperator, psi_d, n_theta: int = 64,
 
     jj = np.arange(1, n_r)
     TH, J = np.meshgrid(theta, jj, indexing="ij")
-    R = r_nodes[J]
-    hm = r_nodes[J] - r_nodes[J - 1]
-    hp = r_nodes[J + 1] - r_nodes[J]
-    ctt, ctr, crr, bt, br = op.polar_coefficients(TH, R)
+    ctt, ctr, crr, bt, br = op.polar_coefficients(TH, r_nodes[J])
     for arr_name, arr in (("ctt", ctt), ("crr", crr)):
         if np.any(~np.isfinite(arr)):
             raise NoConvergence(f"non-finite coefficient {arr_name}")
+    entries = stencil(ctt, ctr, crr, bt, br, dtheta, r_nodes[J] - r_nodes[J - 1],
+                      r_nodes[J + 1] - r_nodes[J])
 
     I = np.arange(n_theta)[:, None] + np.zeros_like(J)
     idx = lambda i, j: (i % n_theta) + n_theta * (j - 1)
@@ -260,12 +264,11 @@ def solve_fd(op: DiskOperator, psi_d, n_theta: int = 64,
 
     rows, cols, vals = [], [], []
     rhs = np.zeros(n_unk)
-
-    def add(col_i, col_j, coeff):
-        inner_ring = col_j >= 1
+    for di, dj, coeff in entries:
+        col_i, col_j = I + di, J + dj
         outer_bnd = col_j == n_r
         center = col_j == 0
-        keep = inner_ring & ~outer_bnd
+        keep = (col_j >= 1) & ~outer_bnd
         rows.append(row[keep])
         cols.append(idx(col_i[keep], col_j[keep]))
         vals.append(coeff[keep])
@@ -279,37 +282,6 @@ def solve_fd(op: DiskOperator, psi_d, n_theta: int = 64,
             else:
                 np.add.at(rhs, row[center], -coeff[center] * f_inner[col_i[center] % n_theta])
 
-    pe_t = np.abs(bt) * dtheta / np.maximum(ctt, 1e-300)
-    up_t = pe_t > 2.0
-    c_tm = ctt / dtheta ** 2 + np.where(up_t, np.where(bt < 0, -bt / dtheta, 0.0),
-                                        -bt / (2 * dtheta))
-    c_tp = ctt / dtheta ** 2 + np.where(up_t, np.where(bt > 0, bt / dtheta, 0.0),
-                                        bt / (2 * dtheta))
-    c_t0 = -2.0 * ctt / dtheta ** 2 + np.where(up_t, -np.abs(bt) / dtheta, 0.0)
-    add(I - 1, J, c_tm)
-    add(I + 1, J, c_tp)
-
-    denom = hm + hp
-    d_m = 2.0 * crr / (hm * denom)
-    d_p = 2.0 * crr / (hp * denom)
-    d_0 = -2.0 * crr / (hm * hp)
-    pe_r = np.abs(br) * np.maximum(hm, hp) / np.maximum(crr, 1e-300)
-    up_r = pe_r > 2.0
-    a_m = np.where(up_r, np.where(br < 0, -br / hm, 0.0), -br * hp / (hm * denom))
-    a_p = np.where(up_r, np.where(br > 0, br / hp, 0.0), br * hm / (hp * denom))
-    a_0 = np.where(up_r, -np.abs(br) / np.where(br > 0, hp, hm),
-                   br * (hp - hm) / (hm * hp))
-    add(I, J - 1, d_m + a_m)
-    add(I, J + 1, d_p + a_p)
-    add(I, J, c_t0 + d_0 + a_0)
-
-    if np.max(np.abs(ctr)) > 0.0:
-        w = 2.0 * ctr / (2.0 * dtheta * denom)
-        add(I + 1, J + 1, w)
-        add(I - 1, J + 1, -w)
-        add(I + 1, J - 1, -w)
-        add(I - 1, J - 1, w)
-
     if disk:
         # pole row: vanishing Laplacian average over the first ring
         prow = np.full(n_theta, pole_idx)
@@ -320,17 +292,9 @@ def solve_fd(op: DiskOperator, psi_d, n_theta: int = 64,
         cols.append(np.array([pole_idx]))
         vals.append(np.array([-1.0]))
 
-    mat = sp.csr_matrix(
-        (np.concatenate([v.ravel() for v in vals]),
-         (np.concatenate([r_.ravel() for r_ in rows]),
-          np.concatenate([c.ravel() for c in cols]))),
-        shape=(n_unk, n_unk),
-    )
-    lu, scale = _factorize(mat)
-    u_vec = lu.solve(rhs / scale)
-    res = np.max(np.abs(mat @ u_vec - rhs)) / max(np.max(np.abs(rhs)), 1e-30)
-    if not np.isfinite(res) or res > 1e-8:
-        raise NoConvergence(f"disk solve residual {res:.2e}")
+    mat = csr(rows, cols, vals, (n_unk, n_unk))
+    u_vec = Factors(mat).solve(rhs)
+    check_residual(mat, u_vec, rhs, 1e-8)
 
     u = np.empty((n_r + 1, n_theta))
     u[n_r] = f_outer
@@ -445,7 +409,7 @@ def sample_exit(op: DiskOperator, start, params: sde.SimulationParams,
                 if params.bridge_absorption:
                     z_old = 1.0 - np.linalg.norm(x, axis=-1)
                     z_new = 1.0 - r_new
-                    ann = op.normal_diffusion(x)
+                    ann = _radial_component(x, a11, a12, a22)
                     ann_end = op.normal_diffusion(x_new)
                     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
                         p_hit = np.exp(-4.0 * np.maximum(z_old, 0.0) * np.maximum(z_new, 0.0)
@@ -521,6 +485,7 @@ class ConvergenceRow:
     abs_error: float
     mc_stderr: float
     completion: str
+    mc_censored: float          # share of MC paths still inside at max_time; 0 on FD rows
 
 
 @dataclass
@@ -528,6 +493,7 @@ class ConvergenceTable:
     ubar: float
     rows: list
     non_monotone_flags: list
+    final_solution: DirichletSolution   # the FD solution at the smallest eps
 
     def errors_for(self, probe, completion=None, method="fd"):
         sel = [r for r in self.rows
@@ -545,8 +511,8 @@ def limit_value(m: ChartModel, f, grid: HalfCylinderGrid | None = None) -> float
     """The eps-free limit of the solution, per the boundary verdict."""
     verdict = classify(m, grid_size=512).verdict
     if verdict is Verdict.REPELLING:
-        return solve_conditioned(m, f, grid).ubar
-    return solve_u(m, f, grid).ubar
+        return solve_conditioned(m, f, grid, _regime=verdict).ubar
+    return solve_u(m, f, grid, _regime=verdict).ubar
 
 
 def convergence_experiment(m: ChartModel, psi_d, eps_list, probes,
@@ -578,14 +544,17 @@ def convergence_experiment(m: ChartModel, psi_d, eps_list, probes,
             val = sol.probe(*probe)
             rows.append(ConvergenceRow(eps=eps, probe=tuple(probe), method="fd",
                                        value=val, abs_error=abs(val - ubar),
-                                       mc_stderr=0.0, completion=completion.label))
+                                       mc_stderr=0.0, completion=completion.label,
+                                       mc_censored=0.0))
         if mc_params is not None:
             for probe in probes:
                 est, se, cens = solve_mc(op, psi_d, probe, mc_params)
                 rows.append(ConvergenceRow(eps=eps, probe=tuple(probe), method="mc",
                                            value=est, abs_error=abs(est - ubar),
-                                           mc_stderr=se, completion=completion.label))
-    table = ConvergenceTable(ubar=ubar, rows=rows, non_monotone_flags=[])
+                                           mc_stderr=se, completion=completion.label,
+                                           mc_censored=cens))
+    table = ConvergenceTable(ubar=ubar, rows=rows, non_monotone_flags=[],
+                             final_solution=sol)
     for probe in probes:
         errs = table.errors_for(probe, completion=completion.label)
         if any(e2 > e1 for e1, e2 in zip(errs, errs[1:])):

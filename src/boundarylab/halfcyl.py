@@ -5,13 +5,15 @@ Solves the boundary-layer limit problems: the Dirichlet-data solution u
 and the conditioned problem obtained by conjugating the discrete operator
 with the diagonal of h.  Everything is a second-order central-difference
 discretization on a tensor grid, periodic in y, with per-cell first-order
-upwinding of the height drift whenever the cell Peclet number exceeds 2
-(which keeps the matrix an M-matrix, so the discrete maximum principle
-holds).  The far field is cut at a finite height Z: homogeneous Neumann
-for u (the solution flattens to a constant), Dirichlet zero for h (it
-decays).  A geometrically stretched grid reaches the very large heights
-needed for the top-row oscillation to die out; truncation error is
-controlled by re-solving at a different height.
+upwinding of a drift whose cell Peclet number exceeds 2 (which keeps the
+matrix an M-matrix, so the discrete maximum principle holds).  The
+stencil and the row-equilibrated sparse factorization live in ``fd``,
+shared with the polar disk solve; this module adds the boundary rows.
+The far field is cut at a finite height Z: homogeneous Neumann for u
+(the solution flattens to a constant), Dirichlet zero for h (it decays).
+A geometrically stretched grid reaches the very large heights needed for
+the top-row oscillation to die out; truncation error is controlled by
+re-solving at a different height.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.integrate
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import sde
 from .classifier import Verdict, classify
@@ -34,11 +35,13 @@ from .errors import (
     NotIntegrable,
     WrongRegime,
 )
+from .fd import Factors, csr, stencil
 from .fields import ChartModel, Flavor, GeneratorCoefficients, assemble
 from .geometry import RescaledPoint, TWO_PI
 
 _RESIDUAL_TARGET = 1e-10
 _H_FLOOR = 1e-250  # conjugation guard: far-field h underflow, not a grid artifact
+PAD_FACTOR = 16.0  # the h-solve behind the conditioned problem runs on a grid this much taller
 
 # The conditioned far-field constant carries a larger log-spacing error
 # constant than the plain solve (the top value is a ratio of two decaying
@@ -91,7 +94,7 @@ class HalfCylinderGrid:
                                        math.log(q))))
         return replace(self, height=new_height, n_z=n_new)
 
-    def extended(self, factor: float = 16.0) -> "HalfCylinderGrid":
+    def extended(self, factor: float) -> "HalfCylinderGrid":
         """Taller grid whose first nodes coincide with this grid's nodes."""
         if self.stretching == "uniform":
             dz = self.height / self.n_z
@@ -194,32 +197,22 @@ class LevelDecay:
 class _Discretization:
     mat: sp.csr_matrix          # unknowns: (i, j) for j = 1..n_z, idx = i + n_y*(j-1)
     bottom: sp.csr_matrix       # coupling of interior rows to the j=0 boundary values
-    grid: HalfCylinderGrid
     z: np.ndarray
     y: np.ndarray
-    top_bc: str
 
 
 def _discretize(gc: GeneratorCoefficients, grid: HalfCylinderGrid, top_bc: str) -> _Discretization:
     z = grid.z_nodes()
     y = grid.y_nodes()
     n_y, n_z = grid.n_y, grid.n_z
-    dy = TWO_PI / n_y
     n_unk = n_y * n_z
 
     jj = np.arange(1, n_z)          # interior height indices
     Y, J = np.meshgrid(y, jj, indexing="ij")    # (n_y, n_z-1)
     Zm = z[J]
-    hm = z[J] - z[J - 1]
-    hp = z[J + 1] - z[J]
-
-    cyy, cyz, czz = gc.second_order(Y, Zm)
-    by, bz = gc.first_order(Y, Zm)
-    cyy = np.broadcast_to(cyy, Y.shape).copy()
-    cyz = np.broadcast_to(cyz, Y.shape).copy()
-    czz = np.broadcast_to(czz, Y.shape).copy()
-    by = np.broadcast_to(by, Y.shape).copy()
-    bz = np.broadcast_to(bz, Y.shape).copy()
+    coeffs = gc.second_order(Y, Zm) + gc.first_order(Y, Zm)    # cyy, cyz, czz, by, bz
+    entries = stencil(*(np.broadcast_to(c, Y.shape) for c in coeffs),
+                      TWO_PI / n_y, z[J] - z[J - 1], z[J + 1] - z[J])
 
     idx = lambda i, j: (i % n_y) + n_y * (j - 1)
     I = np.arange(n_y)[:, None] + np.zeros_like(J)
@@ -227,49 +220,17 @@ def _discretize(gc: GeneratorCoefficients, grid: HalfCylinderGrid, top_bc: str) 
 
     rows, cols, vals = [], [], []
     brows, bcols, bvals = [], [], []
-
-    def add(col_i, col_j, coeff):
+    for di, dj, coeff in entries:
+        col_i, col_j = I + di, J + dj
         interior = col_j >= 1
         rows.append(row[interior])
         cols.append(idx(col_i[interior], col_j[interior]))
         vals.append(coeff[interior])
+        # coupling to the j = 0 boundary values
         bottom_mask = col_j == 0
-        if np.any(bottom_mask):
-            brows.append(row[bottom_mask])
-            bcols.append(col_i[bottom_mask] % n_y)
-            bvals.append(coeff[bottom_mask])
-
-    # y-diffusion + y-advection (central; upwind per cell if needed)
-    pe_y = np.abs(by) * dy / np.maximum(cyy, 1e-300)
-    up_y = pe_y > 2.0
-    c_ym = cyy / dy ** 2 + np.where(up_y, np.where(by < 0, -by / dy, 0.0), -by / (2 * dy))
-    c_yp = cyy / dy ** 2 + np.where(up_y, np.where(by > 0, by / dy, 0.0), by / (2 * dy))
-    c_y0 = -2.0 * cyy / dy ** 2 + np.where(up_y, -np.abs(by) / dy, 0.0)
-    add(I - 1, J, c_ym)
-    add(I + 1, J, c_yp)
-
-    # z-diffusion + z-advection
-    denom = hm + hp
-    d_m = 2.0 * czz / (hm * denom)
-    d_p = 2.0 * czz / (hp * denom)
-    d_0 = -2.0 * czz / (hm * hp)
-    pe_z = np.abs(bz) * np.maximum(hm, hp) / np.maximum(czz, 1e-300)
-    up_z = pe_z > 2.0
-    a_m = np.where(up_z, np.where(bz < 0, -bz / hm, 0.0), -bz * hp / (hm * denom))
-    a_p = np.where(up_z, np.where(bz > 0, bz / hp, 0.0), bz * hm / (hp * denom))
-    a_0 = np.where(up_z, -np.abs(bz) / np.where(bz > 0, hp, hm),
-                   bz * (hp - hm) / (hm * hp))
-    add(I, J - 1, d_m + a_m)
-    add(I, J + 1, d_p + a_p)
-    add(I, J, c_y0 + d_0 + a_0)
-
-    # mixed term 2*Cyz*u_yz, 4-point cross (zero for the default models)
-    if np.max(np.abs(cyz)) > 0.0:
-        w = 2.0 * cyz / (2.0 * dy * denom)
-        add(I + 1, J + 1, w)
-        add(I - 1, J + 1, -w)
-        add(I + 1, J - 1, -w)
-        add(I - 1, J - 1, w)
+        brows.append(row[bottom_mask])
+        bcols.append(col_i[bottom_mask] % n_y)
+        bvals.append(coeff[bottom_mask])
 
     # top boundary row
     i_top = np.arange(n_y)
@@ -288,37 +249,8 @@ def _discretize(gc: GeneratorCoefficients, grid: HalfCylinderGrid, top_bc: str) 
     else:
         raise ModelError(f"unknown top boundary condition {top_bc!r}")
 
-    mat = sp.csr_matrix(
-        (np.concatenate([v.ravel() for v in vals]),
-         (np.concatenate([r.ravel() for r in rows]),
-          np.concatenate([c.ravel() for c in cols]))),
-        shape=(n_unk, n_unk),
-    )
-    if brows:
-        bottom = sp.csr_matrix(
-            (np.concatenate([v.ravel() for v in bvals]),
-             (np.concatenate([r.ravel() for r in brows]),
-              np.concatenate([c.ravel() for c in bcols]))),
-            shape=(n_unk, n_y),
-        )
-    else:  # pragma: no cover
-        bottom = sp.csr_matrix((n_unk, n_y))
-    return _Discretization(mat=mat, bottom=bottom, grid=grid, z=z, y=y, top_bc=top_bc)
-
-
-def _solve_system(mat: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
-    """Row-equilibrated sparse direct solve with a residual check."""
-    scale = np.asarray(np.abs(mat).max(axis=1).todense()).ravel()
-    scale[scale == 0] = 1.0
-    d = sp.diags(1.0 / scale)
-    mat_eq = (d @ mat).tocsc()
-    rhs_eq = rhs / scale
-    lu = spla.splu(mat_eq)
-    u = lu.solve(rhs_eq)
-    res = np.max(np.abs(mat_eq @ u - rhs_eq)) / max(np.max(np.abs(rhs_eq)), 1e-30)
-    if not np.isfinite(res) or res > _RESIDUAL_TARGET:
-        raise NoConvergence(f"linear solve residual {res:.2e} above {_RESIDUAL_TARGET}")
-    return u
+    return _Discretization(mat=csr(rows, cols, vals, (n_unk, n_unk)),
+                           bottom=csr(brows, bcols, bvals, (n_unk, n_y)), z=z, y=y)
 
 
 def _boundary_values(f, y: np.ndarray) -> np.ndarray:
@@ -356,6 +288,42 @@ def _verdict(m: ChartModel) -> Verdict:
     return classify(m, grid_size=512).verdict
 
 
+def _h_grid(gc: GeneratorCoefficients, grid: HalfCylinderGrid):
+    """h = 1 at the bottom and 0 at the top of grid; returns (grid function, disc)."""
+    disc = _discretize(gc, grid, "dirichlet0")
+    ones = np.ones(grid.n_y)
+    h = Factors(disc.mat).solve(-(disc.bottom @ ones), _RESIDUAL_TARGET)
+    return _grid_from_unknowns(h, ones, grid.n_y, grid.n_z), disc
+
+
+def _padded_h(gc: GeneratorCoefficients, grid: HalfCylinderGrid) -> np.ndarray:
+    """h on grid's nodes, solved on the matching grid PAD_FACTOR times taller."""
+    return _h_grid(gc, grid.extended(PAD_FACTOR))[0][:grid.n_z + 1]
+
+
+def _neumann_system(gc: GeneratorCoefficients, grid: HalfCylinderGrid, h=None):
+    """(disc, matrix, bottom coupling) of the Neumann-top problem on grid.
+
+    Given h on (at least) grid's nodes, the PDE rows are conjugated by its
+    diagonal, which turns the system into the h-conditioned one; the
+    far-field row acts on the conditioned solution itself.
+    """
+    disc = _discretize(gc, grid, "neumann")
+    if h is None:
+        return disc, disc.mat, disc.bottom
+    h = h[:grid.n_z + 1]
+    if np.min(h) < _H_FLOOR:
+        raise HTransformSingular(f"hitting probability as small as {np.min(h):.3e} on the grid")
+    h_unknown = h[1:].ravel()
+    mat = disc.mat.tocoo()
+    pde = mat.row < grid.n_y * (grid.n_z - 1)
+    vals = mat.data * np.where(pde, h_unknown[mat.col] / h_unknown[mat.row], 1.0)
+    bot = disc.bottom.tocoo()  # h = 1 on the boundary row
+    return (disc, sp.csr_matrix((vals, (mat.row, mat.col)), shape=mat.shape),
+            sp.csr_matrix((bot.data / h_unknown[bot.row], (bot.row, bot.col)),
+                          shape=bot.shape))
+
+
 # ---------------------------------------------------------------------------
 # Public solves
 # ---------------------------------------------------------------------------
@@ -368,7 +336,8 @@ def solve_u(m: ChartModel, f, grid: HalfCylinderGrid | None = None,
     f is the boundary data on the y-grid (callable or array).  With eps
     given, the coefficients of the rescaled operator at that eps are used
     instead of the limit (a robustness check for the limit value ubar).
-    The reported truncation_estimate is |ubar(Z) - ubar(Z/2)|.
+    The reported truncation_estimate is |ubar(Z) - ubar(Z/2)|.  _regime is
+    the verdict of a caller that has already classified m.
     """
     grid = grid or HalfCylinderGrid()
     verdict = _regime or _verdict(m)
@@ -379,8 +348,7 @@ def solve_u(m: ChartModel, f, grid: HalfCylinderGrid | None = None,
     gc = assemble(m, eps, flavor)
     disc = _discretize(gc, grid, "neumann")
     f_vals = _boundary_values(f, disc.y)
-    rhs = -(disc.bottom @ f_vals)
-    u = _solve_system(disc.mat, rhs)
+    u = Factors(disc.mat).solve(-(disc.bottom @ f_vals), _RESIDUAL_TARGET)
     full = _grid_from_unknowns(u, f_vals, grid.n_y, grid.n_z)
     truncation = math.nan
     if check_truncation:
@@ -391,105 +359,71 @@ def solve_u(m: ChartModel, f, grid: HalfCylinderGrid | None = None,
 
 
 def solve_h(m: ChartModel, grid: HalfCylinderGrid | None = None,
-            pad_factor: float = 16.0, _regime: Verdict | None = None) -> HalfCylinderSolution:
+            _regime: Verdict | None = None) -> HalfCylinderSolution:
     """Hitting probability of the boundary for a repelling model.
 
     h = 1 at the boundary and decays; the far field is cut with h(Z) = 0
     and the truncation error is bounded by comparing with a solve on a
-    grid pad_factor times taller (matching nodes).
+    grid PAD_FACTOR times taller (matching nodes).  That padded h, on this
+    grid's nodes, is kept as h_grid: solve_conditioned takes it from here.
     """
     grid = grid or HalfCylinderGrid()
     verdict = _regime or _verdict(m)
     if verdict is not Verdict.REPELLING:
         raise WrongRegime("hitting probability is identically 1 unless repelling")
     gc = assemble(m, None, Flavor.LIMIT)
-
-    def run(g):
-        disc = _discretize(gc, g, "dirichlet0")
-        ones = np.ones(g.n_y)
-        rhs = -(disc.bottom @ ones)
-        hvec = _solve_system(disc.mat, rhs)
-        return _grid_from_unknowns(hvec, ones, g.n_y, g.n_z), disc
-
-    full, disc = run(grid)
-    tall_grid = grid.extended(pad_factor)
-    tall, _ = run(tall_grid)
-    common = grid.n_z + 1
-    truncation = float(np.max(np.abs(tall[:common] - full)))
+    full, disc = _h_grid(gc, grid)
+    padded = _padded_h(gc, grid)
+    truncation = float(np.max(np.abs(padded - full)))
     # data are 1 at the bottom and 0 at the cut: bounds [0, 1]
-    return _finish_solution(full, disc, np.ones(grid.n_y), truncation, bounds=(0.0, 1.0))
+    return _finish_solution(full, disc, np.ones(grid.n_y), truncation, h_grid=padded,
+                            bounds=(0.0, 1.0))
 
 
 def solve_conditioned(m: ChartModel, f, grid: HalfCylinderGrid | None = None,
-                      pad_factor: float = 16.0,
-                      check_truncation: bool = True) -> HalfCylinderSolution:
+                      check_truncation: bool = True,
+                      _regime: Verdict | HalfCylinderSolution | None = None
+                      ) -> HalfCylinderSolution:
     """Conditioned-exit solution for a repelling model.
 
     Forms the discrete limit operator, conjugates it by the diagonal of the
     hitting probability h (solved on a taller matching grid so h > 0 on
     every node used), and solves with the boundary data at height zero and
-    a Neumann far field for the conditioned solution itself.
+    a Neumann far field for the conditioned solution itself.  _regime is
+    what a caller already holds: its verdict, or its solve_h(m, grid)
+    result, which stands for the repelling verdict and supplies the padded
+    h, so that system is not factored again.
     """
     grid = grid or conditioned_default_grid()
-    verdict = _verdict(m)
+    h = None
+    if isinstance(_regime, HalfCylinderSolution):
+        if _regime.y_nodes.size != grid.n_y or \
+                not np.array_equal(_regime.z_nodes, grid.z_nodes()):
+            raise ModelError("the solve_h result passed down is on another grid")
+        verdict, h = Verdict.REPELLING, _regime.h_grid
+    else:
+        verdict = _regime or _verdict(m)
     if verdict is not Verdict.REPELLING:
         raise WrongRegime("conditioning applies to repelling boundaries only")
     gc = assemble(m, None, Flavor.LIMIT)
+    if h is None:
+        h = _padded_h(gc, grid)
 
-    tall_grid = grid.extended(pad_factor)
-    disc_tall = _discretize(gc, tall_grid, "dirichlet0")
-    ones = np.ones(tall_grid.n_y)
-    h_unk = _solve_system(disc_tall.mat, -(disc_tall.bottom @ ones))
-    h_full_tall = _grid_from_unknowns(h_unk, ones, tall_grid.n_y, tall_grid.n_z)
-    h_full = h_full_tall[:grid.n_z + 1]
-    if np.min(h_full) < _H_FLOOR:
-        raise HTransformSingular(
-            f"hitting probability as small as {np.min(h_full):.3e} on the grid"
-        )
-
-    disc = _discretize(gc, grid, "neumann")
-    n_y, n_z = grid.n_y, grid.n_z
-    h_unknown = h_full[1:].ravel()
-
-    mat = disc.mat.tocoo()
-    # conjugate PDE rows only; the Neumann far-field row acts on u directly
-    top_rows = np.arange(n_y * (n_z - 1), n_y * n_z)
-    is_top = np.isin(mat.row, top_rows)
-    vals = mat.data * np.where(is_top, 1.0, h_unknown[mat.col] / h_unknown[mat.row])
-    mat_c = sp.csr_matrix((vals, (mat.row, mat.col)), shape=mat.shape)
-
-    bot = disc.bottom.tocoo()
-    bvals = bot.data / h_unknown[bot.row]  # h = 1 on the boundary row
-    bottom_c = sp.csr_matrix((bvals, (bot.row, bot.col)), shape=bot.shape)
-
+    disc, mat, bottom = _neumann_system(gc, grid, h)
     f_vals = _boundary_values(f, disc.y)
-    u = _solve_system(mat_c, -(bottom_c @ f_vals))
-    full = _grid_from_unknowns(u, f_vals, n_y, n_z)
-
-    if not check_truncation:
-        return _finish_solution(full, disc, f_vals, math.nan, h_grid=h_full)
-
-    # truncation check on the node-aligned sub-grid nearest half height
-    k_half = int(np.searchsorted(disc.z, grid.height / 2.0))
-    k_half = min(max(k_half, 101), n_z - 1)
-    half = _ExplicitGrid(n_y=n_y, n_z=k_half, height=float(disc.z[k_half]),
-                         nodes=disc.z[:k_half + 1])
-    disc_h = _discretize(gc, half, "neumann")
-    h_half = h_full[:k_half + 1]
-    mat_h = disc_h.mat.tocoo()
-    top_rows_h = np.arange(n_y * (k_half - 1), n_y * k_half)
-    h_unknown_h = h_half[1:].ravel()
-    vals_h = mat_h.data * np.where(np.isin(mat_h.row, top_rows_h), 1.0,
-                                   h_unknown_h[mat_h.col] / h_unknown_h[mat_h.row])
-    bot_h = disc_h.bottom.tocoo()
-    bottom_h = sp.csr_matrix((bot_h.data / h_unknown_h[bot_h.row],
-                              (bot_h.row, bot_h.col)), shape=bot_h.shape)
-    u_half = _solve_system(sp.csr_matrix((vals_h, (mat_h.row, mat_h.col)),
-                                         shape=mat_h.shape), -(bottom_h @ f_vals))
-    ubar_half = float(u_half[-n_y:].mean())
-    truncation = abs(float(u[-n_y:].mean()) - ubar_half)
-
-    return _finish_solution(full, disc, f_vals, truncation, h_grid=h_full)
+    u = Factors(mat).solve(-(bottom @ f_vals), _RESIDUAL_TARGET)
+    full = _grid_from_unknowns(u, f_vals, grid.n_y, grid.n_z)
+    truncation = math.nan
+    if check_truncation:
+        # re-solve on the node-aligned sub-grid nearest half height
+        k_half = int(np.searchsorted(disc.z, grid.height / 2.0))
+        k_half = min(max(k_half, 101), grid.n_z - 1)
+        half = _ExplicitGrid(n_y=grid.n_y, n_z=k_half, height=float(disc.z[k_half]),
+                             nodes=disc.z[:k_half + 1])
+        _, mat_half, bottom_half = _neumann_system(gc, half, h)
+        u_half = Factors(mat_half).solve(-(bottom_half @ f_vals), _RESIDUAL_TARGET)
+        truncation = abs(float(u[-grid.n_y:].mean()) - float(u_half[-grid.n_y:].mean()))
+    return _finish_solution(full, disc, f_vals, truncation, h_grid=h)
 
 
 def radial_oracle(alpha_c: float, beta_c: float, rho_c: float):
@@ -583,10 +517,8 @@ def exit_measure(m: ChartModel, start: RescaledPoint | None,
             else HalfCylinderGrid()
     if mode == "adjoint":
         gc = assemble(m, None, Flavor.LIMIT)
-        if verdict is Verdict.REPELLING:
-            weights = _adjoint_weights_conditioned(m, gc, grid, start)
-        else:
-            weights = _adjoint_weights(gc, grid, start)
+        h = _padded_h(gc, grid) if verdict is Verdict.REPELLING else None
+        weights = _adjoint_weights(gc, grid, start, h)
         total = weights.sum()
         if abs(total - 1.0) > 1e-8:
             raise NoConvergence(f"exit weights sum to {total:.10f}, not 1")
@@ -611,60 +543,25 @@ def exit_measure(m: ChartModel, start: RescaledPoint | None,
     raise ModelError(f"unknown exit-measure mode {mode!r}")
 
 
-def _adjoint_weights(gc, grid, start) -> np.ndarray:
-    disc = _discretize(gc, grid, "neumann")
-    lu, scale = _factorize(disc.mat)
+def _adjoint_weights(gc, grid, start, h=None) -> np.ndarray:
+    """Exit weight of each y-node at start, or in the deep-layer limit for start=None.
+
+    Given the padded h, the weights are those of the h-conditioned process.
+    """
+    disc, mat, bottom = _neumann_system(gc, grid, h)
+    factors = Factors(mat)
     n_y, n_z = grid.n_y, grid.n_z
     weights = np.empty(n_y)
     for k in range(n_y):
         e = np.zeros(n_y)
         e[k] = 1.0
-        rhs = -(disc.bottom @ e)
-        u = lu.solve(rhs / scale)
+        u = factors.solve(-(bottom @ e))
         if start is None:
             weights[k] = u[-n_y:].mean()
         else:
             full = _grid_from_unknowns(u, e, n_y, n_z)
             weights[k] = _interp_grid(full, disc.z, disc.y, start.y, start.zz)
     return weights
-
-
-def _adjoint_weights_conditioned(m, gc, grid, start) -> np.ndarray:
-    n_y = grid.n_y
-    weights = np.empty(n_y)
-    tall_grid = grid.extended()
-    disc_tall = _discretize(gc, tall_grid, "dirichlet0")
-    ones = np.ones(tall_grid.n_y)
-    h_unk = _solve_system(disc_tall.mat, -(disc_tall.bottom @ ones))
-    h_full = _grid_from_unknowns(h_unk, ones, tall_grid.n_y, tall_grid.n_z)[:grid.n_z + 1]
-    disc = _discretize(gc, grid, "neumann")
-    h_unknown = h_full[1:].ravel()
-    mat = disc.mat.tocoo()
-    top_rows = np.arange(n_y * (grid.n_z - 1), n_y * grid.n_z)
-    vals = mat.data * np.where(np.isin(mat.row, top_rows), 1.0,
-                               h_unknown[mat.col] / h_unknown[mat.row])
-    mat_c = sp.csr_matrix((vals, (mat.row, mat.col)), shape=mat.shape)
-    bot = disc.bottom.tocoo()
-    bottom_c = sp.csr_matrix((bot.data / h_unknown[bot.row], (bot.row, bot.col)),
-                             shape=bot.shape)
-    lu, scale = _factorize(mat_c)
-    for k in range(n_y):
-        e = np.zeros(n_y)
-        e[k] = 1.0
-        u = lu.solve(-(bottom_c @ e) / scale)
-        if start is None:
-            weights[k] = u[-n_y:].mean()
-        else:
-            full = _grid_from_unknowns(u, e, n_y, grid.n_z)
-            weights[k] = _interp_grid(full, disc.z, disc.y, start.y, start.zz)
-    return weights
-
-
-def _factorize(mat: sp.csr_matrix):
-    scale = np.asarray(np.abs(mat).max(axis=1).todense()).ravel()
-    scale[scale == 0] = 1.0
-    lu = spla.splu((sp.diags(1.0 / scale) @ mat).tocsc())
-    return lu, scale
 
 
 def _interp_grid(full: np.ndarray, z: np.ndarray, y: np.ndarray, yq: float, zq: float) -> float:

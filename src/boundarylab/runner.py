@@ -132,14 +132,14 @@ def _run_halfcyl(cfg: ExperimentConfig, out_dir: str) -> list:
     summary = {"verdict": rep.verdict.value, "alpha_bar": rep.alpha_bar,
                "beta_bar": rep.beta_bar}
     if rep.verdict is Verdict.REPELLING:
-        sol_h = halfcyl.solve_h(cfg.model, grid)
+        sol_h = halfcyl.solve_h(cfg.model, grid, _regime=rep.verdict)
         _grid_csv(os.path.join(out_dir, "h_grid.csv"), sol_h.z_nodes, sol_h.y_nodes,
                   sol_h.u_grid)
         files.append("h_grid.csv")
         summary["h_truncation"] = sol_h.truncation_estimate
-        sol = halfcyl.solve_conditioned(cfg.model, f, grid)
+        sol = halfcyl.solve_conditioned(cfg.model, f, grid, _regime=sol_h)
     else:
-        sol = halfcyl.solve_u(cfg.model, f, grid)
+        sol = halfcyl.solve_u(cfg.model, f, grid, _regime=rep.verdict)
     _grid_csv(os.path.join(out_dir, "u_grid.csv"), sol.z_nodes, sol.y_nodes, sol.u_grid)
     write_csv(os.path.join(out_dir, "variation.csv"), ["z", "oscillation"],
               [[z, v] for z, v in zip(sol.z_nodes, sol.variation)])
@@ -174,27 +174,26 @@ def _run_convergence(cfg: ExperimentConfig, out_dir: str) -> list:
     if "mc" in num:
         mc_params = _mc_params(cfg, num["mc"])
     ubar = dirichlet.limit_value(cfg.model, psi_d, grid)
+    tables = [dirichlet.convergence_experiment(
+        cfg.model, psi_d, num["eps_list"], num["probes"], completion=comp,
+        dom=cfg.dom, n_theta=num["n_theta"], mc_params=mc_params, ubar=ubar)
+        for comp in use]
     rows = []
     flags = []
     finals = {}
-    for comp in use:
-        table = dirichlet.convergence_experiment(
-            cfg.model, psi_d, num["eps_list"], num["probes"], completion=comp,
-            dom=cfg.dom, n_theta=num["n_theta"], mc_params=mc_params, ubar=ubar)
+    for comp, table in zip(use, tables):
         rows.extend(table.rows)
         flags.extend([(comp.label, f) for f in table.non_monotone_flags])
         finals[comp.label] = {str(p): table.errors_for(p, completion=comp.label)[-1]
                               for p in num["probes"]}
     write_csv(os.path.join(out_dir, "convergence.csv"),
               ["eps", "probe_x1", "probe_x2", "method", "completion", "value",
-               "abs_error", "mc_stderr"],
+               "abs_error", "mc_stderr", "mc_censored"],
               [[r.eps, r.probe[0], r.probe[1], r.method, r.completion, r.value,
-                r.abs_error, r.mc_stderr] for r in rows])
+                r.abs_error, r.mc_stderr, r.mc_censored] for r in rows])
     # solution grid at the smallest eps, CSV plus its JSON header
     eps_min = num["eps_list"][-1]
-    op = dirichlet.DiskOperator(model=cfg.model, eps=eps_min, completion=use[0],
-                                dom=cfg.dom)
-    sol = dirichlet.solve_fd(op, psi_d, n_theta=num["n_theta"])
+    sol = tables[0].final_solution
     write_csv(os.path.join(out_dir, "solution_grid.csv"),
               ["r"] + [f"theta{i}" for i in range(num["n_theta"])],
               [[sol.r_nodes[j]] + list(sol.u[j]) for j in range(sol.r_nodes.size)])

@@ -27,6 +27,16 @@ def test_radial_nodes_resolve_the_layer():
     assert ann[0] == pytest.approx(0.4)
 
 
+def test_solve_fd_resolves_layers_below_one_percent(zoo):
+    comp = default_completions(zoo["D"])[0]
+    eps = 0.005
+    sol = solve_fd(DiskOperator(model=zoo["D"], eps=eps, completion=comp), np.cos)
+    assert np.count_nonzero(1.0 - sol.r_nodes < eps) - 1 >= 20
+    assert sol.max_principle_ok
+    with pytest.raises(ModelError):
+        solve_fd(DiskOperator(model=zoo["D"], eps=0.0, completion=comp), np.cos)
+
+
 def test_constants_are_harmonic(zoo):
     comp = default_completions(zoo["A"])[0]
     for eps in (0.4, 0.1):
@@ -71,6 +81,21 @@ def test_fd_mc_cross_agreement(zoo):
     est, se, cens = solve_mc(op, np.cos, (0.3, 0.0), p)
     assert cens < 1e-3
     assert abs(est - sol.probe(0.3, 0.0)) <= 3 * se
+
+
+def test_convergence_rows_carry_the_censored_share(zoo):
+    comp = default_completions(zoo["A"])[0]
+    p = sde.SimulationParams(dt=0.01, seed=6, n_paths=64, max_time=0.3)
+    table = convergence_experiment(zoo["A"], np.cos, [0.4, 0.2], [(0.3, 0.0)],
+                                   completion=comp, n_theta=32, mc_params=p, ubar=0.0)
+    for row in table.rows:
+        if row.method == "fd":
+            assert row.mc_censored == 0.0
+        else:
+            op = DiskOperator(model=zoo["A"], eps=row.eps, completion=comp)
+            assert row.mc_censored == solve_mc(op, np.cos, row.probe, p)[2]
+            assert row.mc_censored > 0.0
+    assert table.final_solution.eps == 0.2
 
 
 def test_convergence_experiment_symmetric_center(zoo):
