@@ -246,6 +246,9 @@ def _validate_martingale(num: dict) -> dict:
     cps = num.get("checkpoints")
     _expect(isinstance(cps, list) and len(cps) >= 2, "numerics.checkpoints",
             "expected a list of at least two times")
+    for i, t in enumerate(cps):
+        _expect(isinstance(t, (int, float)) and not isinstance(t, bool) and t > 0,
+                f"numerics.checkpoints[{i}]", f"must be a positive number, got {t!r}")
     return {
         "band": (lo, hi),
         "start": tuple(map(float, start)),

@@ -347,14 +347,10 @@ def sample_exit(op: DiskOperator, start, params: sde.SimulationParams,
     n = params.n_paths
     dt = params.dt
     sqdt = math.sqrt(dt)
-    n_steps = int(round(params.max_time / dt))
     cp = None
     positions = None
     if checkpoint_times is not None:
-        cp = np.asarray(sorted(checkpoint_times), dtype=float)
-        steps_at = np.round(cp / dt).astype(int)
-        if np.any(np.abs(steps_at * dt - cp) > 1e-9):
-            raise ModelError("checkpoint times must be multiples of dt")
+        cp, steps_at = sde._checkpoint_steps(checkpoint_times, dt)
         positions = np.full((cp.size, n, 2), np.nan)
 
     exit_theta = np.full(n, np.nan)
@@ -362,75 +358,59 @@ def sample_exit(op: DiskOperator, start, params: sde.SimulationParams,
     exited = np.zeros(n, dtype=bool)
     exit_inner = np.zeros(n, dtype=bool)
 
-    for chunk in sde._chunks(n, params.chunk_size):
-        gens = sde._path_generators(params.seed, chunk, params.antithetic)
-        ids = np.arange(chunk.size)
-        x = np.tile(x0, (chunk.size, 1))
-        step = 0
-        cp_idx = 0
-        while step < n_steps and ids.size:
-            gsel = [gens[i] for i in ids]
-            normals, uniforms = sde._draw_block(gsel, chunk[ids], params.antithetic)
-            block = min(sde.NOISE_BLOCK, n_steps - step)
-            live = np.ones(ids.size, dtype=bool)
-            for s in range(block):
-                drift, a11, a12, a22 = op.cartesian_ito(x)
-                s1 = np.sqrt(a11)
-                s2 = a12 / s1
-                s3 = np.sqrt(np.maximum(a22 - s2 * s2, 0.0))
-                n1 = normals[:, s, 0]
-                n2 = normals[:, s, 1]
-                dx1 = drift[:, 0] * dt + sqdt * s1 * n1
-                dx2 = drift[:, 1] * dt + sqdt * (s2 * n1 + s3 * n2)
-                x_new = x + np.stack([dx1, dx2], axis=-1)
-                t_now = (step + s) * dt
-                r_new = np.linalg.norm(x_new, axis=-1)
-                crossed = live & (r_new >= 1.0)
-                if np.any(crossed):
-                    frac = _circle_crossing(x[crossed], x_new[crossed] - x[crossed], 1.0)
-                    hit_pt = x[crossed] + frac[:, None] * (x_new[crossed] - x[crossed])
-                    g = chunk[ids[crossed]]
-                    exited[g] = True
-                    exit_time[g] = t_now + frac * dt
-                    exit_theta[g] = wrap_angle(np.arctan2(hit_pt[:, 1], hit_pt[:, 0]))
-                    live = live & ~crossed
-                if inner_r is not None:
-                    crossed_in = live & (r_new <= inner_r)
-                    if np.any(crossed_in):
-                        frac = _circle_crossing(x[crossed_in], x_new[crossed_in] - x[crossed_in],
-                                                inner_r, inward=True)
-                        hit_pt = x[crossed_in] + frac[:, None] * (x_new[crossed_in] - x[crossed_in])
-                        g = chunk[ids[crossed_in]]
-                        exited[g] = True
-                        exit_inner[g] = True
-                        exit_time[g] = t_now + frac * dt
-                        exit_theta[g] = wrap_angle(np.arctan2(hit_pt[:, 1], hit_pt[:, 0]))
-                        live = live & ~crossed_in
-                if params.bridge_absorption:
-                    z_old = 1.0 - np.linalg.norm(x, axis=-1)
-                    z_new = 1.0 - r_new
-                    ann = _radial_component(x, a11, a12, a22)
-                    ann_end = op.normal_diffusion(x_new)
-                    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                        p_hit = np.exp(-4.0 * np.maximum(z_old, 0.0) * np.maximum(z_new, 0.0)
-                                       / ((ann + ann_end) * dt))
-                    hit = live & (z_new > 0.0) & (uniforms[:, s] < p_hit)
-                    if np.any(hit):
-                        mid = 0.5 * (x[hit] + x_new[hit])
-                        g = chunk[ids[hit]]
-                        exited[g] = True
-                        exit_time[g] = t_now + 0.5 * dt
-                        exit_theta[g] = wrap_angle(np.arctan2(mid[:, 1], mid[:, 0]))
-                        live = live & ~hit
-                x = np.where(live[:, None], x_new, x)
-                if cp is not None:
-                    while cp_idx < steps_at.size and steps_at[cp_idx] == step + s + 1:
-                        positions[cp_idx, chunk[ids[live]]] = x[live]
-                        cp_idx += 1
-            step += block
-            if not np.all(live):
-                ids = ids[live]
-                x = x[live]
+    def start_state(size):
+        x = np.tile(x0, (size, 1))
+        return [x, *op.cartesian_ito(x)]
+
+    def advance(k, state, noise, uniform, live, pids):
+        # the coefficients at x ride in the state: each step evaluates them once, at x_new
+        x, drift, a11, a12, a22 = state
+        noise1, noise2 = sde._increments(sqdt, a11, a12, a22, noise)
+        dx1 = drift[:, 0] * dt + noise1
+        dx2 = drift[:, 1] * dt + noise2
+        x_new = x + np.stack([dx1, dx2], axis=-1)
+        t_now = k * dt
+        r_new = np.linalg.norm(x_new, axis=-1)
+        walls = [(1.0, False, r_new >= 1.0)]
+        if inner_r is not None:
+            walls.append((inner_r, True, r_new <= inner_r))
+        for radius, inward, beyond in walls:
+            crossed = live & beyond
+            if np.any(crossed):
+                dx = x_new[crossed] - x[crossed]
+                frac = _circle_crossing(x[crossed], dx, radius, inward=inward)
+                hit_pt = x[crossed] + frac[:, None] * dx
+                g = pids[crossed]
+                exited[g] = True
+                exit_inner[g] = inward
+                exit_time[g] = t_now + frac * dt
+                exit_theta[g] = wrap_angle(np.arctan2(hit_pt[:, 1], hit_pt[:, 0]))
+                live = live & ~crossed
+        drift_new, a11_new, a12_new, a22_new = op.cartesian_ito(x_new)
+        if params.bridge_absorption:
+            z_old = 1.0 - np.linalg.norm(x, axis=-1)
+            z_new = 1.0 - r_new
+            ann = _radial_component(x, a11, a12, a22)
+            ann_end = _radial_component(x_new, a11_new, a12_new, a22_new)
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                p_hit = np.exp(-4.0 * np.maximum(z_old, 0.0) * np.maximum(z_new, 0.0)
+                               / ((ann + ann_end) * dt))
+            hit = live & (z_new > 0.0) & (uniform < p_hit)
+            if np.any(hit):
+                mid = 0.5 * (x[hit] + x_new[hit])
+                g = pids[hit]
+                exited[g] = True
+                exit_time[g] = t_now + 0.5 * dt
+                exit_theta[g] = wrap_angle(np.arctan2(mid[:, 1], mid[:, 0]))
+                live = live & ~hit
+        x = np.where(live[:, None], x_new, x)
+        if cp is not None:
+            for c in np.flatnonzero(steps_at == k + 1):
+                positions[c, pids[live]] = x[live]
+        return [x, np.where(live[:, None], drift_new, drift), np.where(live, a11_new, a11),
+                np.where(live, a12_new, a12), np.where(live, a22_new, a22)], live
+
+    sde._run_paths(params, int(round(params.max_time / dt)), start_state, advance)
     return AmbientExitBatch(exit_theta=exit_theta, exit_time=exit_time,
                             exited_mask=exited, exit_inner=exit_inner,
                             checkpoints=cp, positions=positions,

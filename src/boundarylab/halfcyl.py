@@ -536,6 +536,8 @@ def exit_measure(m: ChartModel, start: RescaledPoint | None,
         n_bins = bins or grid.n_y
         edges = np.linspace(0.0, TWO_PI, n_bins + 1)
         counts, _ = np.histogram(batch.exit_y[batch.exited_mask], bins=edges)
+        if not counts.sum():
+            raise NoConvergence("no path exited within max_time")
         weights = counts / counts.sum()
         centers = 0.5 * (edges[:-1] + edges[1:])
         return ExitMeasure(y_nodes=centers, density=weights / (TWO_PI / n_bins),

@@ -13,6 +13,7 @@ couples the estimates across t (monotone for indicator-type data).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -90,8 +91,6 @@ def evolve_mc(spec: StoppedProcessSpec, eps: float, times, start,
     rounded = [max(dt, round(t / dt) * dt) for t in positive]
     results = []
     if positive:
-        import dataclasses
-
         run_params = dataclasses.replace(params, max_time=max(rounded) + dt)
         op = spec.operator(eps)
         batch = sample_exit(op, start, run_params, checkpoint_times=rounded)

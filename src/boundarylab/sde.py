@@ -1,21 +1,25 @@
 """Path sampling for the boundary-layer operators.
 
-All samplers share one discipline: path p of a run draws its noise from
-its own counter-based stream keyed by (seed, p) (Philox), consumed in
-fixed-size blocks, so results are bit-identical however paths are chunked
-or scheduled; aggregation always runs in path order.  Time stepping is
-Euler-Maruyama on the Ito form.  Absorption at height zero is detected by
-endpoint crossing (with the crossing time and location linearly
-interpolated inside the step) plus a Brownian-bridge test for excursions
-the endpoints miss; the bridge test removes the order-sqrt(dt) exit bias
-of pure endpoint monitoring and can be disabled per run.
+All samplers here and the ambient sampler ``dirichlet.sample_exit`` run
+on one Euler-Maruyama driver, ``_run_paths``: path p of a run draws its
+noise from its own counter-based stream keyed by (seed, p) (Philox),
+consumed in fixed-size blocks, and paths that stop are dropped between
+blocks, so results are bit-identical however paths are chunked or
+scheduled; aggregation always runs in path order.  Each sampler supplies
+only its start state and one step on the Ito form.  Absorption at height
+zero is detected by endpoint crossing (with the crossing time and
+location linearly interpolated inside the step) plus a Brownian-bridge
+test for excursions the endpoints miss (Gobet, "Weak approximation of
+killed diffusion using Euler schemes", SPA 87, 2000); the bridge test
+removes the order-sqrt(dt) exit bias of pure endpoint monitoring and can
+be disabled per run.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,6 +54,8 @@ class SimulationParams:
             raise ModelError(f"dt must be > 0, got {self.dt}")
         if self.n_paths < 1:
             raise ModelError("n_paths must be >= 1")
+        if self.chunk_size < 1:
+            raise ModelError("chunk_size must be >= 1")
         if self.max_time <= 0:
             raise ModelError("max_time must be > 0")
         wall_active = self.wall_policy in (WallPolicy.STOP_AT_OUTER_WALL, WallPolicy.BOTH)
@@ -167,9 +173,59 @@ def _draw_block(gens, path_ids, antithetic: bool):
     return normals, uniforms
 
 
-def _chunks(n_paths: int, chunk_size: int):
-    for lo in range(0, n_paths, chunk_size):
-        yield np.arange(lo, min(lo + chunk_size, n_paths))
+def _run_paths(params: SimulationParams, n_steps: int, start_state, advance):
+    """The one Euler-Maruyama driver behind every sampler.
+
+    Paths run chunk by chunk.  ``start_state(n)`` returns the state of n fresh
+    paths: a list of arrays whose first axis runs over paths.
+    ``advance(k, state, noise, uniform, live, pids)`` takes step k (from
+    time k dt to (k + 1) dt) on every row with noise (n, 2) and uniforms
+    (n,), writes exits and checkpoints into the sampler's own per-path
+    arrays through the global path ids ``pids``, keeps the state of the
+    rows that stop frozen, and returns the new state and live mask.
+    Stopped rows are dropped at the end of each block, so later blocks
+    draw noise for live paths only.
+    """
+    for lo in range(0, params.n_paths, params.chunk_size):
+        chunk = np.arange(lo, min(lo + params.chunk_size, params.n_paths))
+        gens = _path_generators(params.seed, chunk, params.antithetic)
+        rows = np.arange(chunk.size)
+        state = start_state(chunk.size)
+        step = 0
+        while step < n_steps and rows.size:
+            pids = chunk[rows]
+            normals, uniforms = _draw_block([gens[i] for i in rows], pids, params.antithetic)
+            live = np.ones(rows.size, dtype=bool)
+            for s in range(min(NOISE_BLOCK, n_steps - step)):
+                state, live = advance(step + s, state, normals[:, s], uniforms[:, s], live, pids)
+            step += NOISE_BLOCK
+            if not np.all(live):
+                rows = rows[live]
+                state = [a[live] for a in state]
+
+
+def _increments(sqdt: float, a11, a12, a22, noise):
+    """Noise terms of one step of a 2-D path: sqrt(dt) times the Cholesky factor times noise.
+
+    The caller adds its own drift; the order of that sum is part of each
+    sampler's results.
+    """
+    s1 = np.sqrt(a11)
+    s2 = a12 / s1
+    s3 = np.sqrt(np.maximum(a22 - s2 * s2, 0.0))
+    n1, n2 = noise[:, 0], noise[:, 1]
+    return sqdt * s1 * n1, sqdt * (s2 * n1 + s3 * n2)
+
+
+def _checkpoint_steps(checkpoint_times, dt: float):
+    """Sorted checkpoint times and their step numbers; each must be a positive multiple of dt."""
+    times = np.asarray(sorted(checkpoint_times), dtype=float)
+    steps_at = np.round(times / dt).astype(int)
+    if np.any(np.abs(steps_at * dt - times) > 1e-9):
+        raise ModelError("checkpoint times must be multiples of dt")
+    if np.any(steps_at <= 0):
+        raise ModelError(f"checkpoint times must be at least dt = {dt}, got {times[0]}")
+    return times, steps_at
 
 
 def _resolve_start(start):
@@ -196,81 +252,60 @@ def simulate(gc: GeneratorCoefficients, start, params: SimulationParams) -> Exit
     exit_time = np.full(n, float(params.max_time))
     exited = np.zeros(n, dtype=bool)
     unstable = np.zeros(n, dtype=bool)
-    n_steps = int(round(params.max_time / params.dt))
     dt = params.dt
     sqdt = math.sqrt(dt)
 
-    for chunk in _chunks(n, params.chunk_size):
-        gens = _path_generators(params.seed, chunk, params.antithetic)
-        ids = np.arange(chunk.size)
-        y = np.full(chunk.size, y0)
-        v = np.full(chunk.size, v0)
-        if params.absorbing and v0 <= 0.0:
-            exited[chunk] = True
-            exit_y[chunk] = wrap_angle(y0)
-            exit_time[chunk] = 0.0
-            continue
-        step = 0
-        while step < n_steps and ids.size:
-            gsel = [gens[i] for i in ids]
-            pids = chunk[ids]
-            normals, uniforms = _draw_block(gsel, pids, params.antithetic)
-            block = min(NOISE_BLOCK, n_steps - step)
-            live = np.ones(ids.size, dtype=bool)
-            for s in range(block):
-                by, bv, ayy, ayv, avv = gc.ito(y, v)
-                s1 = np.sqrt(ayy)
-                s2 = ayv / s1
-                s3 = np.sqrt(np.maximum(avv - s2 * s2, 0.0))
-                n1 = normals[:, s, 0]
-                n2 = normals[:, s, 1]
-                dy = by * dt + sqdt * s1 * n1
-                dv = bv * dt + sqdt * (s2 * n1 + s3 * n2)
-                guard = 10.0 * np.sqrt(dt * np.maximum(ayy, avv)) + \
-                    10.0 * dt * np.maximum(np.abs(by), np.abs(bv))
-                disp = np.maximum(np.abs(dy), np.abs(dv))
-                bad = live & ((disp > guard) | ~np.isfinite(disp))
-                if np.any(bad):
-                    unstable[chunk[ids[bad]]] = True
-                y_new = y + dy
-                v_new = v + dv
-                t_now = (step + s) * dt
-                if params.absorbing:
-                    crossed = live & (v_new <= 0.0)
-                    if np.any(crossed):
-                        frac = v[crossed] / (v[crossed] - v_new[crossed])
-                        g = chunk[ids[crossed]]
-                        exited[g] = True
-                        exit_time[g] = t_now + frac * dt
-                        exit_y[g] = wrap_angle(y[crossed] + frac * dy[crossed])
-                        live = live & ~crossed
-                    if params.bridge_absorption:
-                        # endpoint-averaged diffusion keeps the crossing test O(dt)
-                        avv_end = gc.diffusion_vv(y_new, np.maximum(v_new, 0.0))
-                        with np.errstate(over="ignore", divide="ignore"):
-                            p_hit = np.exp(-4.0 * np.maximum(v, 0.0) *
-                                           np.maximum(v_new, 0.0) / ((avv + avv_end) * dt))
-                        hit = live & (v_new > 0.0) & (uniforms[:, s] < p_hit)
-                        if np.any(hit):
-                            g = chunk[ids[hit]]
-                            exited[g] = True
-                            exit_time[g] = t_now + 0.5 * dt
-                            exit_y[g] = wrap_angle(0.5 * (y[hit] + y_new[hit]))
-                            live = live & ~hit
-                if params.walled:
-                    over = live & (v_new >= params.wall)
-                    if np.any(over):
-                        g = chunk[ids[over]]
-                        exit_time[g] = t_now + dt
-                        live = live & ~over
-                y = np.where(live, y_new, y)
-                v = np.where(live, v_new, v)
-            step += block
-            if not np.all(live):
-                keep = live
-                ids = ids[keep]
-                y = y[keep]
-                v = v[keep]
+    def advance(k, state, noise, uniform, live, pids):
+        y, v = state
+        by, bv, ayy, ayv, avv = gc.ito(y, v)
+        noise_y, noise_v = _increments(sqdt, ayy, ayv, avv, noise)
+        dy = by * dt + noise_y
+        dv = bv * dt + noise_v
+        guard = 10.0 * np.sqrt(dt * np.maximum(ayy, avv)) + \
+            10.0 * dt * np.maximum(np.abs(by), np.abs(bv))
+        disp = np.maximum(np.abs(dy), np.abs(dv))
+        bad = live & ((disp > guard) | ~np.isfinite(disp))
+        if np.any(bad):
+            unstable[pids[bad]] = True
+        y_new = y + dy
+        v_new = v + dv
+        t_now = k * dt
+        if params.absorbing:
+            crossed = live & (v_new <= 0.0)
+            if np.any(crossed):
+                frac = v[crossed] / (v[crossed] - v_new[crossed])
+                g = pids[crossed]
+                exited[g] = True
+                exit_time[g] = t_now + frac * dt
+                exit_y[g] = wrap_angle(y[crossed] + frac * dy[crossed])
+                live = live & ~crossed
+            if params.bridge_absorption:
+                # endpoint-averaged diffusion keeps the crossing test O(dt)
+                avv_end = gc.diffusion_vv(y_new, np.maximum(v_new, 0.0))
+                with np.errstate(over="ignore", divide="ignore"):
+                    p_hit = np.exp(-4.0 * np.maximum(v, 0.0) *
+                                   np.maximum(v_new, 0.0) / ((avv + avv_end) * dt))
+                hit = live & (v_new > 0.0) & (uniform < p_hit)
+                if np.any(hit):
+                    g = pids[hit]
+                    exited[g] = True
+                    exit_time[g] = t_now + 0.5 * dt
+                    exit_y[g] = wrap_angle(0.5 * (y[hit] + y_new[hit]))
+                    live = live & ~hit
+        if params.walled:
+            over = live & (v_new >= params.wall)
+            if np.any(over):
+                exit_time[pids[over]] = t_now + dt
+                live = live & ~over
+        return [np.where(live, y_new, y), np.where(live, v_new, v)], live
+
+    if params.absorbing and v0 <= 0.0:
+        exited[:] = True
+        exit_y[:] = wrap_angle(y0)
+        exit_time[:] = 0.0
+    else:
+        _run_paths(params, int(round(params.max_time / dt)),
+                   lambda size: [np.full(size, y0), np.full(size, v0)], advance)
     return ExitSampleBatch(exit_y=exit_y, exit_time=exit_time, exited_mask=exited,
                            unstable_mask=unstable, n_paths=n, seed=params.seed)
 
@@ -296,26 +331,23 @@ def simulate_boundary(m: ChartModel, start_y: float, params: SimulationParams,
     sums = {k: np.zeros(params.n_paths) for k in observables}
     kept = n_steps - burn_steps
 
-    for chunk in _chunks(params.n_paths, params.chunk_size):
-        gens = _path_generators(params.seed, chunk, params.antithetic)
-        y = np.full(chunk.size, float(start_y))
-        step = 0
-        while step < n_steps:
-            normals, _ = _draw_block(gens, chunk, params.antithetic)
-            block = min(NOISE_BLOCK, n_steps - step)
-            for s in range(block):
-                a = np.asarray(m.a(y)) + np.zeros_like(y)
-                b = np.asarray(m.b(y)) + np.zeros_like(y)
-                y = y + b * dt + sqdt * np.sqrt(a) * normals[:, s, 0]
-                if step + s >= burn_steps:
-                    wrapped = wrap_angle(y)
-                    counts += np.bincount(
-                        np.minimum((wrapped / TWO_PI * bins).astype(int), bins - 1),
-                        minlength=bins,
-                    )
-                    for k, fn in observables.items():
-                        sums[k][chunk] += fn(wrapped)
-            step += block
+    def advance(k, state, noise, uniform, live, pids):
+        nonlocal counts
+        y, = state
+        a = np.asarray(m.a(y)) + np.zeros_like(y)
+        b = np.asarray(m.b(y)) + np.zeros_like(y)
+        y = y + b * dt + sqdt * np.sqrt(a) * noise[:, 0]
+        if k >= burn_steps:
+            wrapped = wrap_angle(y)
+            counts += np.bincount(
+                np.minimum((wrapped / TWO_PI * bins).astype(int), bins - 1),
+                minlength=bins,
+            )
+            for name, fn in observables.items():
+                sums[name][pids] += fn(wrapped)
+        return [y], live
+
+    _run_paths(params, n_steps, lambda size: [np.full(size, float(start_y))], advance)
     hist = counts / counts.sum() / (TWO_PI / bins)
     averages = {}
     for k in observables:
@@ -342,41 +374,31 @@ def attraction_stats(m: ChartModel, starts, horizon: float, params: SimulationPa
     n_steps = int(round(horizon / params.dt))
     dt = params.dt
     sqdt = math.sqrt(dt)
+    n = params.n_paths
     rows = []
     for start in starts:
         y0, z0 = _resolve_start(start)
-        n = params.n_paths
-        final = np.empty(n)
-        mins = np.empty(n)
-        maxs = np.empty(n)
-        for chunk in _chunks(n, params.chunk_size):
-            gens = _path_generators(params.seed, chunk, params.antithetic)
-            y = np.full(chunk.size, y0)
-            z = np.full(chunk.size, z0)
-            zmin = np.full(chunk.size, z0)
-            zmax = np.full(chunk.size, z0)
-            frozen = np.zeros(chunk.size, dtype=bool)
-            step = 0
-            while step < n_steps:
-                normals, _ = _draw_block(gens, chunk, params.antithetic)
-                block = min(NOISE_BLOCK, n_steps - step)
-                for s in range(block):
-                    by, bz, ayy, ayz, azz = gc.ito(y, z)
-                    s1 = np.sqrt(ayy)
-                    s2 = ayz / s1
-                    s3 = np.sqrt(np.maximum(azz - s2 * s2, 0.0))
-                    y = y + by * dt + sqdt * s1 * normals[:, s, 0]
-                    z_new = z + bz * dt + sqdt * (s2 * normals[:, s, 0] + s3 * normals[:, s, 1])
-                    z_new = np.maximum(z_new, 0.0)
-                    hit_wall = z_new >= far_wall
-                    frozen = frozen | hit_wall
-                    z = np.where(frozen, np.where(hit_wall, far_wall, z), z_new)
-                    zmin = np.minimum(zmin, z)
-                    zmax = np.maximum(zmax, z)
-                step += block
-            final[chunk] = z
-            mins[chunk] = zmin
-            maxs[chunk] = zmax
+        final, mins, maxs = np.full(n, z0), np.full(n, z0), np.full(n, z0)
+
+        def advance(k, state, noise, uniform, live, pids):
+            y, z, zmin, zmax, frozen = state
+            by, bz, ayy, ayz, azz = gc.ito(y, z)
+            noise_y, noise_z = _increments(sqdt, ayy, ayz, azz, noise)
+            y = y + by * dt + noise_y
+            z_new = np.maximum(z + bz * dt + noise_z, 0.0)
+            hit_wall = z_new >= far_wall
+            frozen = frozen | hit_wall
+            z = np.where(frozen, np.where(hit_wall, far_wall, z), z_new)
+            zmin = np.minimum(zmin, z)
+            zmax = np.maximum(zmax, z)
+            if k + 1 == n_steps:
+                final[pids], mins[pids], maxs[pids] = z, zmin, zmax
+            return [y, z, zmin, zmax, frozen], live
+
+        _run_paths(params, n_steps,
+                   lambda size: [np.full(size, y0), np.full(size, z0), np.full(size, z0),
+                                 np.full(size, z0), np.zeros(size, dtype=bool)],
+                   advance)
         near = final < near_threshold
         p = float(np.mean(near))
         se = math.sqrt(max(p * (1 - p), 1e-300) / n)
@@ -411,50 +433,38 @@ def martingale_trace(m: ChartModel, report: ClassificationReport, start,
     gap = report.alpha_bar - report.beta_bar
     dt = params.dt
     sqdt = math.sqrt(dt)
-    checkpoints = np.asarray(sorted(checkpoint_times), dtype=float)
-    steps_at = np.round(checkpoints / dt).astype(int)
-    if np.any(np.abs(steps_at * dt - checkpoints) > 1e-9):
-        raise ModelError("checkpoint times must be multiples of dt")
-    n_steps = int(steps_at.max())
+    checkpoints, steps_at = _checkpoint_steps(checkpoint_times, dt)
     n = params.n_paths
     values = np.zeros((checkpoints.size, n))
     h0 = float(psi(y0)) + math.log(zz0)
 
-    for chunk in _chunks(n, params.chunk_size):
-        gens = _path_generators(params.seed, chunk, params.antithetic)
-        y = np.full(chunk.size, y0)
-        w = np.full(chunk.size, math.log(zz0))
-        integral = np.zeros(chunk.size)
-        live = np.ones(chunk.size, dtype=bool)
-        frozen_h = np.zeros(chunk.size)
-        step = 0
-        cp_idx = 0
-        while step < n_steps:
-            normals, _ = _draw_block(gens, chunk, params.antithetic)
-            block = min(NOISE_BLOCK, n_steps - step)
-            for s in range(block):
-                by, bw, ayy, ayw, aww = gc.ito(y, w)
-                integrand = rho_weight * np.asarray(m.rho(wrap_angle(y))) * np.exp(-2.0 * w)
-                s1 = np.sqrt(ayy)
-                s2 = ayw / s1
-                s3 = np.sqrt(np.maximum(aww - s2 * s2, 0.0))
-                y_new = y + by * dt + sqdt * s1 * normals[:, s, 0]
-                w_new = w + bw * dt + sqdt * (s2 * normals[:, s, 0] + s3 * normals[:, s, 1])
-                integral_new = integral + integrand * dt
-                t_new = (step + s + 1) * dt
-                out = live & ((w_new <= w_lo) | (w_new >= w_hi))
-                if np.any(out):
-                    frozen_h[out] = (np.asarray(psi(wrap_angle(y_new[out]))) + w_new[out]
-                                     + integral_new[out] + gap * t_new)
-                    live = live & ~out
-                y = np.where(live, y_new, y)
-                w = np.where(live, w_new, w)
-                integral = np.where(live, integral_new, integral)
-                while cp_idx < steps_at.size and steps_at[cp_idx] == step + s + 1:
-                    h_live = np.asarray(psi(wrap_angle(y))) + w + integral + gap * t_new
-                    values[cp_idx, chunk] = np.where(live, h_live, frozen_h)
-                    cp_idx += 1
-            step += block
+    def advance(k, state, noise, uniform, live, pids):
+        y, w, integral = state
+        by, bw, ayy, ayw, aww = gc.ito(y, w)
+        integrand = rho_weight * np.asarray(m.rho(wrap_angle(y))) * np.exp(-2.0 * w)
+        noise_y, noise_w = _increments(sqdt, ayy, ayw, aww, noise)
+        y_new = y + by * dt + noise_y
+        w_new = w + bw * dt + noise_w
+        integral_new = integral + integrand * dt
+        t_new = (k + 1) * dt
+        out = live & ((w_new <= w_lo) | (w_new >= w_hi))
+        if np.any(out):
+            # a path leaving the band keeps its value at every later checkpoint
+            values[np.searchsorted(steps_at, k + 1):, pids[out]] = (
+                np.asarray(psi(wrap_angle(y_new[out]))) + w_new[out]
+                + integral_new[out] + gap * t_new)
+            live = live & ~out
+        y = np.where(live, y_new, y)
+        w = np.where(live, w_new, w)
+        integral = np.where(live, integral_new, integral)
+        for c in np.flatnonzero(steps_at == k + 1):
+            h_live = np.asarray(psi(wrap_angle(y))) + w + integral + gap * t_new
+            values[c, pids[live]] = h_live[live]
+        return [y, w, integral], live
+
+    _run_paths(params, int(steps_at.max()),
+               lambda size: [np.full(size, y0), np.full(size, math.log(zz0)), np.zeros(size)],
+               advance)
     means = values.mean(axis=1)
     stderrs = values.std(axis=1, ddof=1) / math.sqrt(n)
     return MartingaleTrace(times=checkpoints, values=means, stderrs=stderrs,

@@ -52,6 +52,15 @@ def test_negative_eps_names_the_field():
     assert "eps_list[1]" in str(err.value)
 
 
+def test_nonpositive_checkpoint_names_the_field():
+    raw = load("martingale_a.json")
+    for bad in (0.0, -0.15):
+        raw["numerics"]["checkpoints"] = [0.15, bad]
+        with pytest.raises(ConfigError) as err:
+            parse_config(raw)
+        assert "numerics.checkpoints[1]" in str(err.value)
+
+
 def test_seed_is_mandatory():
     cfg = minimal_classify()
     del cfg["seed"]

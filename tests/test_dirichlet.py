@@ -196,3 +196,11 @@ def test_max_principle_reported(zoo):
     sol = solve_fd(op, np.cos)
     assert sol.max_principle_ok
     assert np.max(sol.u) <= 1.0 + 1e-9 and np.min(sol.u) >= -1.0 - 1e-9
+
+
+def test_sample_exit_checkpoints_after_time_zero(zoo):
+    comp = default_completions(zoo["A"])[0]
+    op = DiskOperator(model=zoo["A"], eps=0.2, completion=comp)
+    p = sde.SimulationParams(dt=1e-3, seed=9, n_paths=8, max_time=0.2)
+    with pytest.raises(ModelError):
+        sample_exit(op, (0.0, 0.0), p, checkpoint_times=[0.0, 0.1])

@@ -9,6 +9,7 @@ from boundarylab.errors import (
     HTransformSingular,
     LevelSetUnresolved,
     ModelError,
+    NoConvergence,
     NotIntegrable,
     WrongRegime,
 )
@@ -196,6 +197,13 @@ def test_exit_measure_monte_carlo_matches_adjoint(zoo):
     n = 20000
     sigma = np.sqrt(fd_bins * (1 - fd_bins) / n)
     assert np.max(np.abs(nu_mc.weights - fd_bins) / sigma) <= 3.0
+
+
+def test_exit_measure_monte_carlo_without_exits(zoo):
+    # from deep in the repelling layer no path reaches the boundary in 0.01
+    p = sde.SimulationParams(dt=1e-3, seed=78, n_paths=16, max_time=0.01)
+    with pytest.raises(NoConvergence):
+        exit_measure(zoo["B"], RescaledPoint(0.0, 50.0), mode="mc", params=p, bins=16)
 
 
 def test_ubar_grid_convergence(zoo):

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from boundarylab import sde
+from boundarylab import dirichlet, sde
 from boundarylab.coefficients import Const, Cosine, Fourier
 from boundarylab.errors import ModelError
 from boundarylab.fields import ChartModel, Flavor, PerturbationSpec, assemble
+from boundarylab.geometry import DomainKind, DomainModel
 from boundarylab.halfcyl import radial_oracle
 from boundarylab.sde import SimulationParams, WallPolicy
 
@@ -26,6 +27,9 @@ def test_params_validation():
     with pytest.raises(ModelError):
         SimulationParams(dt=1e-3, seed=1, n_paths=10, max_time=1.0,
                          wall_policy=WallPolicy.STOP_AT_OUTER_WALL)
+    for chunk in (0, -5):   # a negative size would run no path and censor them all
+        with pytest.raises(ModelError):
+            SimulationParams(dt=1e-3, seed=1, n_paths=10, max_time=1.0, chunk_size=chunk)
 
 
 def test_determinism_across_chunking(zoo):
@@ -40,6 +44,77 @@ def test_determinism_across_chunking(zoo):
         assert np.array_equal(b.exit_time, batches[0].exit_time)
         assert np.array_equal(b.exited_mask, batches[0].exited_mask)
         assert np.allclose(b.exit_y, batches[0].exit_y, equal_nan=True, atol=0)
+
+
+def _run_simulate(zoo, reports, chunk):
+    p = SimulationParams(dt=2e-3, seed=124, n_paths=90, max_time=1.2, antithetic=True,
+                         chunk_size=chunk)
+    b = sde.simulate(assemble(zoo["D"], None, Flavor.LIMIT), (0.3, 1.0), p)
+    return b.exited_mask, (b.exit_y, b.exit_time, b.exited_mask, b.unstable_mask)
+
+
+def _run_boundary(zoo, reports, chunk):
+    p = SimulationParams(dt=2e-3, seed=125, n_paths=90, max_time=1.2, chunk_size=chunk)
+    run = sde.simulate_boundary(zoo["tilted"], 0.5, p, burn_in=0.2, bins=16,
+                                observables={"alpha": zoo["tilted"].alpha})
+    return None, (run.histogram, run.averages["alpha"])
+
+
+def _run_attraction(zoo, reports, chunk):
+    p = SimulationParams(dt=5e-3, seed=126, n_paths=90, max_time=2.0, chunk_size=chunk)
+    rows = sde.attraction_stats(zoo["B"], [(0.0, 0.3), (1.0, 2.0)], 2.0, p, far_wall=2.5)
+    return None, ([(r.fraction_near, r.min_distance, r.max_distance) for r in rows],)
+
+
+def _run_martingale(zoo, reports, chunk):
+    p = SimulationParams(dt=1e-3, seed=127, n_paths=90, max_time=0.6, chunk_size=chunk)
+    tr = sde.martingale_trace(zoo["B"], reports["B"], (0.0, 3.0), p, band=(1.5, 6.0),
+                              checkpoint_times=[0.1, 0.3, 0.6])
+    return None, (tr.values, tr.stderrs)
+
+
+def _run_sample_exit(dom, model, start):
+    def run(zoo, reports, chunk):
+        comp = dirichlet.default_completions(zoo[model])[0]
+        op = dirichlet.DiskOperator(model=zoo[model], eps=0.2, completion=comp, dom=dom)
+        p = SimulationParams(dt=2e-3, seed=128, n_paths=90, max_time=0.8, chunk_size=chunk)
+        b = dirichlet.sample_exit(op, start, p, checkpoint_times=[0.1, 0.4, 0.7])
+        return b.exited_mask, (b.exit_theta, b.exit_time, b.exited_mask, b.exit_inner,
+                               b.positions)
+    return run
+
+
+CHUNKED_SAMPLERS = {
+    "simulate": _run_simulate,
+    "simulate_boundary": _run_boundary,
+    "attraction_stats": _run_attraction,
+    "martingale_trace": _run_martingale,
+    "sample_exit-disk": _run_sample_exit(None, "D", (0.3, 0.2)),
+    "sample_exit-annulus": _run_sample_exit(
+        DomainModel(kind=DomainKind.ANNULUS, inner_radius=0.4, chart_radius=0.25),
+        "A", (0.6, 0.0)),
+}
+
+
+@pytest.mark.parametrize("sampler", sorted(CHUNKED_SAMPLERS))
+def test_chunk_invariance(sampler, zoo, reports):
+    # every run outlasts one noise block (256 steps), so stopped rows are dropped between blocks
+    run = CHUNKED_SAMPLERS[sampler]
+    exited, ref = run(zoo, reports, 8192)
+    if exited is not None:
+        assert 0 < np.count_nonzero(exited) < exited.size
+    for chunk in (7, 40):
+        _, out = run(zoo, reports, chunk)
+        for a, b in zip(out, ref):
+            np.testing.assert_array_equal(a, b)
+
+
+def test_checkpoints_after_time_zero(zoo, reports):
+    p = SimulationParams(dt=1e-3, seed=55, n_paths=8, max_time=0.2)
+    for times in ([0.0, 0.1, 0.2], [-0.1, 0.1], [1e-12, 0.1]):
+        with pytest.raises(ModelError):
+            sde.martingale_trace(zoo["A"], reports["A"], (0.0, 5.0), p, band=(1.0, 25.0),
+                                 checkpoint_times=times)
 
 
 def test_attracting_model_exits(zoo):
