@@ -439,6 +439,8 @@ def solve_mc(op: DiskOperator, psi_d, start, params: sde.SimulationParams,
     excluded from the average, so the estimate is conditional on exit and
     the caller should keep the censored fraction negligible.
     """
+    if op.dom.kind is DomainKind.ANNULUS and psi_inner is None:
+        raise ModelError("annulus solve needs inner boundary data")
     batch = sample_exit(op, start, params)
     mask = batch.exited_mask
     if not np.any(mask):

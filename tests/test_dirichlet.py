@@ -185,6 +185,20 @@ def test_annulus_exit_sampling(zoo):
     assert 0.05 < batch.exit_inner[batch.exited_mask].mean() < 0.95
 
 
+def test_annulus_mc_needs_inner_data(zoo, monkeypatch):
+    dom = DomainModel(kind=DomainKind.ANNULUS, inner_radius=0.3, chart_radius=0.3)
+    comp = default_completions(zoo["D"])[0]
+    op = DiskOperator(model=zoo["D"], eps=0.2, completion=comp, dom=dom)
+    p = sde.SimulationParams(dt=5e-3, seed=1, n_paths=256, max_time=50.0)
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the inner data was checked")
+
+    monkeypatch.setattr(dirichlet, "sample_exit", no_sampling)
+    with pytest.raises(ModelError, match="inner boundary data"):
+        solve_mc(op, np.cos, (0.5, 0.0), p)
+
+
 def test_eps_list_must_decrease(zoo):
     with pytest.raises(ModelError):
         convergence_experiment(zoo["A"], np.cos, [0.1, 0.2], [(0.0, 0.0)])

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from boundarylab import classifier, config, dirichlet, halfcyl, runner
+from boundarylab import classifier, config, dirichlet, fd, halfcyl, runner
 from boundarylab.errors import ModelError
+from boundarylab.fields import Flavor, assemble
 
 COS = {"kind": "cosine", "mean": 0.0, "amp": 1.0, "phase": 0.0}
 
@@ -68,3 +69,27 @@ def test_conditioned_solve_takes_the_h_of_solve_h(zoo):
     other = halfcyl.HalfCylinderGrid(n_y=32, n_z=300, height=1e13, dz0=0.02)
     with pytest.raises(ModelError):
         halfcyl.solve_conditioned(zoo["B-asym"], np.cos, other, _regime=sol_h)
+
+
+def test_factors_order_columns_for_less_fill(zoo):
+    grid = halfcyl.HalfCylinderGrid(n_y=64, n_z=512, height=1e13, dz0=0.02)
+    gc = assemble(zoo["B-asym"], None, Flavor.LIMIT)
+    _, mat, _ = halfcyl._neumann_system(gc, grid)
+    ordered = fd.Factors(mat)
+    colamd = spla.splu(ordered.mat, permc_spec="COLAMD")
+    assert ordered.lu.L.nnz + ordered.lu.U.nnz <= 0.7 * (colamd.L.nnz + colamd.U.nnz)
+
+
+def test_ordering_keeps_the_solutions(zoo, monkeypatch):
+    op = dirichlet.DiskOperator(model=zoo["D"], eps=0.1,
+                                completion=dirichlet.default_completions(zoo["D"])[0])
+
+    def solves():
+        sol = halfcyl.solve_u(zoo["D"], np.cos, halfcyl.HalfCylinderGrid(n_y=32, n_z=640))
+        return sol.u_grid, dirichlet.solve_fd(op, np.cos, n_theta=32).u
+
+    ordered = solves()
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda mat, **kwargs: splu(mat, permc_spec="COLAMD"))
+    for a, b in zip(ordered, solves()):
+        assert np.max(np.abs(a - b)) <= 1e-11
