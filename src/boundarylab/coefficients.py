@@ -92,26 +92,6 @@ class Fourier(CoefficientFn):
         }
 
 
-@dataclass(frozen=True)
-class Callable1D(CoefficientFn):
-    """Wrap an arbitrary vectorized callable; derivative callable optional."""
-
-    fn: object
-    dfn: object = None
-    label: str = "callable"
-
-    def __call__(self, y):
-        return self.fn(np.asarray(y, dtype=float))
-
-    def deriv(self, y):
-        if self.dfn is None:
-            raise NotImplementedError(f"{self.label} has no derivative")
-        return self.dfn(np.asarray(y, dtype=float))
-
-    def to_config(self) -> dict:
-        raise ConfigError("model", f"coefficient '{self.label}' is not serializable")
-
-
 def coefficient_from_config(spec, field: str) -> CoefficientFn:
     """Build a coefficient function from its config form.
 

@@ -490,11 +490,14 @@ class ConvergenceTable:
 
 
 def limit_value(m: ChartModel, f, grid: HalfCylinderGrid | None = None) -> float:
-    """The eps-free limit of the solution, per the boundary verdict."""
+    """The eps-free limit of the solution, per the boundary verdict.
+
+    Only ubar is kept, so the truncation re-solve is skipped.
+    """
     verdict = classify(m, grid_size=512).verdict
     if verdict is Verdict.REPELLING:
-        return solve_conditioned(m, f, grid, _regime=verdict).ubar
-    return solve_u(m, f, grid, _regime=verdict).ubar
+        return solve_conditioned(m, f, grid, check_truncation=False, _regime=verdict).ubar
+    return solve_u(m, f, grid, check_truncation=False, _regime=verdict).ubar
 
 
 def convergence_experiment(m: ChartModel, psi_d, eps_list, probes,

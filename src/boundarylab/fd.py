@@ -93,3 +93,9 @@ class Factors:
         if tol is not None:
             check_residual(self.mat, x, rhs_eq, tol)
         return x
+
+    def solve_transposed(self, rhs: np.ndarray, tol: float) -> np.ndarray:
+        """x with A^T x = rhs, as D y for (D A)^T y = rhs, whose residual is checked."""
+        y = self.lu.solve(rhs, trans="T")
+        check_residual(self.mat.T, y, rhs, tol)
+        return y / self.scale

@@ -403,18 +403,6 @@ class ZeroField(VectorField):
 
 
 @dataclass(frozen=True)
-class CallableField(VectorField):
-    value_fn: object
-    jacobian_fn: object
-
-    def value(self, x):
-        return self.value_fn(np.asarray(x, dtype=float))
-
-    def jacobian(self, x):
-        return self.jacobian_fn(np.asarray(x, dtype=float))
-
-
-@dataclass(frozen=True)
 class AmbientModel:
     """Driving fields (v0, v1, v2) and perturbation fields (tv0, tv1, tv2)."""
 

@@ -190,11 +190,6 @@ def unit_radial(x: np.ndarray) -> np.ndarray:
     return x / r
 
 
-def unit_tangent(x: np.ndarray) -> np.ndarray:
-    e = unit_radial(x)
-    return np.stack([-e[..., 1], e[..., 0]], axis=-1)
-
-
 def grad_z(x: np.ndarray, component: BoundaryComponent = BoundaryComponent.OUTER) -> np.ndarray:
     sign = -1.0 if component is BoundaryComponent.OUTER else 1.0
     return sign * unit_radial(x)

@@ -162,7 +162,8 @@ class HalfCylinderSolution:
 
     def interp(self, y: float, zz: float) -> float:
         """Bilinear (periodic in y, log-height in z) interpolation of u."""
-        return _interp_grid(self.u_grid, self.z_nodes, self.y_nodes, y, zz)
+        rows, cols, weights = _interp_functional(self.z_nodes, self.y_nodes, y, zz)
+        return float(weights @ self.u_grid[rows, cols])
 
 
 @dataclass(frozen=True)
@@ -505,11 +506,12 @@ def exit_measure(m: ChartModel, start: RescaledPoint | None,
                  bins: int | None = None) -> ExitMeasure:
     """Exit-angle law of the layer process, by duality or Monte Carlo.
 
-    Adjoint mode solves the forward problem once per y-grid basis function
-    (one factorization, n_y back-substitutions); the weight of bin k at the
-    start point is then the k-th solution there, and start=None gives the
-    deep-layer limit law read off the top row.  Monte Carlo mode histograms
-    simulated exit angles (conditioned on exit for repelling models).
+    Adjoint mode: the weight of y-node k is the forward solution with data
+    e_k (the k-th basis function), read at the start point, or as the
+    top-row mean for start=None, the deep-layer limit law.  All n_y
+    weights come from one factorization and one transposed solve (see
+    _adjoint_weights).  Monte Carlo mode histograms simulated exit angles
+    (conditioned on exit for repelling models).
     """
     verdict = _verdict(m)
     if grid is None:
@@ -548,35 +550,43 @@ def exit_measure(m: ChartModel, start: RescaledPoint | None,
 def _adjoint_weights(gc, grid, start, h=None) -> np.ndarray:
     """Exit weight of each y-node at start, or in the deep-layer limit for start=None.
 
-    Given the padded h, the weights are those of the h-conditioned process.
+    Each weight is a linear functional c of a forward solution: the
+    top-row mean for start=None, else the interpolation at start, whose
+    row 0 acts on the boundary data.  The solution with data e_k has
+    unknowns u = -A^-1 B e_k, so the weights are c[0] - B^T A^-T c[1:],
+    one transposed solve.  Given the padded h, they are those of the
+    h-conditioned process.
     """
     disc, mat, bottom = _neumann_system(gc, grid, h)
-    factors = Factors(mat)
-    n_y, n_z = grid.n_y, grid.n_z
-    weights = np.empty(n_y)
-    for k in range(n_y):
-        e = np.zeros(n_y)
-        e[k] = 1.0
-        u = factors.solve(-(bottom @ e))
-        if start is None:
-            weights[k] = u[-n_y:].mean()
-        else:
-            full = _grid_from_unknowns(u, e, n_y, n_z)
-            weights[k] = _interp_grid(full, disc.z, disc.y, start.y, start.zz)
-    return weights
+    c = np.zeros((grid.n_z + 1, grid.n_y))
+    if start is None:
+        c[-1] = 1.0 / grid.n_y
+    else:
+        rows, cols, weights = _interp_functional(disc.z, disc.y, start.y, start.zz)
+        c[rows, cols] = weights
+    x = Factors(mat).solve_transposed(c[1:].ravel(), _RESIDUAL_TARGET)
+    return c[0] - bottom.T @ x
 
 
-def _interp_grid(full: np.ndarray, z: np.ndarray, y: np.ndarray, yq: float, zq: float) -> float:
-    """Periodic-in-y, piecewise-linear-in-ln(z) interpolation of a grid function."""
+def _interp_functional(z: np.ndarray, y: np.ndarray, yq: float, zq: float):
+    """(rows, cols, weights) of the grid interpolation at (yq, zq).
+
+    Linear and periodic in y.  In z: linear between the boundary row and
+    the first interior row below z[1], linear in ln(z) above it, and the
+    top row past the top node.
+    """
     n_y = y.size
     dy = TWO_PI / n_y
     s = (yq % TWO_PI) / dy
     i0 = int(s) % n_y
     fy = s - int(s)
-    col = full[:, i0] * (1.0 - fy) + full[:, (i0 + 1) % n_y] * fy
     if zq <= z[1]:
-        # linear between the boundary row and the first interior row
-        t = zq / z[1]
-        return float(col[0] * (1.0 - t) + col[1] * t)
-    lnz = np.log(z[1:])
-    return float(np.interp(math.log(zq), lnz, col[1:]))
+        j0, t = 0, zq / z[1]
+    elif zq >= z[-1]:
+        j0, t = z.size - 2, 1.0
+    else:
+        j0 = int(np.searchsorted(z, zq)) - 1   # z[j0] < zq <= z[j0 + 1]
+        t = math.log(zq / z[j0]) / math.log(z[j0 + 1] / z[j0])
+    rows = np.array([j0, j0, j0 + 1, j0 + 1])
+    cols = np.array([i0, (i0 + 1) % n_y] * 2)
+    return rows, cols, np.outer([1.0 - t, t], [1.0 - fy, fy]).ravel()

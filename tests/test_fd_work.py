@@ -10,13 +10,29 @@ import scipy.sparse.linalg as spla
 from boundarylab import classifier, config, dirichlet, fd, halfcyl, runner
 from boundarylab.errors import ModelError
 from boundarylab.fields import Flavor, assemble
+from boundarylab.geometry import RescaledPoint
 
 COS = {"kind": "cosine", "mean": 0.0, "amp": 1.0, "phase": 0.0}
 
 
+class _CountedLU:
+    """SuperLU factors whose solves are counted; everything else passes through."""
+
+    def __init__(self, lu, counts):
+        self._lu = lu
+        self._counts = counts
+
+    def solve(self, *args, **kwargs):
+        self._counts["lu.solve"] += 1
+        return self._lu.solve(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._lu, name)
+
+
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts splu, classify and solve_fd calls, wherever they are made from."""
+    """Counts splu, LU solve, classify and solve_fd calls, wherever they are made from."""
     counts = collections.Counter()
 
     def counting(name, fn):
@@ -25,7 +41,8 @@ def calls(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(spla, "splu", counting("splu", spla.splu))
+    splu = counting("splu", spla.splu)
+    monkeypatch.setattr(spla, "splu", lambda *a, **kw: _CountedLU(splu(*a, **kw), counts))
     for name, fn in (("classify", classifier.classify), ("solve_fd", dirichlet.solve_fd)):
         wrapper = counting(name, fn)
         for mod_name, mod in list(sys.modules.items()):
@@ -56,7 +73,20 @@ def test_convergence_run_solves_each_eps_once(calls, tmp_path):
         "eps_list": eps_list, "probes": [[0.0, 0.0]], "data": COS, "n_theta": 32,
         "both_completions": True, "grid": {"n_y": 32, "n_z": 200}})
     assert calls["solve_fd"] == 2 * len(eps_list)
+    # one polar system per solve_fd, and the limit solve without a truncation re-solve
+    assert calls["splu"] == 2 * len(eps_list) + 1
     assert calls["classify"] == 1
+
+
+@pytest.mark.parametrize("model, start, factored", [
+    ("D", RescaledPoint(0.0, 1.0), 1),
+    ("B-asym", None, 2),    # the padded h, then the conditioned system
+])
+def test_exit_law_takes_one_transposed_solve(calls, zoo, model, start, factored):
+    grid = halfcyl.HalfCylinderGrid(n_y=32, n_z=200, height=1e13, dz0=0.02)
+    halfcyl.exit_measure(zoo[model], start, grid)
+    assert calls["splu"] == factored
+    assert calls["lu.solve"] == factored
 
 
 def test_conditioned_solve_takes_the_h_of_solve_h(zoo):

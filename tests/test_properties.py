@@ -8,7 +8,8 @@ from boundarylab.classifier import Verdict, classify
 from boundarylab.coefficients import Fourier
 from boundarylab.dirichlet import DiskOperator, default_completions, solve_fd
 from boundarylab.fields import ChartModel
-from boundarylab.halfcyl import HalfCylinderGrid, solve_conditioned, solve_u
+from boundarylab.geometry import RescaledPoint
+from boundarylab.halfcyl import HalfCylinderGrid, exit_measure, solve_conditioned, solve_u
 
 GRID = HalfCylinderGrid(n_y=32, n_z=100)
 TOL = 1e-9
@@ -37,14 +38,17 @@ def _within(values, data):
     return bool(np.all(values >= lo - TOL) and np.all(values <= hi + TOL))
 
 
+def _layer(m, data):
+    """The half-cylinder solve on GRID that the model's verdict calls for."""
+    verdict = classify(m, grid_size=512).verdict
+    solve = solve_conditioned if verdict is Verdict.REPELLING else solve_u
+    return solve(m, data, GRID, check_truncation=False, _regime=verdict)
+
+
 @settings(max_examples=100, deadline=None)
 @given(m=models(), data=fourier(-1.0, 1.0, 1.0), eps=st.sampled_from([0.4, 0.2, 0.1]))
 def test_discrete_maximum_principle(m, data, eps):
-    verdict = classify(m, grid_size=512).verdict
-    if verdict is Verdict.REPELLING:
-        layer = solve_conditioned(m, data, GRID, check_truncation=False, _regime=verdict)
-    else:
-        layer = solve_u(m, data, GRID, check_truncation=False, _regime=verdict)
+    layer = _layer(m, data)
     assert layer.max_principle_ok
     assert _within(layer.u_grid, data(GRID.y_nodes()))
 
@@ -52,3 +56,15 @@ def test_discrete_maximum_principle(m, data, eps):
     disk = solve_fd(op, data, n_theta=32)
     assert disk.max_principle_ok
     assert _within(disk.u, data(disk.theta_nodes))
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=models(), data=fourier(-1.0, 1.0, 1.0), y=st.floats(0.0, 2 * np.pi),
+       zz=st.floats(1e-3, 1e3))
+def test_adjoint_exit_law_is_dual_to_the_layer_solve(m, data, y, zz):
+    layer = _layer(m, data)
+    start = RescaledPoint(y, zz)
+    for law, value in ((exit_measure(m, None, GRID), layer.ubar),
+                       (exit_measure(m, start, GRID), layer.interp(y, zz))):
+        assert np.all(law.weights >= -1e-12)
+        assert abs(law.integrate(data) - value) <= 1e-10
