@@ -45,6 +45,17 @@ class Const(CoefficientFn):
         return {"kind": "const", "c": self.c}
 
 
+def folded(fn: CoefficientFn, y):
+    """fn(y), with a Const folded to its value as a Python float.
+
+    Per-step callers read coefficients through this.  An elementwise
+    operation with the broadcast scalar gives the same bits as with the
+    ``np.full`` array that ``Const.__call__`` returns, so only the
+    allocation goes; the result's shape is the caller's to keep.
+    """
+    return float(fn.c) if isinstance(fn, Const) else fn(y)
+
+
 @dataclass(frozen=True)
 class Cosine(CoefficientFn):
     """mean + amp * cos(y - phase)"""

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import sde
 from .classifier import Verdict, classify
+from .coefficients import folded
 from .errors import ExtensionUndefined, ModelError, NoConvergence
 from .fd import Factors, check_residual, csr, stencil
 from .fields import ChartModel
@@ -83,13 +84,13 @@ class DiskOperator:
         m = self.model
         z = 1.0 - r
         chi = self.chart_weight(z)
-        a = np.asarray(m.a(theta)) + 0.0 * r
-        alpha = np.asarray(m.alpha(theta)) + 0.0 * r
-        beta = np.asarray(m.beta(theta)) + 0.0 * r
-        b = np.asarray(m.b(theta)) + 0.0 * r
-        dmix = np.asarray(m.d(theta)) + 0.0 * r
+        a = folded(m.a, theta) + 0.0 * r
+        alpha = folded(m.alpha, theta) + 0.0 * r
+        beta = folded(m.beta, theta) + 0.0 * r
+        b = folded(m.b, theta) + 0.0 * r
+        dmix = folded(m.d, theta) + 0.0 * r
         s = self.completion.scale
-        pert = self.eps ** 2 * (np.asarray(m.tilde.czz(theta, z)) + 0.0 * r)
+        pert = self.eps ** 2 * (m.tilde.czz(theta, z) + 0.0 * r)
         ctt = chi * 0.5 * a + ((1.0 - chi) * s + pert) / r ** 2
         crr = chi * z * z * alpha + (1.0 - chi) * s + pert
         ctr = chi * (-0.5 * z * dmix)
@@ -107,14 +108,14 @@ class DiskOperator:
         m = self.model
         chi = self.chart_weight(z)
         s = self.completion.scale
-        pert = self.eps ** 2 * np.asarray(m.tilde.czz(theta, z))
+        pert = self.eps ** 2 * m.tilde.czz(theta, z)
         iso = 2.0 * ((1.0 - chi) * s + pert)  # Ito diffusion of (scale*Laplacian)
 
-        a = np.asarray(m.a(theta))
-        alpha = np.asarray(m.alpha(theta))
-        beta = np.asarray(m.beta(theta))
-        b = np.asarray(m.b(theta))
-        dmix = np.asarray(m.d(theta))
+        a = folded(m.a, theta)
+        alpha = folded(m.alpha, theta)
+        beta = folded(m.beta, theta)
+        b = folded(m.b, theta)
+        dmix = folded(m.d, theta)
 
         cos_t = x[..., 0] / r_safe
         sin_t = x[..., 1] / r_safe

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry
-from .coefficients import CoefficientFn, Const, coefficient_from_config
+from .coefficients import CoefficientFn, Const, coefficient_from_config, folded
 from .errors import (
     ConfigError,
     ExtrapolationUnstable,
@@ -94,7 +94,7 @@ class PerturbationSpec:
     z_slope: float = 0.0
 
     def profile(self, y, z):
-        return self.rho(y) * (1.0 + self.z_slope * np.asarray(z, dtype=float))
+        return folded(self.rho, y) * (1.0 + self.z_slope * np.asarray(z, dtype=float))
 
     def cyy(self, y, z):
         return self.profile(y, z)
@@ -191,7 +191,9 @@ class GeneratorCoefficients:
     ``second_order`` returns the operator-form triple (Cyy, Cyv, Cvv) and
     ``first_order`` the drift pair (by, bv), where v is the flavor's second
     coordinate (z, zz or w).  ``ito`` returns drift plus the Ito diffusion
-    matrix entries A = 2C for the path sampler.
+    matrix entries A = 2C for the path sampler.  Model coefficients are
+    read through ``folded``, so a Const costs no array; every entry keeps
+    a term in v, so NaN from an unstable path reaches all of them.
     """
 
     model: ChartModel
@@ -199,91 +201,111 @@ class GeneratorCoefficients:
     eps: float | None = None
 
     def second_order(self, y, v):
-        y = np.asarray(y, dtype=float)
-        v = np.asarray(v, dtype=float)
-        m = self.model
-        if self.flavor is Flavor.LOG:
-            decay = m.rho(y) * np.exp(-2.0 * v)
-            cyy = 0.5 * m.a(y) + 0.0 * v
-            cyv = 0.5 * m.d(y) + 0.0 * v
-            cvv = m.alpha(y) + decay
-            return cyy, cyv, cvv
-        if self.flavor is Flavor.LIMIT:
-            cyy = 0.5 * m.a(y) + 0.0 * v
-            cyv = 0.5 * v * m.d(y)
-            cvv = v * v * m.alpha(y) + m.rho(y)
-            return cyy, cyv, cvv
-        eps = self._eps()
-        if self.flavor is Flavor.RESCALED:
-            z = eps * v
-            cyy = 0.5 * m.a(y) + eps * eps * m.tilde.cyy(y, z)
-            cyv = 0.5 * v * m.d(y) + eps * m.tilde.cyz(y, z)
-            cvv = v * v * m.alpha(y) + m.tilde.czz(y, z)
-            if m.remainder is not None:
-                r = m.remainder
-                cyy = cyy + eps * v * r.k2(y)
-                cyv = cyv + 0.5 * eps * v * v * r.n1(y)
-                cvv = cvv + eps * v ** 3 * r.sigma(y)
-            return cyy, cyv, cvv
-        # CHART
-        z = v
-        cyy = 0.5 * m.a(y) + eps * eps * m.tilde.cyy(y, z)
-        cyv = 0.5 * z * m.d(y) + eps * eps * m.tilde.cyz(y, z)
-        cvv = z * z * m.alpha(y) + eps * eps * m.tilde.czz(y, z)
-        if m.remainder is not None:
-            r = m.remainder
-            cyy = cyy + z * r.k2(y)
-            cyv = cyv + 0.5 * z * z * r.n1(y)
-            cvv = cvv + z ** 3 * r.sigma(y)
-        return cyy, cyv, cvv
+        y, v = _as_arrays(y, v)
+        return self._second_order(y, v, self._decay(y, v))
 
     def first_order(self, y, v):
-        y = np.asarray(y, dtype=float)
-        v = np.asarray(v, dtype=float)
-        m = self.model
-        if self.flavor is Flavor.LOG:
-            decay = m.rho(y) * np.exp(-2.0 * v)
-            by = m.b(y) + 0.0 * v
-            bv = m.beta(y) - m.alpha(y) - decay
-            return by, bv
-        if self.flavor is Flavor.LIMIT:
-            by = m.b(y) + 0.0 * v
-            bv = v * m.beta(y)
-            return by, bv
-        eps = self._eps()
-        if self.flavor is Flavor.RESCALED:
-            by = m.b(y) + 0.0 * v
-            bv = v * m.beta(y)
-            if m.remainder is not None:
-                r = m.remainder
-                by = by + eps * v * r.k1(y)
-                bv = bv + eps * v * v * r.n0(y)
-            return by, bv
-        # CHART
-        z = v
-        by = m.b(y) + 0.0 * z
-        bv = z * m.beta(y)
-        if m.remainder is not None:
-            r = m.remainder
-            by = by + z * r.k1(y)
-            bv = bv + z * z * r.n0(y)
-        return by, bv
+        y, v = _as_arrays(y, v)
+        return self._first_order(y, v, self._decay(y, v))
 
     def ito(self, y, v):
         """Drift (by, bv) and Ito diffusion entries (Ayy, Ayv, Avv) = 2C."""
-        cyy, cyv, cvv = self.second_order(y, v)
-        by, bv = self.first_order(y, v)
+        y, v = _as_arrays(y, v)
+        decay = self._decay(y, v)
+        cyy, cyv, cvv = self._second_order(y, v, decay)
+        by, bv = self._first_order(y, v, decay)
         return by, bv, 2.0 * cyy, 2.0 * cyv, 2.0 * cvv
 
     def diffusion_vv(self, y, v):
         """Height-height Ito diffusion entry alone (2 Cvv); used by bridge tests."""
-        _, _, cvv = self.second_order(y, v)
-        return 2.0 * cvv
+        y, v = _as_arrays(y, v)
+        return 2.0 * self._cvv(y, v, self._decay(y, v))
+
+    def _decay(self, y, v):
+        """rho e^(-2w), the LOG flavor's share of both orders; None for the others."""
+        if self.flavor is Flavor.LOG:
+            return folded(self.model.rho, y) * np.exp(-2.0 * v)
+        return None
+
+    def _second_order(self, y, v, decay):
+        m = self.model
+        a, d = folded(m.a, y), folded(m.d, y)
+        cvv = self._cvv(y, v, decay)
+        if self.flavor is Flavor.LOG:
+            return 0.5 * a + 0.0 * v, 0.5 * d + 0.0 * v, cvv
+        if self.flavor is Flavor.LIMIT:
+            return 0.5 * a + 0.0 * v, 0.5 * v * d, cvv
+        eps = self._eps()
+        r = m.remainder
+        if self.flavor is Flavor.RESCALED:
+            z = eps * v
+            cyy = 0.5 * a + eps * eps * m.tilde.cyy(y, z)
+            cyv = 0.5 * v * d + eps * m.tilde.cyz(y, z)
+            if r is not None:
+                cyy = cyy + eps * v * folded(r.k2, y)
+                cyv = cyv + 0.5 * eps * v * v * folded(r.n1, y)
+            return cyy, cyv, cvv
+        # CHART
+        z = v
+        if eps == 0.0:
+            # the eps^2 terms are zeros: 0.0 * z still carries NaN from z, and
+            # + 0.0 still turns -0.0 into +0.0, as adding them did
+            cyy = 0.5 * a + 0.0 * z
+            cyv = 0.5 * z * d + 0.0
+        else:
+            cyy = 0.5 * a + eps * eps * m.tilde.cyy(y, z)
+            cyv = 0.5 * z * d + eps * eps * m.tilde.cyz(y, z)
+        if r is not None:
+            cyy = cyy + z * folded(r.k2, y)
+            cyv = cyv + 0.5 * z * z * folded(r.n1, y)
+        return cyy, cyv, cvv
+
+    def _cvv(self, y, v, decay):
+        m = self.model
+        alpha = folded(m.alpha, y)
+        if self.flavor is Flavor.LOG:
+            return alpha + decay
+        if self.flavor is Flavor.LIMIT:
+            return v * v * alpha + folded(m.rho, y)
+        eps = self._eps()
+        r = m.remainder
+        if self.flavor is Flavor.RESCALED:
+            cvv = v * v * alpha + m.tilde.czz(y, eps * v)
+            if r is not None:
+                cvv = cvv + eps * v ** 3 * folded(r.sigma, y)
+            return cvv
+        # CHART
+        z = v
+        cvv = z * z * alpha + (0.0 * z if eps == 0.0 else eps * eps * m.tilde.czz(y, z))
+        if r is not None:
+            cvv = cvv + z ** 3 * folded(r.sigma, y)
+        return cvv
+
+    def _first_order(self, y, v, decay):
+        m = self.model
+        by = folded(m.b, y) + 0.0 * v
+        if self.flavor is Flavor.LOG:
+            return by, folded(m.beta, y) - folded(m.alpha, y) - decay
+        bv = v * folded(m.beta, y)
+        if self.flavor is Flavor.LIMIT:
+            return by, bv
+        eps = self._eps()
+        r = m.remainder
+        if r is None:
+            return by, bv
+        if self.flavor is Flavor.RESCALED:
+            return by + eps * v * folded(r.k1, y), bv + eps * v * v * folded(r.n0, y)
+        # CHART
+        return by + v * folded(r.k1, y), bv + v * v * folded(r.n0, y)
 
     def _eps(self) -> float:
         if self.eps is None:
             raise FlavorRangeError(f"flavor {self.flavor.value} requires eps")
         return self.eps
+
+
+def _as_arrays(y, v):
+    return np.asarray(y, dtype=float), np.asarray(v, dtype=float)
 
 
 def assemble(m: ChartModel, eps: float | None, flavor: Flavor) -> GeneratorCoefficients:

@@ -168,12 +168,20 @@ class HalfCylinderSolution:
 
 @dataclass(frozen=True)
 class ExitMeasure:
-    """Exit-angle density on the y-grid; integrates to one."""
+    """Exit-angle density on the y-grid; integrates to one.
+
+    A Monte Carlo law is conditioned on exit: ``censored_fraction`` is the
+    share of paths it leaves out (still inside at max_time, or stopped at
+    an outer wall), and ``unstable_fraction`` the share whose step failed
+    the displacement guard.  Both are 0 in adjoint mode.
+    """
 
     y_nodes: np.ndarray
     density: np.ndarray
     weights: np.ndarray
     source: str
+    censored_fraction: float = 0.0
+    unstable_fraction: float = 0.0
 
     def integrate(self, f) -> float:
         return float(np.sum(self.weights * f(self.y_nodes)))
@@ -511,7 +519,8 @@ def exit_measure(m: ChartModel, start: RescaledPoint | None,
     top-row mean for start=None, the deep-layer limit law.  All n_y
     weights come from one factorization and one transposed solve (see
     _adjoint_weights).  Monte Carlo mode histograms simulated exit angles
-    (conditioned on exit for repelling models).
+    (conditioned on exit for repelling models) and reports the shares of
+    censored and unstable paths.
     """
     verdict = _verdict(m)
     if grid is None:
@@ -543,7 +552,9 @@ def exit_measure(m: ChartModel, start: RescaledPoint | None,
         weights = counts / counts.sum()
         centers = 0.5 * (edges[:-1] + edges[1:])
         return ExitMeasure(y_nodes=centers, density=weights / (TWO_PI / n_bins),
-                           weights=weights, source="mc")
+                           weights=weights, source="mc",
+                           censored_fraction=1.0 - float(np.mean(batch.exited_mask)),
+                           unstable_fraction=float(np.mean(batch.unstable_mask)))
     raise ModelError(f"unknown exit-measure mode {mode!r}")
 
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifier import ClassificationReport
+from .coefficients import Const, folded
 from .errors import ModelError
 from .fields import ChartModel, Flavor, GeneratorCoefficients, assemble
 from .geometry import ChartPoint, RescaledPoint, TWO_PI, wrap_angle
@@ -81,7 +82,11 @@ class SimulationParams:
 
 @dataclass
 class ExitSampleBatch:
-    """Exit angles/times of a path batch; censored rows carry no exit angle."""
+    """Exit angles/times of a path batch; censored rows carry no exit angle.
+
+    ``unstable_mask`` marks paths whose step failed the displacement guard
+    (a step over ten standard deviations, or a non-finite one).
+    """
 
     exit_y: np.ndarray
     exit_time: np.ndarray
@@ -115,8 +120,9 @@ class ExitSampleBatch:
                 "" if censored else repr(float(self.exit_y[i])),
                 repr(float(self.exit_time[i])),
                 int(censored),
+                int(self.unstable_mask[i]),
             ])
-        write_csv(path, ["path_id", "exit_y", "exit_time", "censored"], rows)
+        write_csv(path, ["path_id", "exit_y", "exit_time", "censored", "unstable"], rows)
 
 
 @dataclass(frozen=True)
@@ -334,8 +340,7 @@ def simulate_boundary(m: ChartModel, start_y: float, params: SimulationParams,
     def advance(k, state, noise, uniform, live, pids):
         nonlocal counts
         y, = state
-        a = np.asarray(m.a(y)) + np.zeros_like(y)
-        b = np.asarray(m.b(y)) + np.zeros_like(y)
+        a, b = folded(m.a, y), folded(m.b, y)
         y = y + b * dt + sqdt * np.sqrt(a) * noise[:, 0]
         if k >= burn_steps:
             wrapped = wrap_angle(y)
@@ -437,11 +442,12 @@ def martingale_trace(m: ChartModel, report: ClassificationReport, start,
     n = params.n_paths
     values = np.zeros((checkpoints.size, n))
     h0 = float(psi(y0)) + math.log(zz0)
+    rho_angle = (lambda y: y) if isinstance(m.rho, Const) else wrap_angle  # a Const reads no angle
 
     def advance(k, state, noise, uniform, live, pids):
         y, w, integral = state
         by, bw, ayy, ayw, aww = gc.ito(y, w)
-        integrand = rho_weight * np.asarray(m.rho(wrap_angle(y))) * np.exp(-2.0 * w)
+        integrand = rho_weight * folded(m.rho, rho_angle(y)) * np.exp(-2.0 * w)
         noise_y, noise_w = _increments(sqdt, ayy, ayw, aww, noise)
         y_new = y + by * dt + noise_y
         w_new = w + bw * dt + noise_w

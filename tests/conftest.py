@@ -15,6 +15,22 @@ def reports(zoo):
     return {name: classify(m, grid_size=512) for name, m in zoo.items()}
 
 
+@pytest.fixture
+def outlier_noise(monkeypatch):
+    """Each noise block gives its first path a first height normal of 40 and uniform 1."""
+    from boundarylab import sde
+
+    orig = sde._draw_block
+
+    def spiked(gens, path_ids, antithetic):
+        normals, uniforms = orig(gens, path_ids, antithetic)
+        normals[0, 0, 1] = 40.0  # far beyond the 10-sigma displacement guard
+        uniforms[0, 0] = 1.0
+        return normals, uniforms
+
+    monkeypatch.setattr(sde, "_draw_block", spiked)
+
+
 def stationary_density_oracle(b_fn, a_fn, y):
     """Closed-form stationary density on the circle for zero-circulation drift.
 

@@ -199,6 +199,18 @@ def test_exit_measure_monte_carlo_matches_adjoint(zoo):
     assert np.max(np.abs(nu_mc.weights - fd_bins) / sigma) <= 3.0
 
 
+def test_exit_measure_reports_censored_and_unstable_shares(zoo, outlier_noise):
+    start = RescaledPoint(0.0, 0.5)
+    p = sde.SimulationParams(dt=1e-3, seed=6, n_paths=16, max_time=0.3,
+                             bridge_absorption=False)
+    nu = exit_measure(zoo["A"], start, mode="mc", params=p, bins=16)
+    batch = sde.simulate(assemble(zoo["A"], None, Flavor.LIMIT), start, p)
+    assert 0.0 < nu.unstable_fraction == np.mean(batch.unstable_mask) < 1.0
+    assert 0.0 < nu.censored_fraction == 1.0 - np.mean(batch.exited_mask) < 1.0
+    adjoint = exit_measure(zoo["A"], start)
+    assert adjoint.censored_fraction == adjoint.unstable_fraction == 0.0
+
+
 def test_exit_measure_monte_carlo_without_exits(zoo):
     # from deep in the repelling layer no path reaches the boundary in 0.01
     p = sde.SimulationParams(dt=1e-3, seed=78, n_paths=16, max_time=0.01)

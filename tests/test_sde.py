@@ -166,22 +166,17 @@ def test_log_flavor_rejected_for_exit_sampling(zoo):
         sde.simulate(gc, (0.0, 1.0), p)
 
 
-def test_instability_flag_on_injected_outlier(zoo, monkeypatch):
+def test_instability_flag_on_injected_outlier(zoo, outlier_noise, tmp_path):
     gc = assemble(zoo["A"], None, Flavor.LIMIT)
-    orig = sde._draw_block
-
-    def spiked(gens, path_ids, antithetic):
-        normals, uniforms = orig(gens, path_ids, antithetic)
-        normals[0, 0, 1] = 40.0  # far beyond the 10-sigma displacement guard
-        uniforms[0, 0] = 1.0
-        return normals, uniforms
-
-    monkeypatch.setattr(sde, "_draw_block", spiked)
     p = SimulationParams(dt=1e-3, seed=6, n_paths=4, max_time=0.1,
                          bridge_absorption=False)
     batch = sde.simulate(gc, (0.0, 5.0), p)
     assert batch.unstable_mask[0]
     assert not np.all(batch.unstable_mask)
+    path = tmp_path / "batch.csv"
+    batch.write_csv(path)
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    assert [int(r[4]) for r in rows] == [int(u) for u in batch.unstable_mask]
 
 
 def test_boundary_histogram_uniform(zoo):
@@ -320,5 +315,5 @@ def test_exit_batch_csv(tmp_path, zoo):
     path = tmp_path / "batch.csv"
     batch.write_csv(path)
     lines = path.read_text().splitlines()
-    assert lines[0] == "path_id,exit_y,exit_time,censored"
+    assert lines[0] == "path_id,exit_y,exit_time,censored,unstable"
     assert len(lines) == 17
