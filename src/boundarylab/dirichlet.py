@@ -24,7 +24,7 @@ from . import sde
 from .classifier import Verdict, classify
 from .coefficients import folded
 from .errors import ExtensionUndefined, ModelError, NoConvergence
-from .fd import Factors, check_residual, csr, stencil
+from .fd import Elimination, band_dot, boundary_values, stencil
 from .fields import ChartModel
 from .geometry import DomainKind, DomainModel, TWO_PI, wrap_angle
 from .halfcyl import HalfCylinderGrid, solve_conditioned, solve_u
@@ -227,7 +227,9 @@ def solve_fd(op: DiskOperator, psi_d, n_theta: int = 64,
 
     psi_d is the Dirichlet data on the outer circle (callable of theta or
     array on the theta grid); the annulus also needs psi_inner.  The disk
-    pole is a single unknown closed by the zero-Laplacian average stencil.
+    pole is a single value closed by the zero-Laplacian average stencil,
+    the mean of the first ring, and eliminated into that ring's rows, so
+    disk and annulus are both one block sweep over the rings.
     """
     dom = op.dom
     disk = dom.kind is DomainKind.DISK
@@ -237,72 +239,38 @@ def solve_fd(op: DiskOperator, psi_d, n_theta: int = 64,
     n_r = r_nodes.size - 1          # index of the outer boundary node
     dtheta = TWO_PI / n_theta
 
-    f_outer = np.asarray(psi_d(theta), dtype=float) if callable(psi_d) \
-        else np.asarray(psi_d, dtype=float) + np.zeros_like(theta)
+    f_outer = boundary_values(psi_d, theta)
     if not disk:
         if psi_inner is None:
             raise ModelError("annulus solve needs inner boundary data")
-        f_inner = np.asarray(psi_inner(theta), dtype=float) if callable(psi_inner) \
-            else np.asarray(psi_inner, dtype=float) + np.zeros_like(theta)
+        f_inner = boundary_values(psi_inner, theta)
 
-    # unknowns: rings j = 1..n_r-1 (idx = i + n_theta*(j-1)); disk adds pole unknown
-    n_ring = n_r - 1
-    n_unk = n_theta * n_ring + (1 if disk else 0)
-    pole_idx = n_unk - 1 if disk else None
-
-    jj = np.arange(1, n_r)
-    TH, J = np.meshgrid(theta, jj, indexing="ij")
-    ctt, ctr, crr, bt, br = op.polar_coefficients(TH, r_nodes[J])
+    # unknowns: rings j = 1..n_r-1, one level each
+    TH, R = np.meshgrid(theta, r_nodes[1:-1])
+    ctt, ctr, crr, bt, br = op.polar_coefficients(TH, R)
     for arr_name, arr in (("ctt", ctt), ("crr", crr)):
         if np.any(~np.isfinite(arr)):
             raise NoConvergence(f"non-finite coefficient {arr_name}")
-    entries = stencil(ctt, ctr, crr, bt, br, dtheta, r_nodes[J] - r_nodes[J - 1],
-                      r_nodes[J + 1] - r_nodes[J])
+    steps = np.diff(r_nodes)[:, None] + np.zeros(n_theta)
+    bands = stencil(ctt, ctr, crr, bt, br, dtheta, steps[:-1], steps[1:])
 
-    I = np.arange(n_theta)[:, None] + np.zeros_like(J)
-    idx = lambda i, j: (i % n_theta) + n_theta * (j - 1)
-    row = idx(I, J)
-
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(n_unk)
-    for di, dj, coeff in entries:
-        col_i, col_j = I + di, J + dj
-        outer_bnd = col_j == n_r
-        center = col_j == 0
-        keep = (col_j >= 1) & ~outer_bnd
-        rows.append(row[keep])
-        cols.append(idx(col_i[keep], col_j[keep]))
-        vals.append(coeff[keep])
-        if np.any(outer_bnd):
-            np.add.at(rhs, row[outer_bnd], -coeff[outer_bnd] * f_outer[col_i[outer_bnd] % n_theta])
-        if np.any(center):
-            if disk:
-                rows.append(row[center])
-                cols.append(np.full(np.count_nonzero(center), pole_idx))
-                vals.append(coeff[center])
-            else:
-                np.add.at(rhs, row[center], -coeff[center] * f_inner[col_i[center] % n_theta])
-
+    rhs = np.zeros((n_r - 1, n_theta))
+    rhs[-1] -= band_dot(bands[-1, 2], f_outer)
+    first = None
     if disk:
-        # pole row: vanishing Laplacian average over the first ring
-        prow = np.full(n_theta, pole_idx)
-        rows.append(prow)
-        cols.append(idx(np.arange(n_theta), np.ones(n_theta, dtype=int)))
-        vals.append(np.full(n_theta, 1.0 / n_theta))
-        rows.append(np.array([pole_idx]))
-        cols.append(np.array([pole_idx]))
-        vals.append(np.array([-1.0]))
-
-    mat = csr(rows, cols, vals, (n_unk, n_unk))
-    u_vec = Factors(mat).solve(rhs)
-    check_residual(mat, u_vec, rhs, 1e-8)
+        # the pole value is the mean of ring 1 (a vanishing Laplacian average),
+        # which puts every inward coupling of ring 1 on all of ring 1
+        first = np.outer(bands[0, 0].sum(axis=0), np.full(n_theta, 1.0 / n_theta))
+    else:
+        rhs[0] -= band_dot(bands[0, 0], f_inner)
+    rings = Elimination(bands, first).solve(rhs)
 
     u = np.empty((n_r + 1, n_theta))
     u[n_r] = f_outer
-    u[1:n_r] = u_vec[:n_theta * n_ring].reshape(n_ring, n_theta)
+    u[1:n_r] = rings
     pole_value = None
     if disk:
-        pole_value = float(u_vec[pole_idx])
+        pole_value = float(np.mean(rings[0]))
         u[0] = pole_value
     else:
         u[0] = f_inner
@@ -493,7 +461,7 @@ class ConvergenceTable:
 def limit_value(m: ChartModel, f, grid: HalfCylinderGrid | None = None) -> float:
     """The eps-free limit of the solution, per the boundary verdict.
 
-    Only ubar is kept, so the truncation re-solve is skipped.
+    Only ubar is kept, so the truncation check is skipped.
     """
     verdict = classify(m, grid_size=512).verdict
     if verdict is Verdict.REPELLING:

@@ -7,23 +7,24 @@ with the diagonal of h.  Everything is a second-order central-difference
 discretization on a tensor grid, periodic in y, with per-cell first-order
 upwinding of a drift whose cell Peclet number exceeds 2 (which keeps the
 matrix an M-matrix, so the discrete maximum principle holds).  The
-stencil and the row-equilibrated sparse factorization live in ``fd``,
+stencil and the block elimination over height levels live in ``fd``,
 shared with the polar disk solve; this module adds the boundary rows.
 The far field is cut at a finite height Z: homogeneous Neumann for u
 (the solution flattens to a constant), Dirichlet zero for h (it decays).
 A geometrically stretched grid reaches the very large heights needed for
-the top-row oscillation to die out; truncation error is controlled by
-re-solving at a different height.
+the top-row oscillation to die out.  Truncation error is estimated from
+one elimination: the same level sweep, cut at a lower node (u and the
+conditioned solution) or continued past the top (h), gives the second
+far-field height to compare with.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.integrate
-import scipy.sparse as sp
 
 from . import sde
 from .classifier import Verdict, classify
@@ -35,11 +36,10 @@ from .errors import (
     NotIntegrable,
     WrongRegime,
 )
-from .fd import Factors, csr, stencil
+from .fd import Elimination, band_dot, band_transpose, boundary_values, stencil
 from .fields import ChartModel, Flavor, GeneratorCoefficients, assemble
 from .geometry import RescaledPoint, TWO_PI
 
-_RESIDUAL_TARGET = 1e-10
 _H_FLOOR = 1e-250  # conjugation guard: far-field h underflow, not a grid artifact
 PAD_FACTOR = 16.0  # the h-solve behind the conditioned problem runs on a grid this much taller
 
@@ -84,44 +84,20 @@ class HalfCylinderGrid:
     def y_nodes(self) -> np.ndarray:
         return np.linspace(0.0, TWO_PI, self.n_y, endpoint=False)
 
-    def with_height(self, new_height: float) -> "HalfCylinderGrid":
-        """Same resolution policy, different truncation height."""
-        if self.stretching == "uniform":
-            return replace(self, height=new_height)
-        # keep dz0, adjust cell count to land near the requested height
-        q = _geometric_ratio(self.dz0, self.n_z, self.height)
-        n_new = max(100, int(math.ceil(math.log1p(new_height * (q - 1.0) / self.dz0) /
-                                       math.log(q))))
-        return replace(self, height=new_height, n_z=n_new)
+    def extended(self, factor: float) -> np.ndarray:
+        """Nodes of a grid about factor times taller whose first n_z + 1 are this grid's.
 
-    def extended(self, factor: float) -> "HalfCylinderGrid":
-        """Taller grid whose first nodes coincide with this grid's nodes."""
-        if self.stretching == "uniform":
-            dz = self.height / self.n_z
-            extra = int(math.ceil((factor - 1.0) * self.n_z))
-            return replace(self, n_z=self.n_z + extra, height=self.height + extra * dz,
-                           stretching="uniform")
-        q = _geometric_ratio(self.dz0, self.n_z, self.height)
+        The added steps continue this grid's: equal ones for a uniform
+        grid, growing by the geometric ratio for a stretched one.
+        """
         nodes = self.z_nodes()
-        steps = np.diff(nodes)
-        extra = max(8, int(math.ceil(math.log(factor) / math.log(q))))
-        new_steps = steps[-1] * q ** np.arange(1, extra + 1)
-        new_height = float(nodes[-1] + np.sum(new_steps))
-        return _ExplicitGrid(n_y=self.n_y, n_z=self.n_z + extra, height=new_height,
-                             nodes=np.concatenate([nodes, nodes[-1] + np.cumsum(new_steps)]))
-
-
-@dataclass(frozen=True)
-class _ExplicitGrid(HalfCylinderGrid):
-    """Grid with explicitly supplied nodes (used for padded h-solves)."""
-
-    nodes: np.ndarray = None
-
-    def __post_init__(self):
-        pass
-
-    def z_nodes(self) -> np.ndarray:
-        return self.nodes
+        if self.stretching == "uniform":
+            steps = np.full(int(math.ceil((factor - 1.0) * self.n_z)), self.height / self.n_z)
+        else:
+            q = _geometric_ratio(self.dz0, self.n_z, self.height)
+            extra = max(8, int(math.ceil(math.log(factor) / math.log(q))))
+            steps = (nodes[-1] - nodes[-2]) * q ** np.arange(1, extra + 1)
+        return np.concatenate([nodes, nodes[-1] + np.cumsum(steps)])
 
 
 def _geometric_ratio(dz0: float, n: int, height: float) -> float:
@@ -202,81 +178,41 @@ class LevelDecay:
 # Discretization
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Discretization:
-    mat: sp.csr_matrix          # unknowns: (i, j) for j = 1..n_z, idx = i + n_y*(j-1)
-    bottom: sp.csr_matrix       # coupling of interior rows to the j=0 boundary values
-    z: np.ndarray
-    y: np.ndarray
+def _discretize(gc: GeneratorCoefficients, z: np.ndarray, n_y: int, top_bc: str) -> np.ndarray:
+    """Level bands (see fd.stencil) of the problem on heights z: level j is height z[j],
+    the last level holds the top row, and level 1 couples down to the boundary data."""
+    y = np.linspace(0.0, TWO_PI, n_y, endpoint=False)
+    Y, Z = np.meshgrid(y, z[1:-1])    # (n_z - 1, n_y)
+    coeffs = gc.second_order(Y, Z) + gc.first_order(Y, Z)    # cyy, cyz, czz, by, bz
+    steps = np.diff(z)[:, None] + np.zeros(n_y)
+    return np.concatenate([stencil(*coeffs, TWO_PI / n_y, steps[:-1], steps[1:]),
+                           _top_row(top_bc, n_y)[None]])
 
 
-def _discretize(gc: GeneratorCoefficients, grid: HalfCylinderGrid, top_bc: str) -> _Discretization:
-    z = grid.z_nodes()
-    y = grid.y_nodes()
-    n_y, n_z = grid.n_y, grid.n_z
-    n_unk = n_y * n_z
-
-    jj = np.arange(1, n_z)          # interior height indices
-    Y, J = np.meshgrid(y, jj, indexing="ij")    # (n_y, n_z-1)
-    Zm = z[J]
-    coeffs = gc.second_order(Y, Zm) + gc.first_order(Y, Zm)    # cyy, cyz, czz, by, bz
-    entries = stencil(*(np.broadcast_to(c, Y.shape) for c in coeffs),
-                      TWO_PI / n_y, z[J] - z[J - 1], z[J + 1] - z[J])
-
-    idx = lambda i, j: (i % n_y) + n_y * (j - 1)
-    I = np.arange(n_y)[:, None] + np.zeros_like(J)
-    row = idx(I, J)
-
-    rows, cols, vals = [], [], []
-    brows, bcols, bvals = [], [], []
-    for di, dj, coeff in entries:
-        col_i, col_j = I + di, J + dj
-        interior = col_j >= 1
-        rows.append(row[interior])
-        cols.append(idx(col_i[interior], col_j[interior]))
-        vals.append(coeff[interior])
-        # coupling to the j = 0 boundary values
-        bottom_mask = col_j == 0
-        brows.append(row[bottom_mask])
-        bcols.append(col_i[bottom_mask] % n_y)
-        bvals.append(coeff[bottom_mask])
-
-    # top boundary row
-    i_top = np.arange(n_y)
-    top_row = idx(i_top, np.full(n_y, n_z))
+def _top_row(top_bc: str, n_y: int) -> np.ndarray:
+    """Row bands of the far-field condition: u_top = u_below, or u_top = 0."""
+    row = np.zeros((3, 3, n_y))
+    row[1, 1] = 1.0
     if top_bc == "neumann":
-        rows.append(top_row)
-        cols.append(top_row)
-        vals.append(np.ones(n_y))
-        rows.append(top_row)
-        cols.append(idx(i_top, np.full(n_y, n_z - 1)))
-        vals.append(-np.ones(n_y))
-    elif top_bc == "dirichlet0":
-        rows.append(top_row)
-        cols.append(top_row)
-        vals.append(np.ones(n_y))
-    else:
+        row[0, 1] = -1.0
+    elif top_bc != "dirichlet0":
         raise ModelError(f"unknown top boundary condition {top_bc!r}")
-
-    return _Discretization(mat=csr(rows, cols, vals, (n_unk, n_unk)),
-                           bottom=csr(brows, bcols, bvals, (n_unk, n_y)), z=z, y=y)
+    return row
 
 
-def _boundary_values(f, y: np.ndarray) -> np.ndarray:
-    vals = np.asarray(f(y), dtype=float) if callable(f) else np.asarray(f, dtype=float)
-    if vals.shape != y.shape:
-        vals = vals + np.zeros_like(y)
-    return vals
+def _data_rhs(bands: np.ndarray, f_vals: np.ndarray) -> np.ndarray:
+    """Right-hand side of the level system with boundary data f_vals at height zero."""
+    rhs = np.zeros((bands.shape[0], bands.shape[-1]))
+    rhs[0] = -band_dot(bands[0, 0], f_vals)
+    return rhs
 
 
-def _grid_from_unknowns(u: np.ndarray, f_vals: np.ndarray, n_y: int, n_z: int) -> np.ndarray:
-    full = np.empty((n_z + 1, n_y))
-    full[0] = f_vals
-    full[1:] = u.reshape(n_z, n_y)
-    return full
+def _half_level(z: np.ndarray) -> int:
+    """The node-aligned truncation check's cut: the first node at or past half height."""
+    return min(max(int(np.searchsorted(z, z[-1] / 2.0)), 101), z.size - 2)
 
 
-def _finish_solution(full: np.ndarray, disc: _Discretization, f_vals: np.ndarray,
+def _finish_solution(full: np.ndarray, z: np.ndarray, y: np.ndarray, f_vals: np.ndarray,
                      truncation: float, h_grid=None, bounds=None) -> HalfCylinderSolution:
     top = full[-1]
     ubar = float(np.mean(top))
@@ -287,7 +223,7 @@ def _finish_solution(full: np.ndarray, disc: _Discretization, f_vals: np.ndarray
     lo, hi = bounds
     tol = 1e-9 * max(hi - lo, 1.0)
     ok = bool(np.all(full >= lo - tol) and np.all(full <= hi + tol))
-    return HalfCylinderSolution(u_grid=full, z_nodes=disc.z, y_nodes=disc.y,
+    return HalfCylinderSolution(u_grid=full, z_nodes=z, y_nodes=y,
                                 ubar=ubar, top_oscillation=osc, variation=variation,
                                 truncation_estimate=truncation, max_principle_ok=ok,
                                 h_grid=h_grid)
@@ -297,40 +233,33 @@ def _verdict(m: ChartModel) -> Verdict:
     return classify(m, grid_size=512).verdict
 
 
-def _h_grid(gc: GeneratorCoefficients, grid: HalfCylinderGrid):
-    """h = 1 at the bottom and 0 at the top of grid; returns (grid function, disc)."""
-    disc = _discretize(gc, grid, "dirichlet0")
-    ones = np.ones(grid.n_y)
-    h = Factors(disc.mat).solve(-(disc.bottom @ ones), _RESIDUAL_TARGET)
-    return _grid_from_unknowns(h, ones, grid.n_y, grid.n_z), disc
+def _padded_h(gc: GeneratorCoefficients, grid: HalfCylinderGrid):
+    """h on grid's nodes, solved on the matching grid PAD_FACTOR times taller;
+    with the elimination and the right-hand side it came from."""
+    bands = _discretize(gc, grid.extended(PAD_FACTOR), grid.n_y, "dirichlet0")
+    elim, rhs = Elimination(bands), _data_rhs(bands, np.ones(grid.n_y))
+    return np.vstack([np.ones(grid.n_y), elim.solve(rhs)[:grid.n_z]]), elim, rhs
 
 
-def _padded_h(gc: GeneratorCoefficients, grid: HalfCylinderGrid) -> np.ndarray:
-    """h on grid's nodes, solved on the matching grid PAD_FACTOR times taller."""
-    return _h_grid(gc, grid.extended(PAD_FACTOR))[0][:grid.n_z + 1]
-
-
-def _neumann_system(gc: GeneratorCoefficients, grid: HalfCylinderGrid, h=None):
-    """(disc, matrix, bottom coupling) of the Neumann-top problem on grid.
+def _neumann_system(gc: GeneratorCoefficients, grid: HalfCylinderGrid, h=None) -> np.ndarray:
+    """Level bands of the Neumann-top problem on grid.
 
     Given h on (at least) grid's nodes, the PDE rows are conjugated by its
     diagonal, which turns the system into the h-conditioned one; the
     far-field row acts on the conditioned solution itself.
     """
-    disc = _discretize(gc, grid, "neumann")
+    bands = _discretize(gc, grid.z_nodes(), grid.n_y, "neumann")
     if h is None:
-        return disc, disc.mat, disc.bottom
+        return bands
     h = h[:grid.n_z + 1]
     if np.min(h) < _H_FLOOR:
         raise HTransformSingular(f"hitting probability as small as {np.min(h):.3e} on the grid")
-    h_unknown = h[1:].ravel()
-    mat = disc.mat.tocoo()
-    pde = mat.row < grid.n_y * (grid.n_z - 1)
-    vals = mat.data * np.where(pde, h_unknown[mat.col] / h_unknown[mat.row], 1.0)
-    bot = disc.bottom.tocoo()  # h = 1 on the boundary row
-    return (disc, sp.csr_matrix((vals, (mat.row, mat.col)), shape=mat.shape),
-            sp.csr_matrix((bot.data / h_unknown[bot.row], (bot.row, bot.col)),
-                          shape=bot.shape))
+    rows = h[1:-1]
+    for dj in (-1, 0, 1):
+        cols = h[1 + dj:h.shape[0] - 1 + dj]
+        for di in (-1, 0, 1):
+            bands[:-1, dj + 1, di + 1] *= np.roll(cols, -di, axis=1) / rows
+    return bands
 
 
 # ---------------------------------------------------------------------------
@@ -345,48 +274,58 @@ def solve_u(m: ChartModel, f, grid: HalfCylinderGrid | None = None,
     f is the boundary data on the y-grid (callable or array).  With eps
     given, the coefficients of the rescaled operator at that eps are used
     instead of the limit (a robustness check for the limit value ubar).
-    The reported truncation_estimate is |ubar(Z) - ubar(Z/2)|.  _regime is
-    the verdict of a caller that has already classified m.
+    The reported truncation_estimate is |ubar(Z) - ubar(Z_half)|, where
+    Z_half is the first node at or past Z/2 and the problem cut there
+    keeps the Neumann far field.  _regime is the verdict of a caller that
+    has already classified m.
     """
     grid = grid or HalfCylinderGrid()
     verdict = _regime or _verdict(m)
     if verdict is Verdict.REPELLING:
         raise WrongRegime("u-solve needs an attracting or neutral boundary; "
                           "use solve_conditioned")
-    flavor = Flavor.LIMIT if eps is None else Flavor.RESCALED
-    gc = assemble(m, eps, flavor)
-    disc = _discretize(gc, grid, "neumann")
-    f_vals = _boundary_values(f, disc.y)
-    u = Factors(disc.mat).solve(-(disc.bottom @ f_vals), _RESIDUAL_TARGET)
-    full = _grid_from_unknowns(u, f_vals, grid.n_y, grid.n_z)
+    gc = assemble(m, eps, Flavor.LIMIT if eps is None else Flavor.RESCALED)
+    return _neumann_solve(_neumann_system(gc, grid), grid, f, check_truncation)
+
+
+def _neumann_solve(bands: np.ndarray, grid: HalfCylinderGrid, f, check_truncation: bool,
+                   h_grid=None) -> HalfCylinderSolution:
+    """Solve of the Neumann-top level system, with its half-height cut as truncation check."""
+    z, y = grid.z_nodes(), grid.y_nodes()
+    f_vals = boundary_values(f, y)
+    rhs = _data_rhs(bands, f_vals)
+    elim = Elimination(bands)
+    full = np.vstack([f_vals, elim.solve(rhs)])
     truncation = math.nan
     if check_truncation:
-        half = solve_u(m, f, grid.with_height(grid.height / 2.0), eps=eps,
-                       check_truncation=False, _regime=verdict)
-        truncation = abs(full[-1].mean() - half.ubar)
-    return _finish_solution(full, disc, f_vals, truncation)
+        k_half = _half_level(z)
+        u_half = elim.cut(k_half, _top_row("neumann", grid.n_y)).solve(rhs[:k_half])
+        truncation = abs(float(full[-1].mean()) - float(u_half[-1].mean()))
+    return _finish_solution(full, z, y, f_vals, truncation, h_grid=h_grid)
 
 
 def solve_h(m: ChartModel, grid: HalfCylinderGrid | None = None,
             _regime: Verdict | None = None) -> HalfCylinderSolution:
     """Hitting probability of the boundary for a repelling model.
 
-    h = 1 at the boundary and decays; the far field is cut with h(Z) = 0
-    and the truncation error is bounded by comparing with a solve on a
-    grid PAD_FACTOR times taller (matching nodes).  That padded h, on this
-    grid's nodes, is kept as h_grid: solve_conditioned takes it from here.
+    h = 1 at the boundary and decays.  One sweep solves it on a grid
+    PAD_FACTOR times taller (matching nodes) with h = 0 at its top; that
+    padded h, on this grid's nodes, is kept as h_grid, and solve_conditioned
+    takes it from here.  The same sweep cut at this grid's top, with
+    h(Z) = 0 there, gives the returned h, and the truncation error is
+    bounded by the largest difference of the two.
     """
     grid = grid or HalfCylinderGrid()
     verdict = _regime or _verdict(m)
     if verdict is not Verdict.REPELLING:
         raise WrongRegime("hitting probability is identically 1 unless repelling")
-    gc = assemble(m, None, Flavor.LIMIT)
-    full, disc = _h_grid(gc, grid)
-    padded = _padded_h(gc, grid)
+    padded, elim, rhs = _padded_h(assemble(m, None, Flavor.LIMIT), grid)
+    cut = elim.cut(grid.n_z, _top_row("dirichlet0", grid.n_y))
+    full = np.vstack([padded[0], cut.solve(rhs[:grid.n_z])])
     truncation = float(np.max(np.abs(padded - full)))
     # data are 1 at the bottom and 0 at the cut: bounds [0, 1]
-    return _finish_solution(full, disc, np.ones(grid.n_y), truncation, h_grid=padded,
-                            bounds=(0.0, 1.0))
+    return _finish_solution(full, grid.z_nodes(), grid.y_nodes(), full[0], truncation,
+                            h_grid=padded, bounds=(0.0, 1.0))
 
 
 def solve_conditioned(m: ChartModel, f, grid: HalfCylinderGrid | None = None,
@@ -398,10 +337,12 @@ def solve_conditioned(m: ChartModel, f, grid: HalfCylinderGrid | None = None,
     Forms the discrete limit operator, conjugates it by the diagonal of the
     hitting probability h (solved on a taller matching grid so h > 0 on
     every node used), and solves with the boundary data at height zero and
-    a Neumann far field for the conditioned solution itself.  _regime is
-    what a caller already holds: its verdict, or its solve_h(m, grid)
-    result, which stands for the repelling verdict and supplies the padded
-    h, so that system is not factored again.
+    a Neumann far field for the conditioned solution itself.  The
+    truncation estimate compares ubar with that of the same problem cut at
+    the first node at or past half height.  _regime is what a caller
+    already holds: its verdict, or its solve_h(m, grid) result, which
+    stands for the repelling verdict and supplies the padded h, so that
+    system is not solved again.
     """
     grid = grid or conditioned_default_grid()
     h = None
@@ -416,23 +357,8 @@ def solve_conditioned(m: ChartModel, f, grid: HalfCylinderGrid | None = None,
         raise WrongRegime("conditioning applies to repelling boundaries only")
     gc = assemble(m, None, Flavor.LIMIT)
     if h is None:
-        h = _padded_h(gc, grid)
-
-    disc, mat, bottom = _neumann_system(gc, grid, h)
-    f_vals = _boundary_values(f, disc.y)
-    u = Factors(mat).solve(-(bottom @ f_vals), _RESIDUAL_TARGET)
-    full = _grid_from_unknowns(u, f_vals, grid.n_y, grid.n_z)
-    truncation = math.nan
-    if check_truncation:
-        # re-solve on the node-aligned sub-grid nearest half height
-        k_half = int(np.searchsorted(disc.z, grid.height / 2.0))
-        k_half = min(max(k_half, 101), grid.n_z - 1)
-        half = _ExplicitGrid(n_y=grid.n_y, n_z=k_half, height=float(disc.z[k_half]),
-                             nodes=disc.z[:k_half + 1])
-        _, mat_half, bottom_half = _neumann_system(gc, half, h)
-        u_half = Factors(mat_half).solve(-(bottom_half @ f_vals), _RESIDUAL_TARGET)
-        truncation = abs(float(u[-grid.n_y:].mean()) - float(u_half[-grid.n_y:].mean()))
-    return _finish_solution(full, disc, f_vals, truncation, h_grid=h)
+        h = _padded_h(gc, grid)[0]
+    return _neumann_solve(_neumann_system(gc, grid, h), grid, f, check_truncation, h_grid=h)
 
 
 def radial_oracle(alpha_c: float, beta_c: float, rho_c: float):
@@ -517,7 +443,7 @@ def exit_measure(m: ChartModel, start: RescaledPoint | None,
     Adjoint mode: the weight of y-node k is the forward solution with data
     e_k (the k-th basis function), read at the start point, or as the
     top-row mean for start=None, the deep-layer limit law.  All n_y
-    weights come from one factorization and one transposed solve (see
+    weights come from one elimination and one transposed solve (see
     _adjoint_weights).  Monte Carlo mode histograms simulated exit angles
     (conditioned on exit for repelling models) and reports the shares of
     censored and unstable paths.
@@ -528,7 +454,7 @@ def exit_measure(m: ChartModel, start: RescaledPoint | None,
             else HalfCylinderGrid()
     if mode == "adjoint":
         gc = assemble(m, None, Flavor.LIMIT)
-        h = _padded_h(gc, grid) if verdict is Verdict.REPELLING else None
+        h = _padded_h(gc, grid)[0] if verdict is Verdict.REPELLING else None
         weights = _adjoint_weights(gc, grid, start, h)
         total = weights.sum()
         if abs(total - 1.0) > 1e-8:
@@ -568,15 +494,16 @@ def _adjoint_weights(gc, grid, start, h=None) -> np.ndarray:
     one transposed solve.  Given the padded h, they are those of the
     h-conditioned process.
     """
-    disc, mat, bottom = _neumann_system(gc, grid, h)
+    bands = _neumann_system(gc, grid, h)
     c = np.zeros((grid.n_z + 1, grid.n_y))
     if start is None:
         c[-1] = 1.0 / grid.n_y
     else:
-        rows, cols, weights = _interp_functional(disc.z, disc.y, start.y, start.zz)
+        rows, cols, weights = _interp_functional(grid.z_nodes(), grid.y_nodes(),
+                                                 start.y, start.zz)
         c[rows, cols] = weights
-    x = Factors(mat).solve_transposed(c[1:].ravel(), _RESIDUAL_TARGET)
-    return c[0] - bottom.T @ x
+    x = Elimination(bands).solve_transposed(c[1:])
+    return c[0] - band_dot(band_transpose(bands[0, 0]), x[0])
 
 
 def _interp_functional(z: np.ndarray, y: np.ndarray, yq: float, zq: float):
