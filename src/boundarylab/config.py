@@ -17,9 +17,10 @@ import numpy as np
 
 from . import models
 from .coefficients import coefficient_from_config
-from .errors import ConfigError
+from .errors import ConfigError, ModelError
 from .fields import ChartModel, chart_model_from_config
 from .geometry import DomainKind, DomainModel
+from .halfcyl import HalfCylinderGrid
 
 EXPERIMENT_KINDS = ("classify", "halfcyl", "dirichlet-convergence",
                     "attraction", "martingale", "timescale")
@@ -166,9 +167,10 @@ def _grid_block(num: dict) -> dict:
         "stretching": g.get("stretching", "geometric"),
         "dz0": _get_number(g, "numerics.grid", "dz0", default=0.02, positive=True),
     }
-    _expect(out["height"] >= 5.0, "numerics.grid.height", "must be >= 5")
-    _expect(out["stretching"] in ("uniform", "geometric"),
-            "numerics.grid.stretching", f"unknown value {out['stretching']!r}")
+    try:
+        HalfCylinderGrid(**out)
+    except ModelError as exc:
+        raise ConfigError("numerics.grid", str(exc)) from exc
     return out
 
 

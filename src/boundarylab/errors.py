@@ -78,7 +78,7 @@ class NoConvergence(SolverError):
 
 
 class HTransformSingular(SolverError):
-    """Hitting probability too small to conjugate by."""
+    """Hitting probability too small to condition by."""
 
 
 class NotIntegrable(SolverError):

@@ -12,12 +12,13 @@ tridiagonal blocks coupling each level to itself and its two neighbours.
 ``Elimination`` is the one direct solver: block elimination level by level
 (Varah, Math. Comp. 26, 1972) of the row-equilibrated system.  It keeps a
 dense n x n inverse per level, n_levels n^2 doubles (17 MiB for 64 columns
-and 558 levels, 335 MiB for 128 and 2560), freed with the object.
+and 558 levels, 350 MiB for 128 and 2802), freed with the object.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 
 import numpy as np
 from scipy.linalg import lapack
@@ -116,9 +117,11 @@ class Elimination:
                                   np.abs(_add_band(first.copy(), bands[0, 1])).max(axis=1))
         scale[scale == 0] = 1.0
         self.scale = scale
-        self.bands = bands / scale[:, None, None, :]
+        bands /= scale[:, None, None, :]
+        self.bands = bands
         self.first = None if first is None else first / scale[0][:, None]
         self.cross = bool(self.bands[:, (0, 2)][:, :, (0, 2)].any())
+        self.cols = None
         self.inv = np.empty((len(bands),) + 2 * bands.shape[-1:])
         for j in range(len(bands)):
             self.inv[j] = self._invert(j, self.bands[j], self.inv[j - 1] if j else None)
@@ -148,9 +151,10 @@ class Elimination:
             raise NoConvergence(f"level {j + 1}: block is singular or not finite")
         return inv
 
-    def cut(self, level: int, top: np.ndarray) -> "Elimination":
+    def cut(self, level: int, top: np.ndarray, cols: np.ndarray | None = None) -> "Elimination":
         """The system's first level - 1 levels closed at level by the row bands top (3, 3, n),
-        sharing this sweep's inverses below the cut."""
+        sharing this sweep's inverses below the cut.  Given cols (level, n), the cut is
+        the system A diag(cols), A as written: its unknowns are u = v / cols for A v = rhs."""
         if not 2 <= level <= len(self.bands):
             raise ValueError(f"cannot cut {len(self.bands)} levels at level {level}")
         sub = copy.copy(self)
@@ -159,48 +163,63 @@ class Elimination:
         sub.scale = np.concatenate([self.scale[:level - 1], top_scale[None]])
         sub.bands = np.concatenate([self.bands[:level - 1], (top / top_scale)[None]])
         sub.cross = self.cross or bool(top[0, (0, 2)].any())
+        sub.cols = cols
         sub.inv = list(self.inv[:level - 1])
         sub.inv.append(sub._invert(level - 1, sub.bands[-1], sub.inv[-1]))
         return sub
 
     def _check(self, x: np.ndarray, rhs: np.ndarray, transposed: bool = False):
-        """Raise NoConvergence unless A x = rhs (A^T x = rhs) holds to RESIDUAL_TARGET.
+        """Raise NoConvergence unless A x = rhs (A^T x = rhs) holds to RESIDUAL_TARGET
+        on the row-equilibrated system, A diag(cols) for a cut given cols.
 
-        Level j of A^T couples to level j - 1 by U_{j-1}^T and to j + 1 by L_{j+1}^T."""
-        bands = self.bands
+        B, the equilibrated bands, times diag(cols) has row maxima w, so the forward
+        residual is (B (cols x) - rhs / scale) / w and the transposed one, in unknowns
+        scaled by w, cols B^T (scale x) - rhs.  Level j of B^T couples to level j - 1
+        by U_{j-1}^T and to j + 1 by L_{j+1}^T."""
+        bands, cols, w = self.bands, 1.0, 1.0
+        if self.cols is not None:    # cols on the rows past both ends meet zero couplings
+            cols, c = self.cols, np.concatenate([self.cols[:1], self.cols, self.cols[-1:]])
+            w = functools.reduce(np.maximum, (np.abs(bands[:, dj, di]) * np.roll(
+                c[dj:dj + len(x)], 1 - di, -1) for dj in range(3) for di in range(3)))
         if transposed:
+            x, w = x * self.scale, 1.0 / cols
             bands = np.stack([np.roll(band_transpose(bands[:, 2]), 1, 0),
                               band_transpose(bands[:, 1]),
                               np.roll(band_transpose(bands[:, 0]), -1, 0)], axis=1)
+        else:
+            x, rhs = cols * x, rhs / self.scale / w
         ax = band_dot(bands[:, 1], x)
         ax[1:] += band_dot(bands[1:, 0], x[:-1])
         ax[:-1] += band_dot(bands[:-1, 2], x[1:])
         if self.first is not None:
             ax[0] += (self.first.T if transposed else self.first) @ x[0]
-        res = np.max(np.abs(ax - rhs)) / max(np.max(np.abs(rhs)), 1e-30)
+        res = np.max(np.abs(ax / w - rhs)) / max(np.max(np.abs(rhs)), 1e-30)
         if not np.isfinite(res) or res > RESIDUAL_TARGET:
             raise NoConvergence(f"linear solve residual {res:.2e} above {RESIDUAL_TARGET}")
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """x (n_levels, n) with A x = rhs."""
-        rhs = rhs / self.scale
-        bands, inv, x = self.bands, self.inv, np.empty_like(rhs)
-        x[0] = inv[0] @ rhs[0]
+        scaled = rhs / self.scale
+        bands, inv, x = self.bands, self.inv, np.empty_like(scaled)
+        x[0] = inv[0] @ scaled[0]
         for j in range(1, len(x)):
-            x[j] = inv[j] @ (rhs[j] - self._couple(bands[j, 0], x[j - 1]))
+            x[j] = inv[j] @ (scaled[j] - self._couple(bands[j, 0], x[j - 1]))
         for j in range(len(x) - 2, -1, -1):
             x[j] -= inv[j] @ self._couple(bands[j, 2], x[j + 1])
+        if self.cols is not None:
+            x /= self.cols
         self._check(x, rhs)
         return x
 
     def solve_transposed(self, rhs: np.ndarray) -> np.ndarray:
         """x (n_levels, n) with A^T x = rhs, as D y for (D A)^T y = rhs, D the row scaling."""
-        bands, inv, y = self.bands, self.inv, np.empty_like(rhs)
-        y[0] = rhs[0]
+        bands, inv = self.bands, self.inv
+        y = rhs / (1.0 if self.cols is None else self.cols)
         for j in range(1, len(y)):
-            y[j] = rhs[j] - self._couple(bands[j - 1, 2], y[j - 1] @ inv[j - 1], transposed=True)
+            y[j] -= self._couple(bands[j - 1, 2], y[j - 1] @ inv[j - 1], transposed=True)
         y[-1] = y[-1] @ inv[-1]
         for j in range(len(y) - 2, -1, -1):
             y[j] = (y[j] - self._couple(bands[j + 1, 0], y[j + 1], transposed=True)) @ inv[j]
-        self._check(y, rhs, transposed=True)
-        return y / self.scale
+        x = y / self.scale
+        self._check(x, rhs, transposed=True)
+        return x

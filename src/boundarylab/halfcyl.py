@@ -2,8 +2,8 @@
 
 Solves the boundary-layer limit problems: the Dirichlet-data solution u
 (attracting/neutral boundaries), the hitting probability h (repelling),
-and the conditioned problem obtained by conjugating the discrete operator
-with the diagonal of h.  Everything is a second-order central-difference
+and the problem conditioned to exit, the Doob h-transform of the limit
+operator.  Everything is a second-order central-difference
 discretization on a tensor grid, periodic in y, with per-cell first-order
 upwinding of a drift whose cell Peclet number exceeds 2 (which keeps the
 matrix an M-matrix, so the discrete maximum principle holds).  The
@@ -11,11 +11,13 @@ stencil and the block elimination over height levels live in ``fd``,
 shared with the polar disk solve; this module adds the boundary rows.
 The far field is cut at a finite height Z: homogeneous Neumann for u
 (the solution flattens to a constant), Dirichlet zero for h (it decays).
-A geometrically stretched grid reaches the very large heights needed for
-the top-row oscillation to die out.  Truncation error is estimated from
-one elimination: the same level sweep, cut at a lower node (u and the
-conditioned solution) or continued past the top (h), gives the second
-far-field height to compare with.
+The conditioned operator is the h problem's under the substitution v = h u,
+so one elimination of h serves both, each a cut of it closed by its own
+far-field row.  A geometrically stretched grid reaches the very large
+heights needed for the top-row oscillation to die out.  Truncation error
+is estimated from one elimination: the same level sweep, cut at a lower
+node (u and the conditioned solution) or continued past the top (h),
+gives the second far-field height to compare with.
 """
 
 from __future__ import annotations
@@ -40,8 +42,11 @@ from .fd import Elimination, band_dot, band_transpose, boundary_values, stencil
 from .fields import ChartModel, Flavor, GeneratorCoefficients, assemble
 from .geometry import RescaledPoint, TWO_PI
 
-_H_FLOOR = 1e-250  # conjugation guard: far-field h underflow, not a grid artifact
-PAD_FACTOR = 16.0  # the h-solve behind the conditioned problem runs on a grid this much taller
+_H_FLOOR = 1e-250  # conditioning guard: far-field h underflow, not a grid artifact
+PAD_FACTOR = 16.0  # the h sweep behind the conditioned problem runs on a grid this much taller
+# far-field rows as the (below, top) weights of _top_row
+DIRICHLET_ZERO = (0.0, 1.0)
+NEUMANN = (1.0, 1.0)
 
 # The conditioned far-field constant carries a larger log-spacing error
 # constant than the plain solve (the top value is a ratio of two decaying
@@ -69,8 +74,8 @@ class HalfCylinderGrid:
             raise ModelError(f"height must be >= 5, got {self.height}")
         if self.stretching not in ("uniform", "geometric"):
             raise ModelError(f"unknown stretching {self.stretching!r}")
-        if self.stretching == "geometric" and not 0 < self.dz0 < self.height:
-            raise ModelError("geometric stretching needs 0 < dz0 < height")
+        if self.stretching == "geometric" and not 0 < self.dz0 * self.n_z < self.height:
+            raise ModelError("geometric grid: dz0 must be positive and dz0 * n_z below the height")
 
     def z_nodes(self) -> np.ndarray:
         if self.stretching == "uniform":
@@ -101,10 +106,6 @@ class HalfCylinderGrid:
 
 
 def _geometric_ratio(dz0: float, n: int, height: float) -> float:
-    total_uniform = dz0 * n
-    if total_uniform >= height:
-        raise ModelError("geometric grid: dz0 * n_z must be below the height")
-
     def total(q):
         if n * math.log(q) > 300.0:  # overflow-safe: far beyond any real grid
             return math.inf
@@ -134,7 +135,7 @@ class HalfCylinderSolution:
     variation: np.ndarray
     truncation_estimate: float
     max_principle_ok: bool
-    h_grid: np.ndarray | None = None
+    h: HalfCylinderSolution | None = None   # a conditioned solution's solve_h result
 
     def interp(self, y: float, zz: float) -> float:
         """Bilinear (periodic in y, log-height in z) interpolation of u."""
@@ -178,32 +179,31 @@ class LevelDecay:
 # Discretization
 # ---------------------------------------------------------------------------
 
-def _discretize(gc: GeneratorCoefficients, z: np.ndarray, n_y: int, top_bc: str) -> np.ndarray:
+def _discretize(gc: GeneratorCoefficients, z: np.ndarray, n_y: int, top) -> np.ndarray:
     """Level bands (see fd.stencil) of the problem on heights z: level j is height z[j],
-    the last level holds the top row, and level 1 couples down to the boundary data."""
+    the last level holds the far-field row of weights top (see _top_row), and level 1
+    couples down to the boundary data."""
     y = np.linspace(0.0, TWO_PI, n_y, endpoint=False)
     Y, Z = np.meshgrid(y, z[1:-1])    # (n_z - 1, n_y)
     coeffs = gc.second_order(Y, Z) + gc.first_order(Y, Z)    # cyy, cyz, czz, by, bz
     steps = np.diff(z)[:, None] + np.zeros(n_y)
     return np.concatenate([stencil(*coeffs, TWO_PI / n_y, steps[:-1], steps[1:]),
-                           _top_row(top_bc, n_y)[None]])
+                           _top_row(*top, n_y)[None]])
 
 
-def _top_row(top_bc: str, n_y: int) -> np.ndarray:
-    """Row bands of the far-field condition: u_top = u_below, or u_top = 0."""
+def _top_row(below, top, n_y: int) -> np.ndarray:
+    """Row bands of the far-field condition top * u_top - below * u_below = 0: DIRICHLET_ZERO,
+    NEUMANN, or the Neumann row on v = h u, (1 / h_below, 1 / h_top) per column."""
     row = np.zeros((3, 3, n_y))
-    row[1, 1] = 1.0
-    if top_bc == "neumann":
-        row[0, 1] = -1.0
-    elif top_bc != "dirichlet0":
-        raise ModelError(f"unknown top boundary condition {top_bc!r}")
+    row[0, 1] -= below
+    row[1, 1] = top
     return row
 
 
-def _data_rhs(bands: np.ndarray, f_vals: np.ndarray) -> np.ndarray:
-    """Right-hand side of the level system with boundary data f_vals at height zero."""
-    rhs = np.zeros((bands.shape[0], bands.shape[-1]))
-    rhs[0] = -band_dot(bands[0, 0], f_vals)
+def _data_rhs(lower: np.ndarray, f_vals: np.ndarray, n_levels: int) -> np.ndarray:
+    """Right-hand side of n_levels levels, the first coupled by lower to the data f_vals."""
+    rhs = np.zeros((n_levels, f_vals.size))
+    rhs[0] = -band_dot(lower, f_vals)
     return rhs
 
 
@@ -212,54 +212,76 @@ def _half_level(z: np.ndarray) -> int:
     return min(max(int(np.searchsorted(z, z[-1] / 2.0)), 101), z.size - 2)
 
 
-def _finish_solution(full: np.ndarray, z: np.ndarray, y: np.ndarray, f_vals: np.ndarray,
-                     truncation: float, h_grid=None, bounds=None) -> HalfCylinderSolution:
+def _finish_solution(full: np.ndarray, z: np.ndarray, y: np.ndarray, data,
+                     truncation: float) -> HalfCylinderSolution:
+    """The solution with rows full at heights z; the range of its boundary data bounds it."""
     top = full[-1]
-    ubar = float(np.mean(top))
-    osc = float(np.max(top) - np.min(top))
-    variation = full.max(axis=1) - full.min(axis=1)
-    if bounds is None:
-        bounds = (float(np.min(f_vals)), float(np.max(f_vals)))
-    lo, hi = bounds
+    lo, hi = float(np.min(data)), float(np.max(data))
     tol = 1e-9 * max(hi - lo, 1.0)
     ok = bool(np.all(full >= lo - tol) and np.all(full <= hi + tol))
-    return HalfCylinderSolution(u_grid=full, z_nodes=z, y_nodes=y,
-                                ubar=ubar, top_oscillation=osc, variation=variation,
-                                truncation_estimate=truncation, max_principle_ok=ok,
-                                h_grid=h_grid)
+    return HalfCylinderSolution(u_grid=full, z_nodes=z, y_nodes=y, ubar=float(np.mean(top)),
+                                top_oscillation=float(np.max(top) - np.min(top)),
+                                variation=full.max(axis=1) - full.min(axis=1),
+                                truncation_estimate=truncation, max_principle_ok=ok)
 
 
 def _verdict(m: ChartModel) -> Verdict:
     return classify(m, grid_size=512).verdict
 
 
-def _padded_h(gc: GeneratorCoefficients, grid: HalfCylinderGrid):
-    """h on grid's nodes, solved on the matching grid PAD_FACTOR times taller;
-    with the elimination and the right-hand side it came from."""
-    bands = _discretize(gc, grid.extended(PAD_FACTOR), grid.n_y, "dirichlet0")
-    elim, rhs = Elimination(bands), _data_rhs(bands, np.ones(grid.n_y))
-    return np.vstack([np.ones(grid.n_y), elim.solve(rhs)[:grid.n_z]]), elim, rhs
+def _neumann_sweep(gc: GeneratorCoefficients, grid: HalfCylinderGrid):
+    """The Neumann-top problem on grid, eliminated once: its first level's band down to
+    the data, and close(level), its cut at level closed by the Neumann row (at the
+    grid's top, the sweep itself, closed there already)."""
+    bands = _discretize(gc, grid.z_nodes(), grid.n_y, NEUMANN)
+    elim = Elimination(bands)
+    return bands[0, 0].copy(), lambda level: elim if level == grid.n_z else \
+        elim.cut(level, _top_row(*NEUMANN, grid.n_y))
 
 
-def _neumann_system(gc: GeneratorCoefficients, grid: HalfCylinderGrid, h=None) -> np.ndarray:
-    """Level bands of the Neumann-top problem on grid.
+def _h_sweep(gc: GeneratorCoefficients, grid: HalfCylinderGrid):
+    """The h problem on the grid PAD_FACTOR times taller (matching nodes, h = 0 at its top),
+    eliminated once and solved: its first level's band down to the data; close(level),
+    its cut at level closed by the Neumann row on v = h u, whose solves return u = v / h
+    (see fd.Elimination.cut); and a function giving solve_h's result, its cut at the
+    grid's top with h(Z) = 0."""
+    bands = _discretize(gc, grid.extended(PAD_FACTOR), grid.n_y, DIRICHLET_ZERO)
+    elim, ones, lower = Elimination(bands), np.ones(grid.n_y), bands[0, 0].copy()
+    rhs = _data_rhs(lower, ones, len(bands))
+    h = np.vstack([ones, elim.solve(rhs)[:grid.n_z]])
 
-    Given h on (at least) grid's nodes, the PDE rows are conjugated by its
-    diagonal, which turns the system into the h-conditioned one; the
-    far-field row acts on the conditioned solution itself.
-    """
-    bands = _discretize(gc, grid.z_nodes(), grid.n_y, "neumann")
-    if h is None:
-        return bands
-    h = h[:grid.n_z + 1]
-    if np.min(h) < _H_FLOOR:
-        raise HTransformSingular(f"hitting probability as small as {np.min(h):.3e} on the grid")
-    rows = h[1:-1]
-    for dj in (-1, 0, 1):
-        cols = h[1 + dj:h.shape[0] - 1 + dj]
-        for di in (-1, 0, 1):
-            bands[:-1, dj + 1, di + 1] *= np.roll(cols, -di, axis=1) / rows
-    return bands
+    def close(level):
+        if np.min(h[:level + 1]) < _H_FLOOR:
+            raise HTransformSingular(f"hitting probability as small as "
+                                     f"{np.min(h[:level + 1]):.3e} on the grid")
+        return elim.cut(level, _top_row(1.0 / h[level - 1], 1.0 / h[level], grid.n_y),
+                        cols=h[1:level + 1])
+
+    def solution():
+        cut = elim.cut(grid.n_z, _top_row(*DIRICHLET_ZERO, grid.n_y))
+        full = np.vstack([ones, cut.solve(rhs[:grid.n_z])])
+        # data are 1 at the bottom and 0 at the cut
+        return _finish_solution(full, grid.z_nodes(), grid.y_nodes(), (0.0, 1.0),
+                                float(np.max(np.abs(h - full))))
+
+    return lower, close, solution
+
+
+def _cut_solve(lower: np.ndarray, close, grid: HalfCylinderGrid, f,
+               check_truncation: bool) -> HalfCylinderSolution:
+    """The grid's problem with data f from a sweep (lower, close): its cut at the top,
+    and ubar's change from the cut at the first node at or past half height as
+    truncation estimate."""
+    z, y = grid.z_nodes(), grid.y_nodes()
+    f_vals = boundary_values(f, y)
+    rhs = _data_rhs(lower, f_vals, grid.n_z)
+    full = np.vstack([f_vals, close(grid.n_z).solve(rhs[:grid.n_z])])
+    truncation = math.nan
+    if check_truncation:
+        k_half = _half_level(z)
+        u_half = close(k_half).solve(rhs[:k_half])
+        truncation = abs(float(full[-1].mean()) - float(u_half[-1].mean()))
+    return _finish_solution(full, z, y, f_vals, truncation)
 
 
 # ---------------------------------------------------------------------------
@@ -285,80 +307,43 @@ def solve_u(m: ChartModel, f, grid: HalfCylinderGrid | None = None,
         raise WrongRegime("u-solve needs an attracting or neutral boundary; "
                           "use solve_conditioned")
     gc = assemble(m, eps, Flavor.LIMIT if eps is None else Flavor.RESCALED)
-    return _neumann_solve(_neumann_system(gc, grid), grid, f, check_truncation)
+    return _cut_solve(*_neumann_sweep(gc, grid), grid, f, check_truncation)
 
 
-def _neumann_solve(bands: np.ndarray, grid: HalfCylinderGrid, f, check_truncation: bool,
-                   h_grid=None) -> HalfCylinderSolution:
-    """Solve of the Neumann-top level system, with its half-height cut as truncation check."""
-    z, y = grid.z_nodes(), grid.y_nodes()
-    f_vals = boundary_values(f, y)
-    rhs = _data_rhs(bands, f_vals)
-    elim = Elimination(bands)
-    full = np.vstack([f_vals, elim.solve(rhs)])
-    truncation = math.nan
-    if check_truncation:
-        k_half = _half_level(z)
-        u_half = elim.cut(k_half, _top_row("neumann", grid.n_y)).solve(rhs[:k_half])
-        truncation = abs(float(full[-1].mean()) - float(u_half[-1].mean()))
-    return _finish_solution(full, z, y, f_vals, truncation, h_grid=h_grid)
-
-
-def solve_h(m: ChartModel, grid: HalfCylinderGrid | None = None,
-            _regime: Verdict | None = None) -> HalfCylinderSolution:
+def solve_h(m: ChartModel, grid: HalfCylinderGrid | None = None) -> HalfCylinderSolution:
     """Hitting probability of the boundary for a repelling model.
 
     h = 1 at the boundary and decays.  One sweep solves it on a grid
-    PAD_FACTOR times taller (matching nodes) with h = 0 at its top; that
-    padded h, on this grid's nodes, is kept as h_grid, and solve_conditioned
-    takes it from here.  The same sweep cut at this grid's top, with
-    h(Z) = 0 there, gives the returned h, and the truncation error is
-    bounded by the largest difference of the two.
+    PAD_FACTOR times taller (matching nodes) with h = 0 at its top; the
+    same sweep cut at this grid's top, with h(Z) = 0 there, gives the
+    returned h, and the truncation error is bounded by the largest
+    difference of the two.  solve_conditioned carries this result.
     """
     grid = grid or HalfCylinderGrid()
-    verdict = _regime or _verdict(m)
-    if verdict is not Verdict.REPELLING:
+    if _verdict(m) is not Verdict.REPELLING:
         raise WrongRegime("hitting probability is identically 1 unless repelling")
-    padded, elim, rhs = _padded_h(assemble(m, None, Flavor.LIMIT), grid)
-    cut = elim.cut(grid.n_z, _top_row("dirichlet0", grid.n_y))
-    full = np.vstack([padded[0], cut.solve(rhs[:grid.n_z])])
-    truncation = float(np.max(np.abs(padded - full)))
-    # data are 1 at the bottom and 0 at the cut: bounds [0, 1]
-    return _finish_solution(full, grid.z_nodes(), grid.y_nodes(), full[0], truncation,
-                            h_grid=padded, bounds=(0.0, 1.0))
+    return _h_sweep(assemble(m, None, Flavor.LIMIT), grid)[2]()
 
 
 def solve_conditioned(m: ChartModel, f, grid: HalfCylinderGrid | None = None,
                       check_truncation: bool = True,
-                      _regime: Verdict | HalfCylinderSolution | None = None
-                      ) -> HalfCylinderSolution:
+                      _regime: Verdict | None = None) -> HalfCylinderSolution:
     """Conditioned-exit solution for a repelling model.
 
-    Forms the discrete limit operator, conjugates it by the diagonal of the
-    hitting probability h (solved on a taller matching grid so h > 0 on
-    every node used), and solves with the boundary data at height zero and
-    a Neumann far field for the conditioned solution itself.  The
-    truncation estimate compares ubar with that of the same problem cut at
-    the first node at or past half height.  _regime is what a caller
-    already holds: its verdict, or its solve_h(m, grid) result, which
-    stands for the repelling verdict and supplies the padded h, so that
-    system is not solved again.
+    The conditioned operator is the h problem's under the substitution
+    v = h u, so the sweep of solve_h, cut at the grid's top (and at half
+    height for the truncation estimate) and closed by the Neumann row on
+    v, gives v with the boundary data at height zero (h = 1 there), and
+    u = v / h.  The result carries solve_h(m, grid) as h.  _regime is the
+    verdict of a caller that has already classified m.
     """
     grid = grid or conditioned_default_grid()
-    h = None
-    if isinstance(_regime, HalfCylinderSolution):
-        if _regime.y_nodes.size != grid.n_y or \
-                not np.array_equal(_regime.z_nodes, grid.z_nodes()):
-            raise ModelError("the solve_h result passed down is on another grid")
-        verdict, h = Verdict.REPELLING, _regime.h_grid
-    else:
-        verdict = _regime or _verdict(m)
-    if verdict is not Verdict.REPELLING:
+    if (_regime or _verdict(m)) is not Verdict.REPELLING:
         raise WrongRegime("conditioning applies to repelling boundaries only")
-    gc = assemble(m, None, Flavor.LIMIT)
-    if h is None:
-        h = _padded_h(gc, grid)[0]
-    return _neumann_solve(_neumann_system(gc, grid, h), grid, f, check_truncation, h_grid=h)
+    lower, close, h_solution = _h_sweep(assemble(m, None, Flavor.LIMIT), grid)
+    sol = _cut_solve(lower, close, grid, f, check_truncation)
+    sol.h = h_solution()
+    return sol
 
 
 def radial_oracle(alpha_c: float, beta_c: float, rho_c: float):
@@ -443,19 +428,18 @@ def exit_measure(m: ChartModel, start: RescaledPoint | None,
     Adjoint mode: the weight of y-node k is the forward solution with data
     e_k (the k-th basis function), read at the start point, or as the
     top-row mean for start=None, the deep-layer limit law.  All n_y
-    weights come from one elimination and one transposed solve (see
-    _adjoint_weights).  Monte Carlo mode histograms simulated exit angles
-    (conditioned on exit for repelling models) and reports the shares of
-    censored and unstable paths.
+    weights come from one elimination and one transposed solve, after the
+    solve for h if repelling (see _adjoint_weights).  Monte Carlo mode
+    histograms simulated exit angles (conditioned on exit for repelling
+    models) and reports the shares of censored and unstable paths.
     """
     verdict = _verdict(m)
     if grid is None:
         grid = conditioned_default_grid() if verdict is Verdict.REPELLING \
             else HalfCylinderGrid()
     if mode == "adjoint":
-        gc = assemble(m, None, Flavor.LIMIT)
-        h = _padded_h(gc, grid)[0] if verdict is Verdict.REPELLING else None
-        weights = _adjoint_weights(gc, grid, start, h)
+        weights = _adjoint_weights(assemble(m, None, Flavor.LIMIT), grid, start,
+                                   verdict is Verdict.REPELLING)
         total = weights.sum()
         if abs(total - 1.0) > 1e-8:
             raise NoConvergence(f"exit weights sum to {total:.10f}, not 1")
@@ -484,17 +468,17 @@ def exit_measure(m: ChartModel, start: RescaledPoint | None,
     raise ModelError(f"unknown exit-measure mode {mode!r}")
 
 
-def _adjoint_weights(gc, grid, start, h=None) -> np.ndarray:
+def _adjoint_weights(gc, grid, start, repelling: bool) -> np.ndarray:
     """Exit weight of each y-node at start, or in the deep-layer limit for start=None.
 
     Each weight is a linear functional c of a forward solution: the
     top-row mean for start=None, else the interpolation at start, whose
     row 0 acts on the boundary data.  The solution with data e_k has
     unknowns u = -A^-1 B e_k, so the weights are c[0] - B^T A^-T c[1:],
-    one transposed solve.  Given the padded h, they are those of the
-    h-conditioned process.
+    one transposed solve.  For a repelling model they are those of the
+    h-conditioned process: A is the conditioned cut of the h sweep, whose
+    transposed solve takes the functional c / h.
     """
-    bands = _neumann_system(gc, grid, h)
     c = np.zeros((grid.n_z + 1, grid.n_y))
     if start is None:
         c[-1] = 1.0 / grid.n_y
@@ -502,8 +486,9 @@ def _adjoint_weights(gc, grid, start, h=None) -> np.ndarray:
         rows, cols, weights = _interp_functional(grid.z_nodes(), grid.y_nodes(),
                                                  start.y, start.zz)
         c[rows, cols] = weights
-    x = Elimination(bands).solve_transposed(c[1:])
-    return c[0] - band_dot(band_transpose(bands[0, 0]), x[0])
+    lower, close = _h_sweep(gc, grid)[:2] if repelling else _neumann_sweep(gc, grid)
+    x = close(grid.n_z).solve_transposed(c[1:])
+    return c[0] - band_dot(band_transpose(lower), x[0])
 
 
 def _interp_functional(z: np.ndarray, y: np.ndarray, yq: float, zq: float):

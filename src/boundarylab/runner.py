@@ -74,12 +74,6 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _grid_from_cfg(block: dict) -> HalfCylinderGrid:
-    return HalfCylinderGrid(n_y=block["n_y"], n_z=block["n_z"],
-                            height=block["height"], stretching=block["stretching"],
-                            dz0=block["dz0"])
-
-
 def _mc_params(cfg: ExperimentConfig, block: dict, **overrides) -> sde.SimulationParams:
     kw = dict(dt=block["dt"], seed=cfg.seed, n_paths=block["n_paths"],
               max_time=block["max_time"])
@@ -126,18 +120,17 @@ def _run_classify(cfg: ExperimentConfig, out_dir: str) -> list:
 def _run_halfcyl(cfg: ExperimentConfig, out_dir: str) -> list:
     num = cfg.numerics
     f = boundary_data_fn(num["data"])
-    grid = _grid_from_cfg(num["grid"])
+    grid = HalfCylinderGrid(**num["grid"])
     rep = classify(cfg.model, grid_size=512)
     files = []
     summary = {"verdict": rep.verdict.value, "alpha_bar": rep.alpha_bar,
                "beta_bar": rep.beta_bar}
     if rep.verdict is Verdict.REPELLING:
-        sol_h = halfcyl.solve_h(cfg.model, grid, _regime=rep.verdict)
-        _grid_csv(os.path.join(out_dir, "h_grid.csv"), sol_h.z_nodes, sol_h.y_nodes,
-                  sol_h.u_grid)
+        sol = halfcyl.solve_conditioned(cfg.model, f, grid, _regime=rep.verdict)
+        _grid_csv(os.path.join(out_dir, "h_grid.csv"), sol.h.z_nodes, sol.h.y_nodes,
+                  sol.h.u_grid)
         files.append("h_grid.csv")
-        summary["h_truncation"] = sol_h.truncation_estimate
-        sol = halfcyl.solve_conditioned(cfg.model, f, grid, _regime=sol_h)
+        summary["h_truncation"] = sol.h.truncation_estimate
     else:
         sol = halfcyl.solve_u(cfg.model, f, grid, _regime=rep.verdict)
     _grid_csv(os.path.join(out_dir, "u_grid.csv"), sol.z_nodes, sol.y_nodes, sol.u_grid)
@@ -167,7 +160,7 @@ def _run_halfcyl(cfg: ExperimentConfig, out_dir: str) -> list:
 def _run_convergence(cfg: ExperimentConfig, out_dir: str) -> list:
     num = cfg.numerics
     psi_d = boundary_data_fn(num["data"])
-    grid = _grid_from_cfg(num["grid"])
+    grid = HalfCylinderGrid(**num["grid"])
     comps = dirichlet.default_completions(cfg.model)
     use = comps if num["both_completions"] else comps[:1]
     mc_params = None

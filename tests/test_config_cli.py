@@ -136,6 +136,21 @@ def test_cli_validate_and_errors(tmp_path, capsys):
     assert cli.main(["run", "/does/not/exist.json"]) == 1
 
 
+def test_geometric_grid_past_its_height_is_a_config_error(tmp_path, capsys):
+    # 100 steps of at least dz0 = 1 cannot end at height 50: caught before any run
+    raw = load("halfcyl_model_d.json")
+    raw["numerics"]["grid"] = {"n_y": 32, "n_z": 100, "height": 50, "dz0": 1}
+    path = tmp_path / "tall_steps.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["validate", str(path)]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"]["type"] == "ConfigError"
+    assert err["error"]["field"] == "numerics.grid"
+    assert "dz0 * n_z" in err["error"]["message"]
+    assert cli.main(["run", str(path), "--output-root", str(tmp_path / "runs")]) == 1
+    assert not (tmp_path / "runs").exists()
+
+
 def test_cli_runtime_error_exit_code(tmp_path, capsys):
     # valid config whose run fails: Monte Carlo with no exits in max_time
     cfg = {

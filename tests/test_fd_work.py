@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from boundarylab import classifier, config, dirichlet, fd, halfcyl, runner
-from boundarylab.errors import ModelError
 from boundarylab.geometry import RescaledPoint
 
 COS = {"kind": "cosine", "mean": 0.0, "amp": 1.0, "phase": 0.0}
@@ -28,7 +27,7 @@ def calls(monkeypatch):
                         counting("elimination", fd.Elimination.__init__))
     for method in ("solve", "solve_transposed"):
         monkeypatch.setattr(fd.Elimination, method,
-                            counting("elimination.solve", getattr(fd.Elimination, method)))
+                            counting(f"elimination.{method}", getattr(fd.Elimination, method)))
     for name, fn in (("classify", classifier.classify), ("solve_fd", dirichlet.solve_fd)):
         wrapper = counting(name, fn)
         for mod_name, mod in list(sys.modules.items()):
@@ -44,13 +43,14 @@ def _run(tmp_path, experiment, model, numerics):
     runner.run_experiment(cfg, str(tmp_path))
 
 
-def test_repelling_halfcyl_run_eliminates_two_systems_and_classifies_once(calls, tmp_path):
-    # the padded h, whose cut is the grid's h, and the conditioned u, whose cut
-    # is its half-height check
+def test_repelling_halfcyl_run_eliminates_one_system_and_classifies_once(calls, tmp_path):
+    # the padded h, whose cuts are the grid's h, the conditioned u and its
+    # half-height check
     _run(tmp_path, "halfcyl", "B-asym", {
         "data": COS, "levels": [2, 3],
         "grid": {"n_y": 32, "n_z": 200, "height": 1e13, "dz0": 0.02}})
-    assert calls["elimination"] == 2
+    assert calls["elimination"] == 1
+    assert calls["elimination.solve"] == 4
     assert calls["classify"] == 1
 
 
@@ -65,24 +65,22 @@ def test_convergence_run_solves_each_eps_once(calls, tmp_path):
     assert calls["classify"] == 1
 
 
-@pytest.mark.parametrize("model, start, eliminated", [
+@pytest.mark.parametrize("model, start, solves", [
     ("D", RescaledPoint(0.0, 1.0), 1),
-    ("B-asym", None, 2),    # the padded h, then the conditioned system
+    ("B-asym", None, 2),    # the padded h, then the transposed solve on its conditioned cut
 ])
-def test_exit_law_takes_one_transposed_solve(calls, zoo, model, start, eliminated):
+def test_exit_law_takes_one_transposed_solve(calls, zoo, model, start, solves):
     grid = halfcyl.HalfCylinderGrid(n_y=32, n_z=200, height=1e13, dz0=0.02)
     halfcyl.exit_measure(zoo[model], start, grid)
-    assert calls["elimination"] == eliminated
-    assert calls["elimination.solve"] == eliminated
+    assert calls["elimination"] == 1
+    assert calls["elimination.solve_transposed"] == 1
+    assert calls["elimination.solve"] + calls["elimination.solve_transposed"] == solves
 
 
-def test_conditioned_solve_takes_the_h_of_solve_h(zoo):
+def test_conditioned_solution_carries_the_h_of_solve_h(zoo):
     grid = halfcyl.HalfCylinderGrid(n_y=32, n_z=200, height=1e13, dz0=0.02)
     sol_h = halfcyl.solve_h(zoo["B-asym"], grid)
-    given = halfcyl.solve_conditioned(zoo["B-asym"], np.cos, grid, _regime=sol_h)
-    own = halfcyl.solve_conditioned(zoo["B-asym"], np.cos, grid)
-    assert np.array_equal(given.u_grid, own.u_grid)
-    assert given.truncation_estimate == own.truncation_estimate
-    other = halfcyl.HalfCylinderGrid(n_y=32, n_z=300, height=1e13, dz0=0.02)
-    with pytest.raises(ModelError):
-        halfcyl.solve_conditioned(zoo["B-asym"], np.cos, other, _regime=sol_h)
+    carried = halfcyl.solve_conditioned(zoo["B-asym"], np.cos, grid).h
+    assert np.array_equal(carried.u_grid, sol_h.u_grid)
+    assert np.array_equal(carried.z_nodes, sol_h.z_nodes)
+    assert carried.truncation_estimate == sol_h.truncation_estimate

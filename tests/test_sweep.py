@@ -1,5 +1,6 @@
 """The block sweep in fd against a sparse direct solve of the same systems."""
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -36,6 +37,14 @@ def _spsolve(bands, rhs):
     return spla.spsolve(_csr(bands), rhs.ravel()).reshape(rhs.shape)
 
 
+def _rhs(bands, f_vals):
+    return halfcyl._data_rhs(bands[0, 0], f_vals, len(bands))
+
+
+def _neumann_system(gc, grid):
+    return halfcyl._discretize(gc, grid.z_nodes(), grid.n_y, halfcyl.NEUMANN)
+
+
 @pytest.fixture(scope="module")
 def cross_d(zoo):
     """Model D with a mixed term, whose level couplings are tridiagonal."""
@@ -45,40 +54,90 @@ def cross_d(zoo):
 @pytest.mark.parametrize("name", ["D", "cross"])
 def test_neumann_solve_matches_spsolve(zoo, cross_d, name):
     m = cross_d if name == "cross" else zoo[name]
-    bands = halfcyl._neumann_system(assemble(m, None, Flavor.LIMIT), GRID)
+    bands = _neumann_system(assemble(m, None, Flavor.LIMIT), GRID)
     assert bands[:-1, (0, 2)][:, :, (0, 2)].any() == (name == "cross")
     sol = halfcyl.solve_u(m, np.cos, GRID)
-    ref = _spsolve(bands, halfcyl._data_rhs(bands, np.cos(GRID.y_nodes())))
+    ref = _spsolve(bands, _rhs(bands, np.cos(GRID.y_nodes())))
     assert np.max(np.abs(sol.u_grid[1:] - ref)) <= TOL
+
+
+def _h(gc, grid):
+    """The h sweep's h on grid's nodes: the columns of its conditioned cut at the top."""
+    return np.vstack([np.ones(grid.n_y), halfcyl._h_sweep(gc, grid)[1](grid.n_z).cols])
+
+
+def _conjugated(gc, grid, h):
+    """H^-1 A H, the conditioned system written on u itself: the Neumann-top system
+    with its PDE rows conjugated by the diagonal of h (on grid's nodes)."""
+    bands = _neumann_system(gc, grid)
+    rows = h[1:-1]
+    for dj in (-1, 0, 1):
+        cols = h[1 + dj:h.shape[0] - 1 + dj]
+        for di in (-1, 0, 1):
+            bands[:-1, dj + 1, di + 1] *= np.roll(cols, -di, axis=1) / rows
+    return bands
 
 
 def test_dirichlet_and_conditioned_solves_match_spsolve(zoo):
     m = zoo["B-asym"]
     gc = assemble(m, None, Flavor.LIMIT)
     ones = np.ones(GRID.n_y)
-    sol_h = halfcyl.solve_h(m, GRID)
+    sol = halfcyl.solve_conditioned(m, np.cos, GRID)
     # the grid's own h is the cut of the padded sweep at its top node
-    own = halfcyl._discretize(gc, GRID.z_nodes(), GRID.n_y, "dirichlet0")
-    assert np.max(np.abs(sol_h.u_grid[1:] - _spsolve(own, halfcyl._data_rhs(own, ones)))) <= TOL
-    padded = halfcyl._discretize(gc, GRID.extended(halfcyl.PAD_FACTOR), GRID.n_y, "dirichlet0")
-    ref = _spsolve(padded, halfcyl._data_rhs(padded, ones))[:GRID.n_z]
-    assert np.max(np.abs(sol_h.h_grid[1:] - ref)) <= TOL
+    own = halfcyl._discretize(gc, GRID.z_nodes(), GRID.n_y, halfcyl.DIRICHLET_ZERO)
+    assert np.max(np.abs(sol.h.u_grid[1:] - _spsolve(own, _rhs(own, ones)))) <= TOL
+    padded = halfcyl._discretize(gc, GRID.extended(halfcyl.PAD_FACTOR), GRID.n_y,
+                                 halfcyl.DIRICHLET_ZERO)
+    h = _h(gc, GRID)
+    assert np.max(np.abs(h[1:] - _spsolve(padded, _rhs(padded, ones))[:GRID.n_z])) <= TOL
 
-    sol = halfcyl.solve_conditioned(m, np.cos, GRID, _regime=sol_h)
-    bands = halfcyl._neumann_system(gc, GRID, sol_h.h_grid)
-    ref = _spsolve(bands, halfcyl._data_rhs(bands, np.cos(GRID.y_nodes())))
+    bands = _conjugated(gc, GRID, h)
+    ref = _spsolve(bands, _rhs(bands, np.cos(GRID.y_nodes())))
+    assert np.max(np.abs(sol.u_grid[1:] - ref)) <= TOL
+
+
+def test_conditioned_solve_matches_spsolve_where_h_underflows_far(zoo):
+    grid = halfcyl.HalfCylinderGrid(n_y=32, n_z=800, height=1e24, dz0=0.02)
+    gc = assemble(zoo["B"], None, Flavor.LIMIT)
+    sol = halfcyl.solve_conditioned(zoo["B"], np.cos, grid, check_truncation=False)
+    h = _h(gc, grid)
+    assert np.min(h) < 1e-40
+    bands = _conjugated(gc, grid, h)
+    ref = _spsolve(bands, _rhs(bands, np.cos(grid.y_nodes())))
     assert np.max(np.abs(sol.u_grid[1:] - ref)) <= TOL
 
 
 @pytest.mark.parametrize("name", ["B-asym", "cross"])
 def test_transposed_solve_matches_spsolve(zoo, cross_d, name):
     gc = assemble(cross_d if name == "cross" else zoo[name], None, Flavor.LIMIT)
-    h = halfcyl._padded_h(gc, GRID)[0] if name == "B-asym" else None
-    bands = halfcyl._neumann_system(gc, GRID, h)
     c = np.random.default_rng(3).standard_normal((GRID.n_z, GRID.n_y))
-    x = fd.Elimination(bands).solve_transposed(c)
+    if name == "B-asym":
+        cut = halfcyl._h_sweep(gc, GRID)[1](GRID.n_z)
+        # the conjugated system is A H with its PDE rows divided by h, so its transposed
+        # solution is h x on those rows and x on the top row, which is the same in both
+        x = cut.solve_transposed(c)
+        x[:-1] *= cut.cols[:-1]
+        bands = _conjugated(gc, GRID, np.vstack([np.ones(GRID.n_y), cut.cols]))
+    else:
+        bands = _neumann_system(gc, GRID)
+        x = fd.Elimination(bands).solve_transposed(c)
     ref = spla.spsolve(_csr(bands).T.tocsc(), c.ravel()).reshape(c.shape)
     assert np.max(np.abs(x - ref)) <= TOL
+
+
+def test_conditioned_check_sees_an_error_at_the_top(zoo):
+    gc = assemble(zoo["B-asym"], None, Flavor.LIMIT)
+    lower, close, _ = halfcyl._h_sweep(gc, GRID)
+    rhs = halfcyl._data_rhs(lower, np.cos(GRID.y_nodes()), GRID.n_z)
+    cut = close(GRID.n_z)
+    u = cut.solve(rhs)
+    u[-2:] *= 1.0 + 1e-6
+    with pytest.raises(NoConvergence):
+        cut._check(u, rhs)
+    # on v = h u alone the same error is far below the target: h is tiny up there
+    v_system = copy.copy(cut)
+    v_system.cols = None
+    v_system._check(cut.cols * u, rhs)
 
 
 def _polar_reference(op, n_theta, r_nodes, f_outer, f_inner=None):
@@ -119,12 +178,13 @@ def test_polar_solve_matches_spsolve(zoo, cross_d, name, annulus):
 def test_cut_is_the_solve_of_the_node_aligned_sub_grid(zoo):
     gc = assemble(zoo["D"], None, Flavor.LIMIT)
     z = GRID.z_nodes()
-    bands = halfcyl._neumann_system(gc, GRID)
-    rhs = halfcyl._data_rhs(bands, np.cos(GRID.y_nodes()))
+    bands = _neumann_system(gc, GRID)
+    rhs = _rhs(bands, np.cos(GRID.y_nodes()))
     k = halfcyl._half_level(z)
     assert 0 < k < GRID.n_z and z[k] >= z[-1] / 2.0 > z[k - 1]
-    cut = fd.Elimination(bands).cut(k, halfcyl._top_row("neumann", GRID.n_y)).solve(rhs[:k])
-    sub = fd.Elimination(halfcyl._discretize(gc, z[:k + 1], GRID.n_y, "neumann")).solve(rhs[:k])
+    top = halfcyl._top_row(*halfcyl.NEUMANN, GRID.n_y)
+    cut = fd.Elimination(bands).cut(k, top).solve(rhs[:k])
+    sub = fd.Elimination(halfcyl._discretize(gc, z[:k + 1], GRID.n_y, halfcyl.NEUMANN)).solve(rhs[:k])
     assert np.max(np.abs(cut - sub)) <= 1e-13
 
 
