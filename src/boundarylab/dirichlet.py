@@ -98,10 +98,9 @@ class DiskOperator:
         br = chi * (-z * beta) + ((1.0 - chi) * s + pert) / r
         return ctt, ctr, crr, bt, br
 
-    def cartesian_ito(self, x):
-        """Drift (n, 2) and Ito diffusion entries (A11, A12, A22) at points x."""
+    def cartesian_ito(self, x, r):
+        """Drift (n, 2) and Ito diffusion entries (A11, A12, A22) at points x, of norm r."""
         x = np.asarray(x, dtype=float)
-        r = np.linalg.norm(x, axis=-1)
         r_safe = np.maximum(r, 1e-12)
         z = 1.0 - r
         theta = np.arctan2(x[..., 1], x[..., 0])
@@ -145,13 +144,13 @@ class DiskOperator:
     def normal_diffusion(self, x):
         """Radial-radial Ito diffusion entry, for boundary bridge tests."""
         x = np.asarray(x, dtype=float)
-        _, a11, a12, a22 = self.cartesian_ito(x)
-        return _radial_component(x, a11, a12, a22)
+        r = np.linalg.norm(x, axis=-1)
+        return _radial_component(x, r, *self.cartesian_ito(x, r)[1:])
 
 
-def _radial_component(x, a11, a12, a22):
-    """Radial-radial entry at points x of the matrix with entries (a11, a12, a22)."""
-    r = np.maximum(np.linalg.norm(x, axis=-1), 1e-12)
+def _radial_component(x, r, a11, a12, a22):
+    """Radial-radial entry at points x, of norm r, of the matrix with entries (a11, a12, a22)."""
+    r = np.maximum(r, 1e-12)
     c = x[..., 0] / r
     s = x[..., 1] / r
     return a11 * c * c + 2.0 * a12 * c * s + a22 * s * s
@@ -329,11 +328,14 @@ def sample_exit(op: DiskOperator, start, params: sde.SimulationParams,
 
     def start_state(size):
         x = np.tile(x0, (size, 1))
-        return [x, *op.cartesian_ito(x)]
+        r = np.linalg.norm(x, axis=-1)
+        drift, a11, a12, a22 = op.cartesian_ito(x, r)
+        return [x, r, _radial_component(x, r, a11, a12, a22), drift, a11, a12, a22]
 
     def advance(k, state, noise, uniform, live, pids):
-        # the coefficients at x ride in the state: each step evaluates them once, at x_new
-        x, drift, a11, a12, a22 = state
+        # |x|, the coefficients at x and (for the bridge test) their radial entry ride in
+        # the state, made once at x_new
+        x, r, ann, drift, a11, a12, a22 = state
         noise1, noise2 = sde._increments(sqdt, a11, a12, a22, noise)
         dx1 = drift[:, 0] * dt + noise1
         dx2 = drift[:, 1] * dt + noise2
@@ -355,12 +357,11 @@ def sample_exit(op: DiskOperator, start, params: sde.SimulationParams,
                 exit_time[g] = t_now + frac * dt
                 exit_theta[g] = wrap_angle(np.arctan2(hit_pt[:, 1], hit_pt[:, 0]))
                 live = live & ~crossed
-        drift_new, a11_new, a12_new, a22_new = op.cartesian_ito(x_new)
+        drift_new, a11_new, a12_new, a22_new = op.cartesian_ito(x_new, r_new)
         if params.bridge_absorption:
-            z_old = 1.0 - np.linalg.norm(x, axis=-1)
+            ann_end = _radial_component(x_new, r_new, a11_new, a12_new, a22_new)
+            z_old = 1.0 - r
             z_new = 1.0 - r_new
-            ann = _radial_component(x, a11, a12, a22)
-            ann_end = _radial_component(x_new, a11_new, a12_new, a22_new)
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
                 p_hit = np.exp(-4.0 * np.maximum(z_old, 0.0) * np.maximum(z_new, 0.0)
                                / ((ann + ann_end) * dt))
@@ -372,11 +373,13 @@ def sample_exit(op: DiskOperator, start, params: sde.SimulationParams,
                 exit_time[g] = t_now + 0.5 * dt
                 exit_theta[g] = wrap_angle(np.arctan2(mid[:, 1], mid[:, 0]))
                 live = live & ~hit
+            ann = np.where(live, ann_end, ann)
         x = np.where(live[:, None], x_new, x)
         if cp is not None:
             for c in np.flatnonzero(steps_at == k + 1):
                 positions[c, pids[live]] = x[live]
-        return [x, np.where(live[:, None], drift_new, drift), np.where(live, a11_new, a11),
+        return [x, np.where(live, r_new, r), ann,
+                np.where(live[:, None], drift_new, drift), np.where(live, a11_new, a11),
                 np.where(live, a12_new, a12), np.where(live, a22_new, a22)], live
 
     sde._run_paths(params, int(round(params.max_time / dt)), start_state, advance)

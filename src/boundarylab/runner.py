@@ -28,6 +28,8 @@ OUTPUT_ROOT_ENV = "BOUNDARYLAB_OUTPUT_ROOT"
 
 
 def _fmt(x) -> str:
+    if type(x) is float:        # most cells: rows from .tolist() hold Python floats
+        return repr(x)
     if isinstance(x, str):
         return x
     if isinstance(x, (bool, np.bool_)):
@@ -41,7 +43,7 @@ def write_csv(path, header, rows):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(map(_fmt, row)) + "\n")
 
 
 def write_json(path, obj):
@@ -81,10 +83,10 @@ def _mc_params(cfg: ExperimentConfig, block: dict, **overrides) -> sde.Simulatio
     return sde.SimulationParams(**kw)
 
 
-def _grid_csv(path, z_nodes, y_nodes, grid):
-    header = ["z"] + [f"y{i}" for i in range(len(y_nodes))]
-    rows = [[z_nodes[j]] + list(grid[j]) for j in range(len(z_nodes))]
-    write_csv(path, header, rows)
+def _grid_csv(path, node, column, nodes, grid):
+    """Row j: nodes[j], then grid[j] under the headers column0, column1, ..."""
+    write_csv(path, [node] + [f"{column}{i}" for i in range(grid.shape[1])],
+              np.column_stack([nodes, grid]).tolist())
 
 
 def run_experiment(cfg: ExperimentConfig, output_root: str | None = None):
@@ -127,15 +129,14 @@ def _run_halfcyl(cfg: ExperimentConfig, out_dir: str) -> list:
                "beta_bar": rep.beta_bar}
     if rep.verdict is Verdict.REPELLING:
         sol = halfcyl.solve_conditioned(cfg.model, f, grid, _regime=rep.verdict)
-        _grid_csv(os.path.join(out_dir, "h_grid.csv"), sol.h.z_nodes, sol.h.y_nodes,
-                  sol.h.u_grid)
+        _grid_csv(os.path.join(out_dir, "h_grid.csv"), "z", "y", sol.h.z_nodes, sol.h.u_grid)
         files.append("h_grid.csv")
         summary["h_truncation"] = sol.h.truncation_estimate
     else:
         sol = halfcyl.solve_u(cfg.model, f, grid, _regime=rep.verdict)
-    _grid_csv(os.path.join(out_dir, "u_grid.csv"), sol.z_nodes, sol.y_nodes, sol.u_grid)
+    _grid_csv(os.path.join(out_dir, "u_grid.csv"), "z", "y", sol.z_nodes, sol.u_grid)
     write_csv(os.path.join(out_dir, "variation.csv"), ["z", "oscillation"],
-              [[z, v] for z, v in zip(sol.z_nodes, sol.variation)])
+              np.column_stack([sol.z_nodes, sol.variation]).tolist())
     files += ["u_grid.csv", "variation.csv", "summary.json"]
     summary.update({
         "ubar": sol.ubar,
@@ -187,9 +188,7 @@ def _run_convergence(cfg: ExperimentConfig, out_dir: str) -> list:
     # solution grid at the smallest eps, CSV plus its JSON header
     eps_min = num["eps_list"][-1]
     sol = tables[0].final_solution
-    write_csv(os.path.join(out_dir, "solution_grid.csv"),
-              ["r"] + [f"theta{i}" for i in range(num["n_theta"])],
-              [[sol.r_nodes[j]] + list(sol.u[j]) for j in range(sol.r_nodes.size)])
+    _grid_csv(os.path.join(out_dir, "solution_grid.csv"), "r", "theta", sol.r_nodes, sol.u)
     write_json(os.path.join(out_dir, "solution_grid.json"), {
         "model_hash": cfg.config_hash,
         "eps": eps_min,

@@ -3,16 +3,17 @@
 All samplers here and the ambient sampler ``dirichlet.sample_exit`` run
 on one Euler-Maruyama driver, ``_run_paths``: path p of a run draws its
 noise from its own counter-based stream keyed by (seed, p) (Philox),
-consumed in fixed-size blocks, and paths that stop are dropped between
-blocks, so results are bit-identical however paths are chunked or
-scheduled; aggregation always runs in path order.  Each sampler supplies
-only its start state and one step on the Ito form.  Absorption at height
-zero is detected by endpoint crossing (with the crossing time and
-location linearly interpolated inside the step) plus a Brownian-bridge
-test for excursions the endpoints miss (Gobet, "Weak approximation of
-killed diffusion using Euler schemes", SPA 87, 2000); the bridge test
-removes the order-sqrt(dt) exit bias of pure endpoint monitoring and can
-be disabled per run.
+consumed in fixed-size blocks, and paths that stop are dropped inside
+and between blocks, so results are bit-identical however paths are
+chunked or scheduled; aggregation always runs in path order.  Each
+sampler supplies its start state and one step on the Ito form, whose
+coefficients the absorbing samplers evaluate once, at the endpoint.
+Absorption at height zero is detected by endpoint crossing (with the
+crossing time and location linearly interpolated inside the step) plus
+a Brownian-bridge test for excursions the endpoints miss (Gobet, "Weak
+approximation of killed diffusion using Euler schemes", SPA 87, 2000);
+the bridge test removes the order-sqrt(dt) exit bias of pure endpoint
+monitoring and can be disabled per run.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .fields import ChartModel, Flavor, GeneratorCoefficients, assemble
 from .geometry import ChartPoint, RescaledPoint, TWO_PI, wrap_angle
 
 NOISE_BLOCK = 256  # steps of noise drawn per path per block; part of the sampler definition
+DROP_SHARE = 8     # stopped rows are dropped inside a block once 1/DROP_SHARE have stopped
 
 
 class WallPolicy(enum.Enum):
@@ -189,25 +191,30 @@ def _run_paths(params: SimulationParams, n_steps: int, start_state, advance):
     (n,), writes exits and checkpoints into the sampler's own per-path
     arrays through the global path ids ``pids``, keeps the state of the
     rows that stop frozen, and returns the new state and live mask.
-    Stopped rows are dropped at the end of each block, so later blocks
-    draw noise for live paths only.
+    Stopped rows are dropped once 1/DROP_SHARE of a block's rows have stopped,
+    and at its end; a drop inside a block keeps the survivors' unread noise
+    columns (one copy per drop; a gather per step cost more), and later
+    blocks draw noise for live paths only.
     """
     for lo in range(0, params.n_paths, params.chunk_size):
-        chunk = np.arange(lo, min(lo + params.chunk_size, params.n_paths))
-        gens = _path_generators(params.seed, chunk, params.antithetic)
-        rows = np.arange(chunk.size)
-        state = start_state(chunk.size)
+        pids = np.arange(lo, min(lo + params.chunk_size, params.n_paths))
+        gens = _path_generators(params.seed, pids, params.antithetic)
+        state = start_state(pids.size)
         step = 0
-        while step < n_steps and rows.size:
-            pids = chunk[rows]
-            normals, uniforms = _draw_block([gens[i] for i in rows], pids, params.antithetic)
-            live = np.ones(rows.size, dtype=bool)
-            for s in range(min(NOISE_BLOCK, n_steps - step)):
-                state, live = advance(step + s, state, normals[:, s], uniforms[:, s], live, pids)
+        while step < n_steps and pids.size:
+            normals, uniforms = _draw_block([gens[p - lo] for p in pids], pids, params.antithetic)
+            live = np.ones(pids.size, dtype=bool)
+            width = min(NOISE_BLOCK, n_steps - step)
+            cut = 0             # block columns cut off the noise when rows were dropped
+            for s in range(width):
+                state, live = advance(step + s, state, normals[:, s - cut], uniforms[:, s - cut],
+                                      live, pids)
+                stopped = live.size - np.count_nonzero(live)
+                if stopped and (stopped * DROP_SHARE >= live.size or s == width - 1):
+                    state, pids = [a[live] for a in state], pids[live]
+                    normals, uniforms = normals[live, s + 1 - cut:], uniforms[live, s + 1 - cut:]
+                    live, cut = live[live], s + 1
             step += NOISE_BLOCK
-            if not np.all(live):
-                rows = rows[live]
-                state = [a[live] for a in state]
 
 
 def _increments(sqdt: float, a11, a12, a22, noise):
@@ -262,8 +269,8 @@ def simulate(gc: GeneratorCoefficients, start, params: SimulationParams) -> Exit
     sqdt = math.sqrt(dt)
 
     def advance(k, state, noise, uniform, live, pids):
-        y, v = state
-        by, bv, ayy, ayv, avv = gc.ito(y, v)
+        # the Ito coefficients at (y, v) ride in the state, made once per step at the endpoint
+        y, v, by, bv, ayy, ayv, avv = state
         noise_y, noise_v = _increments(sqdt, ayy, ayv, avv, noise)
         dy = by * dt + noise_y
         dv = bv * dt + noise_v
@@ -276,6 +283,7 @@ def simulate(gc: GeneratorCoefficients, start, params: SimulationParams) -> Exit
         y_new = y + dy
         v_new = v + dv
         t_now = k * dt
+        coeffs = gc.ito(y_new, np.maximum(v_new, 0.0) if params.absorbing else v_new)
         if params.absorbing:
             crossed = live & (v_new <= 0.0)
             if np.any(crossed):
@@ -287,10 +295,9 @@ def simulate(gc: GeneratorCoefficients, start, params: SimulationParams) -> Exit
                 live = live & ~crossed
             if params.bridge_absorption:
                 # endpoint-averaged diffusion keeps the crossing test O(dt)
-                avv_end = gc.diffusion_vv(y_new, np.maximum(v_new, 0.0))
                 with np.errstate(over="ignore", divide="ignore"):
                     p_hit = np.exp(-4.0 * np.maximum(v, 0.0) *
-                                   np.maximum(v_new, 0.0) / ((avv + avv_end) * dt))
+                                   np.maximum(v_new, 0.0) / ((avv + coeffs[4]) * dt))
                 hit = live & (v_new > 0.0) & (uniform < p_hit)
                 if np.any(hit):
                     g = pids[hit]
@@ -303,7 +310,7 @@ def simulate(gc: GeneratorCoefficients, start, params: SimulationParams) -> Exit
             if np.any(over):
                 exit_time[pids[over]] = t_now + dt
                 live = live & ~over
-        return [np.where(live, y_new, y), np.where(live, v_new, v)], live
+        return [np.where(live, new, old) for new, old in zip((y_new, v_new, *coeffs), state)], live
 
     if params.absorbing and v0 <= 0.0:
         exited[:] = True
@@ -311,7 +318,8 @@ def simulate(gc: GeneratorCoefficients, start, params: SimulationParams) -> Exit
         exit_time[:] = 0.0
     else:
         _run_paths(params, int(round(params.max_time / dt)),
-                   lambda size: [np.full(size, y0), np.full(size, v0)], advance)
+                   lambda size: [np.full(size, y0), np.full(size, v0),
+                                 *gc.ito(np.full(size, y0), np.full(size, v0))], advance)
     return ExitSampleBatch(exit_y=exit_y, exit_time=exit_time, exited_mask=exited,
                            unstable_mask=unstable, n_paths=n, seed=params.seed)
 

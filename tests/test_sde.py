@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from boundarylab import dirichlet, sde
 from boundarylab.coefficients import Const, Cosine, Fourier
 from boundarylab.errors import ModelError
-from boundarylab.fields import ChartModel, Flavor, PerturbationSpec, assemble
+from boundarylab.fields import (ChartModel, Flavor, GeneratorCoefficients, PerturbationSpec,
+                                assemble)
 from boundarylab.geometry import DomainKind, DomainModel
 from boundarylab.halfcyl import radial_oracle
 from boundarylab.sde import SimulationParams, WallPolicy
@@ -98,7 +100,8 @@ CHUNKED_SAMPLERS = {
 
 @pytest.mark.parametrize("sampler", sorted(CHUNKED_SAMPLERS))
 def test_chunk_invariance(sampler, zoo, reports):
-    # every run outlasts one noise block (256 steps), so stopped rows are dropped between blocks
+    # every run outlasts one noise block (256 steps), so stopped rows are dropped
+    # inside blocks and between them
     run = CHUNKED_SAMPLERS[sampler]
     exited, ref = run(zoo, reports, 8192)
     if exited is not None:
@@ -107,6 +110,82 @@ def test_chunk_invariance(sampler, zoo, reports):
         _, out = run(zoo, reports, chunk)
         for a, b in zip(out, ref):
             np.testing.assert_array_equal(a, b)
+
+
+def _near_wall_simulate(zoo, chunk):
+    p = SimulationParams(dt=2e-3, seed=130, n_paths=60, max_time=0.8, chunk_size=chunk)
+    b = sde.simulate(assemble(zoo["D"], None, Flavor.LIMIT), (0.3, 0.2), p)
+    return p, b.exit_time, (b.exit_y, b.exit_time, b.exited_mask, b.unstable_mask)
+
+
+def _near_wall_sample_exit(zoo, chunk):
+    comp = dirichlet.default_completions(zoo["D"])[0]
+    op = dirichlet.DiskOperator(model=zoo["D"], eps=0.2, completion=comp)
+    p = SimulationParams(dt=2e-3, seed=131, n_paths=60, max_time=0.8, chunk_size=chunk)
+    b = dirichlet.sample_exit(op, (0.97, 0.0), p, checkpoint_times=[0.01, 0.1, 0.7])
+    return p, b.exit_time, (b.exit_theta, b.exit_time, b.exited_mask, b.positions)
+
+
+@pytest.mark.parametrize("run", [_near_wall_simulate, _near_wall_sample_exit])
+def test_chunk_invariance_when_most_paths_stop_inside_the_first_block(run, zoo):
+    p, exit_time, ref = run(zoo, 60)
+    first_block = sde.NOISE_BLOCK * p.dt
+    assert np.mean(exit_time < first_block) > 0.5
+    assert np.any(exit_time > first_block)
+    for chunk in (1, 7):
+        _, _, out = run(zoo, chunk)
+        for a, b in zip(out, ref):
+            np.testing.assert_array_equal(a, b)
+
+
+def _steps_advanced(exit_time, dt):
+    """Steps each path advanced: a path stopping in step k (exit time in (k dt, (k+1) dt])
+    advanced k + 1; a censored one, all of them."""
+    return np.ceil(np.asarray(exit_time) / dt - 1e-6).astype(int)
+
+
+def _steps_run(steps, p):
+    """Steps a one-chunk run takes: to the end of the block in which its last path stops."""
+    blocks = -(-steps.max() // sde.NOISE_BLOCK)
+    return min(blocks * sde.NOISE_BLOCK, int(round(p.max_time / p.dt)))
+
+
+def test_sample_exit_evaluates_coefficients_once_per_step_on_the_live_rows(zoo, monkeypatch):
+    rows = []
+    cartesian_ito = dirichlet.DiskOperator.cartesian_ito
+
+    def counting(self, x, r):
+        rows.append(len(x))
+        return cartesian_ito(self, x, r)
+
+    monkeypatch.setattr(dirichlet.DiskOperator, "cartesian_ito", counting)
+    comp = dirichlet.default_completions(zoo["D"])[0]
+    op = dirichlet.DiskOperator(model=zoo["D"], eps=0.2, completion=comp)
+    p = SimulationParams(dt=5e-3, seed=132, n_paths=200, max_time=6.0)
+    steps = _steps_advanced(dirichlet.sample_exit(op, (0.3, 0.0), p).exit_time, p.dt)
+    # one call at the start, then one per step
+    assert len(rows) == 1 + _steps_run(steps, p)
+    # stopped rows ride along only until they are 1/8 of the rows stepped
+    assert sum(rows) <= 8 / 7 * steps.sum() + p.n_paths
+
+
+def test_simulate_evaluates_coefficients_once_per_step(zoo, monkeypatch):
+    calls = collections.Counter()
+
+    def counting(name):
+        fn = getattr(GeneratorCoefficients, name)
+
+        def wrapper(self, y, v):
+            calls[name] += 1
+            return fn(self, y, v)
+        return wrapper
+
+    for name in ("ito", "diffusion_vv"):
+        monkeypatch.setattr(GeneratorCoefficients, name, counting(name))
+    p = SimulationParams(dt=2e-3, seed=133, n_paths=60, max_time=0.8)
+    batch = sde.simulate(assemble(zoo["D"], None, Flavor.LIMIT), (0.3, 0.2), p)
+    assert calls["diffusion_vv"] == 0
+    assert calls["ito"] == 1 + _steps_run(_steps_advanced(batch.exit_time, p.dt), p)
 
 
 def test_checkpoints_after_time_zero(zoo, reports):
