@@ -12,16 +12,15 @@ __version__ = "0.1.0"
 
 from .classifier import ClassificationReport, InvariantMeasure, Verdict, classify
 from .fields import AmbientModel, ChartModel, Flavor, assemble
-from .geometry import AmbientPoint, ChartPoint, DomainModel, RescaledPoint
+from .geometry import DomainModel, RescaledPoint
 from .halfcyl import HalfCylinderGrid, HalfCylinderSolution, radial_oracle
 from .models import get_model, model_names
-from .sde import ExitSampleBatch, SimulationParams, WallPolicy, simulate
+from .sde import ExitSampleBatch, SimulationParams, simulate
 
 __all__ = [
-    "AmbientModel", "AmbientPoint", "ChartModel", "ChartPoint",
-    "ClassificationReport", "DomainModel", "ExitSampleBatch", "Flavor",
-    "HalfCylinderGrid", "HalfCylinderSolution", "InvariantMeasure",
-    "RescaledPoint", "SimulationParams", "Verdict", "WallPolicy",
+    "AmbientModel", "ChartModel", "ClassificationReport", "DomainModel",
+    "ExitSampleBatch", "Flavor", "HalfCylinderGrid", "HalfCylinderSolution",
+    "InvariantMeasure", "RescaledPoint", "SimulationParams", "Verdict",
     "assemble", "classify", "get_model", "model_names", "radial_oracle",
     "simulate", "__version__",
 ]

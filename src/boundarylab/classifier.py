@@ -21,16 +21,15 @@ in the discrete pairing.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import DegenerateInput, IncompatibleRHS, SingularSystem
+from .errors import IncompatibleRHS, SingularSystem
 from .fields import ChartModel, TabulatedPeriodic
-from .geometry import RescaledPoint, TWO_PI
+from .geometry import TWO_PI
 
 
 class Verdict(enum.Enum):
@@ -192,18 +191,6 @@ def classify(m: ChartModel, tol: float = 1e-8, grid_size: int = 1024) -> Classif
     return ClassificationReport(alpha_bar=abar, beta_bar=bbar, verdict=verdict,
                                 corrector=psi, neutral_tolerance=tol,
                                 measure=measure, corrector_residual=residual)
-
-
-def level_value(r: RescaledPoint, psi) -> float:
-    """g(y, zz) = psi(y) + ln zz, the level-set coordinate of the layer."""
-    if r.zz <= 0.0:
-        raise DegenerateInput("level coordinate undefined at zz = 0")
-    return float(psi(r.y)) + math.log(r.zz)
-
-
-def in_level_set(r: RescaledPoint, psi, n: int, tol: float) -> bool:
-    """Membership test for the level set {g = n} at grid tolerance tol."""
-    return abs(level_value(r, psi) - n) < tol
 
 
 def _check_grid(n: int):

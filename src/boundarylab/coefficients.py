@@ -109,7 +109,7 @@ def coefficient_from_config(spec, field: str) -> CoefficientFn:
     Accepts a bare number (shorthand for a constant) or a dict with a
     "kind" key as documented in the README.
     """
-    if isinstance(spec, (int, float)):
+    if isinstance(spec, (int, float)) and not isinstance(spec, bool):
         return Const(float(spec))
     if not isinstance(spec, dict):
         raise ConfigError(field, f"expected number or object, got {type(spec).__name__}")

@@ -87,6 +87,17 @@ def _get_int(block: dict, field: str, key: str, *, default=None, minimum=None,
     return v
 
 
+def _numbers(seq, field: str, expected: str, length: int | None = None,
+             positive: bool = False) -> list:
+    """Floats of a JSON list whose every element is a number (a bool is not one)."""
+    _expect(isinstance(seq, list) and length in (None, len(seq)), field, f"expected {expected}")
+    for i, v in enumerate(seq):
+        number = isinstance(v, (int, float)) and not isinstance(v, bool)
+        _expect(number and (v > 0 or not positive), f"{field}[{i}]",
+                f"must be a {'positive ' * positive}number, got {v!r}")
+    return [float(v) for v in seq]
+
+
 def _parse_model(block, field: str = "model") -> ChartModel:
     _expect(isinstance(block, dict), field, "expected object")
     if "name" in block:
@@ -176,11 +187,11 @@ def _grid_block(num: dict) -> dict:
 
 @_kind("halfcyl")
 def _validate_halfcyl(num: dict) -> dict:
-    _expect("data" in num, "numerics.data", "missing boundary data spec")
     return {
-        "data": num["data"],
+        "data": _boundary_data(num),
         "grid": _grid_block(num),
-        "levels": num.get("levels", list(range(2, 22))),
+        "levels": _numbers(num.get("levels", list(range(2, 22))), "numerics.levels",
+                           "a list of levels"),
     }
 
 
@@ -189,28 +200,26 @@ def _validate_convergence(num: dict) -> dict:
     eps_list = num.get("eps_list")
     _expect(isinstance(eps_list, list) and len(eps_list) >= 2,
             "numerics.eps_list", "expected a list of at least two eps values")
-    for i, e in enumerate(eps_list):
-        _expect(isinstance(e, (int, float)) and not isinstance(e, bool) and e > 0,
-                f"numerics.eps_list[{i}]", f"must be a positive number, got {e!r}")
+    eps_list = _numbers(eps_list, "numerics.eps_list", "a list", positive=True)
     _expect(all(b < a for a, b in zip(eps_list, eps_list[1:])),
             "numerics.eps_list", "must be strictly decreasing")
     probes = num.get("probes")
     _expect(isinstance(probes, list) and probes, "numerics.probes",
             "expected a non-empty list of [x1, x2] points")
-    for i, p in enumerate(probes):
-        _expect(isinstance(p, list) and len(p) == 2, f"numerics.probes[{i}]",
-                "expected [x1, x2]")
-    _expect("data" in num, "numerics.data", "missing boundary data spec")
+    both = num.get("both_completions", False)
+    _expect(isinstance(both, bool), "numerics.both_completions",
+            f"expected true or false, got {both!r}")
     out = {
-        "eps_list": [float(e) for e in eps_list],
-        "probes": [tuple(map(float, p)) for p in probes],
-        "data": num["data"],
+        "eps_list": eps_list,
+        "probes": [tuple(_numbers(p, f"numerics.probes[{i}]", "[x1, x2]", 2))
+                   for i, p in enumerate(probes)],
+        "data": _boundary_data(num),
         "threshold": _get_number(num, "numerics", "threshold", default=0.05,
                                  positive=True),
         "n_theta": _get_int(num, "numerics", "n_theta", default=64, minimum=32,
                             power_of_two=True),
         "grid": _grid_block(num),
-        "both_completions": bool(num.get("both_completions", False)),
+        "both_completions": both,
     }
     if "mc" in num:
         out["mc"] = _parse_mc(num["mc"], "numerics.mc")
@@ -222,11 +231,9 @@ def _validate_attraction(num: dict) -> dict:
     starts = num.get("starts")
     _expect(isinstance(starts, list) and starts, "numerics.starts",
             "expected a non-empty list of [y, z] starts")
-    for i, s in enumerate(starts):
-        _expect(isinstance(s, list) and len(s) == 2, f"numerics.starts[{i}]",
-                "expected [y, z]")
     return {
-        "starts": [tuple(map(float, s)) for s in starts],
+        "starts": [tuple(_numbers(s, f"numerics.starts[{i}]", "[y, z]", 2))
+                   for i, s in enumerate(starts)],
         "horizon": _get_number(num, "numerics", "horizon", positive=True),
         "near": _get_number(num, "numerics", "near", default=0.01, positive=True),
         "far_wall": _get_number(num, "numerics", "far_wall", default=50.0,
@@ -237,24 +244,15 @@ def _validate_attraction(num: dict) -> dict:
 
 @_kind("martingale")
 def _validate_martingale(num: dict) -> dict:
-    band = num.get("band")
-    _expect(isinstance(band, list) and len(band) == 2, "numerics.band",
-            "expected [lo, hi]")
-    lo, hi = float(band[0]), float(band[1])
+    lo, hi = _numbers(num.get("band"), "numerics.band", "[lo, hi]", 2)
     _expect(0 < lo < hi, "numerics.band", "must satisfy 0 < lo < hi")
-    start = num.get("start")
-    _expect(isinstance(start, list) and len(start) == 2, "numerics.start",
-            "expected [y, zz]")
     cps = num.get("checkpoints")
     _expect(isinstance(cps, list) and len(cps) >= 2, "numerics.checkpoints",
             "expected a list of at least two times")
-    for i, t in enumerate(cps):
-        _expect(isinstance(t, (int, float)) and not isinstance(t, bool) and t > 0,
-                f"numerics.checkpoints[{i}]", f"must be a positive number, got {t!r}")
     return {
         "band": (lo, hi),
-        "start": tuple(map(float, start)),
-        "checkpoints": [float(t) for t in cps],
+        "start": tuple(_numbers(num.get("start"), "numerics.start", "[y, zz]", 2)),
+        "checkpoints": _numbers(cps, "numerics.checkpoints", "a list", positive=True),
         "mc": _parse_mc(num.get("mc"), "numerics.mc"),
     }
 
@@ -264,9 +262,6 @@ def _validate_timescale(num: dict) -> dict:
     eps_list = num.get("eps_list")
     _expect(isinstance(eps_list, list) and eps_list, "numerics.eps_list",
             "expected a non-empty list")
-    for i, e in enumerate(eps_list):
-        _expect(isinstance(e, (int, float)) and not isinstance(e, bool) and e > 0,
-                f"numerics.eps_list[{i}]", f"must be a positive number, got {e!r}")
     rules = num.get("rules")
     _expect(isinstance(rules, list) and rules, "numerics.rules",
             "expected a non-empty list of rules")
@@ -283,17 +278,13 @@ def _validate_timescale(num: dict) -> dict:
             "p": _get_number(r, f"numerics.rules[{i}]", "p", default=1.0,
                              positive=True),
         })
-    start = num.get("start", [0.0, 0.0])
-    _expect(isinstance(start, list) and len(start) == 2, "numerics.start",
-            "expected [x1, x2]")
-    _expect("data" in num, "numerics.data", "missing boundary data spec")
-    g_block = num.get("g", 0.0)
     return {
-        "eps_list": [float(e) for e in eps_list],
+        "eps_list": _numbers(eps_list, "numerics.eps_list", "a list", positive=True),
         "rules": parsed_rules,
-        "start": tuple(map(float, start)),
-        "data": num["data"],
-        "g": g_block,
+        "start": tuple(_numbers(num.get("start", [0.0, 0.0]), "numerics.start",
+                                "[x1, x2]", 2)),
+        "data": _boundary_data(num),
+        "g": _initial_data(num.get("g", 0.0)),
         "mc": _parse_mc(num.get("mc"), "numerics.mc"),
     }
 
@@ -335,17 +326,17 @@ def parse_config(obj) -> ExperimentConfig:
                             model=model, dom=dom, numerics=validated, raw=obj)
 
 
-def boundary_data_fn(spec, field: str = "numerics.data"):
-    """Boundary data as a callable of the angle, from a coefficient spec."""
-    return _coeff(spec, field)
+def _boundary_data(num: dict):
+    """Boundary data as a callable of the angle, from its coefficient spec."""
+    _expect("data" in num, "numerics.data", "missing boundary data spec")
+    return _coeff(num["data"], "numerics.data")
 
 
-def initial_data_fn(spec, field: str = "numerics.g"):
+def _initial_data(spec):
     """Initial data on the domain from a config spec (constants only)."""
-    if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-        c = float(spec)
-        return lambda x: np.full(len(x), c)
     if isinstance(spec, dict) and spec.get("kind") == "const":
-        c = _get_number(spec, field, "c")
-        return lambda x: np.full(len(x), c)
-    raise ConfigError(field, "initial data supports constants only")
+        spec = _get_number(spec, "numerics.g", "c")
+    _expect(isinstance(spec, (int, float)) and not isinstance(spec, bool), "numerics.g",
+            "initial data supports constants only")
+    c = float(spec)
+    return lambda x: np.full(len(x), c)

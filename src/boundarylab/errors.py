@@ -11,20 +11,12 @@ class GeometryError(BoundaryLabError):
     pass
 
 
-class PointOutsideChart(GeometryError):
-    """Point is farther from the boundary than the chart radius."""
-
-
 class ChartRangeError(GeometryError):
     """Chart coordinate outside the valid range [0, chart_radius)."""
 
 
 class InvalidEpsilon(GeometryError):
     """Rescaling parameter must be strictly positive."""
-
-
-class DegenerateInput(GeometryError):
-    """Operation undefined at height zero (the boundary itself)."""
 
 
 # -- model / operator assembly ---------------------------------------------

@@ -40,7 +40,7 @@ from .errors import (
     InvalidEpsilon,
     ModelError,
 )
-from .geometry import BoundaryComponent, DomainModel, TWO_PI
+from .geometry import DomainModel, TWO_PI
 
 _VALIDATION_GRID = 64
 
@@ -140,7 +140,7 @@ class ChartModel:
         """Time-rescaled model: a, b, alpha, beta, d all multiplied by c > 0."""
         if c <= 0:
             raise ModelError("time rescaling must be positive")
-        mul = lambda fn: _scale_fn(fn, c)
+        mul = lambda fn: _ScaledFn(fn, c)
         return ChartModel(a=mul(self.a), b=mul(self.b), alpha=mul(self.alpha),
                           beta=mul(self.beta), d=mul(self.d), rho=self.rho,
                           tilde=self.tilde, remainder=self.remainder,
@@ -160,10 +160,6 @@ class _ScaledFn(CoefficientFn):
 
     def to_config(self):
         raise NotImplementedError
-
-
-def _scale_fn(fn: CoefficientFn, c: float) -> CoefficientFn:
-    return _ScaledFn(fn, c)
 
 
 class Flavor(enum.Enum):
@@ -469,8 +465,8 @@ def second_order_form(diffusion_fields, x, grad_u_fn, grad_w_fn):
     return out
 
 
-def _chart_probe_points(y_grid, z, component=BoundaryComponent.OUTER):
-    r = 1.0 - z if component is BoundaryComponent.OUTER else None
+def _chart_probe_points(y_grid, z):
+    r = 1.0 - z
     return np.stack([r * np.cos(y_grid), r * np.sin(y_grid)], axis=-1)
 
 
@@ -490,8 +486,7 @@ def extract_alpha_beta(m: AmbientModel, probe_z: float, n_grid: int = 64,
     v0, v1, v2 = m.v
     diff = (v1, v2)
 
-    gz = lambda x: geometry.grad_z(x)
-    hz = lambda x: geometry.hess_z(x)
+    gz, hz = geometry.grad_z, geometry.hess_z
 
     def ratios(z):
         x = _chart_probe_points(y_grid, z)
@@ -522,8 +517,7 @@ def tangential_restriction(m: AmbientModel, n_grid: int = 64):
     y_grid = np.linspace(0.0, TWO_PI, n_grid, endpoint=False)
     x = geometry.boundary_point(y_grid)
     v0, v1, v2 = m.v
-    gy = lambda p: geometry.grad_y(p)
-    hy = lambda p: geometry.hess_y(p)
+    gy, hy = geometry.grad_y, geometry.hess_y
     a_vals = 2.0 * second_order_form((v1, v2), x, gy, gy)
     b_vals = apply_operator(v0, (v1, v2), x, gy, hy)
     return TabulatedPeriodic(tuple(a_vals)), TabulatedPeriodic(tuple(b_vals))
@@ -534,7 +528,7 @@ def perturbation_profile(m: AmbientModel, n_grid: int = 64) -> TabulatedPeriodic
     y_grid = np.linspace(0.0, TWO_PI, n_grid, endpoint=False)
     x = geometry.boundary_point(y_grid)
     _, tv1, tv2 = m.tilde_v
-    gz = lambda p: geometry.grad_z(p)
+    gz = geometry.grad_z
     vals = second_order_form((tv1, tv2), x, gz, gz)
     return TabulatedPeriodic(tuple(vals))
 
@@ -543,8 +537,7 @@ def mixed_profile(m: AmbientModel, probe_z: float, n_grid: int = 64) -> Tabulate
     """d(y): the mixed-derivative coefficient, from Cyz(y, z) = z d / 2 + O(z^2)."""
     y_grid = np.linspace(0.0, TWO_PI, n_grid, endpoint=False)
     _, v1, v2 = m.v
-    gy = lambda p: geometry.grad_y(p)
-    gz = lambda p: geometry.grad_z(p)
+    gy, gz = geometry.grad_y, geometry.grad_z
 
     def ratio(z):
         x = _chart_probe_points(y_grid, z)
@@ -580,13 +573,13 @@ def ambient_from_chart(chart: ChartModel, dom: DomainModel | None = None) -> Amb
     if np.max(np.abs(np.asarray(chart.d(y)))) > 0:
         raise ModelError("ambient realization only covers models with d = 0")
 
-    sqrt_a = _sqrt_fn(chart.a)
-    sqrt_2alpha = _sqrt_fn(_scale_fn(chart.alpha, 2.0))
-    sqrt_2rho = _sqrt_fn(_scale_fn(chart.rho, 2.0))
+    sqrt_a = _SqrtFn(chart.a)
+    sqrt_2alpha = _SqrtFn(_ScaledFn(chart.alpha, 2.0))
+    sqrt_2rho = _SqrtFn(_ScaledFn(chart.rho, 2.0))
 
     # b-target correction: the modulated rotation field generates drift a'/4.
     b_eff = _SumFn(chart.b, _ScaledFn(_DerivFn(chart.a), -0.25))
-    alpha_minus_beta = _SumFn(chart.alpha, _scale_fn(chart.beta, -1.0))
+    alpha_minus_beta = _SumFn(chart.alpha, _ScaledFn(chart.beta, -1.0))
 
     v0 = _SumField(
         RadialDecayField(scale=alpha_minus_beta),
@@ -640,18 +633,10 @@ class _SumFn(CoefficientFn):
         raise NotImplementedError
 
 
-def _sqrt_fn(fn: CoefficientFn) -> CoefficientFn:
-    return _SqrtFn(fn)
-
-
 @dataclass(frozen=True)
 class _SumField(VectorField):
     first: VectorField
     second: VectorField
-
-    def __init__(self, first, second):
-        object.__setattr__(self, "first", first)
-        object.__setattr__(self, "second", second)
 
     def value(self, x):
         return self.first.value(x) + self.second.value(x)

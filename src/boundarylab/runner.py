@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__, dirichlet, halfcyl, parabolic, sde
 from .classifier import Verdict, classify
-from .config import ExperimentConfig, boundary_data_fn, initial_data_fn
+from .config import ExperimentConfig
 from .errors import BoundaryLabError
 from .halfcyl import HalfCylinderGrid
 
@@ -121,7 +121,7 @@ def _run_classify(cfg: ExperimentConfig, out_dir: str) -> list:
 
 def _run_halfcyl(cfg: ExperimentConfig, out_dir: str) -> list:
     num = cfg.numerics
-    f = boundary_data_fn(num["data"])
+    f = num["data"]
     grid = HalfCylinderGrid(**num["grid"])
     rep = classify(cfg.model, grid_size=512)
     files = []
@@ -144,9 +144,8 @@ def _run_halfcyl(cfg: ExperimentConfig, out_dir: str) -> list:
         "truncation_estimate": sol.truncation_estimate,
         "max_principle_ok": sol.max_principle_ok,
     })
-    levels = [float(n) for n in num["levels"]]
     try:
-        decay = halfcyl.variation_decay(sol, rep.corrector_fn(), levels)
+        decay = halfcyl.variation_decay(sol, rep.corrector_fn(), num["levels"])
         write_csv(os.path.join(out_dir, "level_decay.csv"), ["level", "oscillation"],
                   [[n, v] for n, v in zip(decay.levels, decay.oscillation)])
         files.append("level_decay.csv")
@@ -160,7 +159,7 @@ def _run_halfcyl(cfg: ExperimentConfig, out_dir: str) -> list:
 
 def _run_convergence(cfg: ExperimentConfig, out_dir: str) -> list:
     num = cfg.numerics
-    psi_d = boundary_data_fn(num["data"])
+    psi_d = num["data"]
     grid = HalfCylinderGrid(**num["grid"])
     comps = dirichlet.default_completions(cfg.model)
     use = comps if num["both_completions"] else comps[:1]
@@ -245,9 +244,8 @@ def _run_martingale(cfg: ExperimentConfig, out_dir: str) -> list:
 
 def _run_timescale(cfg: ExperimentConfig, out_dir: str) -> list:
     num = cfg.numerics
-    psi_d = boundary_data_fn(num["data"])
-    g = initial_data_fn(num["g"])
-    spec = parabolic.StoppedProcessSpec(model=cfg.model, g=g, psi_d=psi_d, dom=cfg.dom)
+    psi_d = num["data"]
+    spec = parabolic.StoppedProcessSpec(model=cfg.model, g=num["g"], psi_d=psi_d, dom=cfg.dom)
     rules = [parabolic.TimescaleRule(name=r["name"], kind=r["kind"], c=r["c"],
                                      p=r["p"]) for r in num["rules"]]
     params = _mc_params(cfg, num["mc"])

@@ -8,17 +8,18 @@ and between blocks, so results are bit-identical however paths are
 chunked or scheduled; aggregation always runs in path order.  Each
 sampler supplies its start state and one step on the Ito form, whose
 coefficients the absorbing samplers evaluate once, at the endpoint.
-Absorption at height zero is detected by endpoint crossing (with the
+A chunk stops stepping once its last path has stopped.  ``simulate``
+always absorbs at height zero, detected by endpoint crossing (with the
 crossing time and location linearly interpolated inside the step) plus
 a Brownian-bridge test for excursions the endpoints miss (Gobet, "Weak
 approximation of killed diffusion using Euler schemes", SPA 87, 2000);
 the bridge test removes the order-sqrt(dt) exit bias of pure endpoint
-monitoring and can be disabled per run.
+monitoring and can be disabled per run.  When ``SimulationParams.wall``
+is set, paths reaching that height are censored there as well.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -28,16 +29,10 @@ from .classifier import ClassificationReport
 from .coefficients import Const, folded
 from .errors import ModelError
 from .fields import ChartModel, Flavor, GeneratorCoefficients, assemble
-from .geometry import ChartPoint, RescaledPoint, TWO_PI, wrap_angle
+from .geometry import RescaledPoint, TWO_PI, wrap_angle
 
 NOISE_BLOCK = 256  # steps of noise drawn per path per block; part of the sampler definition
 DROP_SHARE = 8     # stopped rows are dropped inside a block once 1/DROP_SHARE have stopped
-
-
-class WallPolicy(enum.Enum):
-    ABSORB_AT_ZERO = "absorb"
-    STOP_AT_OUTER_WALL = "wall"
-    BOTH = "both"
 
 
 @dataclass(frozen=True)
@@ -46,10 +41,8 @@ class SimulationParams:
     seed: int
     n_paths: int
     max_time: float
-    wall_policy: WallPolicy = WallPolicy.ABSORB_AT_ZERO
-    wall: float | None = None
+    wall: float | None = None     # outer censoring height of ``simulate``; None: no wall
     bridge_absorption: bool = True
-    antithetic: bool = False
     chunk_size: int = 8192
 
     def __post_init__(self):
@@ -61,25 +54,14 @@ class SimulationParams:
             raise ModelError("chunk_size must be >= 1")
         if self.max_time <= 0:
             raise ModelError("max_time must be > 0")
-        wall_active = self.wall_policy in (WallPolicy.STOP_AT_OUTER_WALL, WallPolicy.BOTH)
-        if wall_active:
-            if self.wall is None or self.wall <= 0:
-                raise ModelError("wall policy requires a positive wall height")
+        if self.wall is not None:
+            if self.wall <= 0:
+                raise ModelError(f"wall must be a positive height, got {self.wall}")
             cap = 1e-2 * min(1.0, self.wall * self.wall)
             if self.dt > cap:
                 raise ModelError(
                     f"dt={self.dt} too coarse for wall at {self.wall}; need dt <= {cap:.3g}"
                 )
-        if self.antithetic and self.n_paths % 2:
-            raise ModelError("antithetic sampling needs an even n_paths")
-
-    @property
-    def absorbing(self) -> bool:
-        return self.wall_policy in (WallPolicy.ABSORB_AT_ZERO, WallPolicy.BOTH)
-
-    @property
-    def walled(self) -> bool:
-        return self.wall_policy in (WallPolicy.STOP_AT_OUTER_WALL, WallPolicy.BOTH)
 
 
 @dataclass
@@ -111,21 +93,6 @@ class ExitSampleBatch:
             raise ModelError("no exited paths to average over")
         return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
 
-    def write_csv(self, path):
-        from .runner import write_csv  # local import to keep module layering flat
-
-        rows = []
-        for i in range(self.n_paths):
-            censored = not bool(self.exited_mask[i])
-            rows.append([
-                i,
-                "" if censored else repr(float(self.exit_y[i])),
-                repr(float(self.exit_time[i])),
-                int(censored),
-                int(self.unstable_mask[i]),
-            ])
-        write_csv(path, ["path_id", "exit_y", "exit_time", "censored", "unstable"], rows)
-
 
 @dataclass(frozen=True)
 class MartingaleTrace:
@@ -155,19 +122,17 @@ class BoundaryRun:
     total_time: float
 
 
-def _path_generators(seed: int, path_ids, antithetic: bool):
-    """One Philox stream per (seed, path); antithetic odd paths mirror the even ones."""
+def _path_generators(seed: int, path_ids):
+    """One Philox stream per (seed, path)."""
     gens = []
     for pid in path_ids:
-        pid = int(pid)
-        base = pid - (pid % 2) if antithetic else pid
-        key = np.array([int(seed) & 0xFFFFFFFFFFFFFFFF, base & 0xFFFFFFFFFFFFFFFF],
+        key = np.array([int(seed) & 0xFFFFFFFFFFFFFFFF, int(pid) & 0xFFFFFFFFFFFFFFFF],
                        dtype=np.uint64)
         gens.append(np.random.Generator(np.random.Philox(key=key)))
     return gens
 
 
-def _draw_block(gens, path_ids, antithetic: bool):
+def _draw_block(gens):
     """Noise for one block: normals (n, B, 2) and uniforms (n, B)."""
     n = len(gens)
     normals = np.empty((n, NOISE_BLOCK, 2))
@@ -175,9 +140,6 @@ def _draw_block(gens, path_ids, antithetic: bool):
     for i, g in enumerate(gens):
         normals[i] = g.standard_normal((NOISE_BLOCK, 2))
         uniforms[i] = g.random(NOISE_BLOCK)
-    if antithetic:
-        odd = np.asarray([pid % 2 == 1 for pid in path_ids])
-        normals[odd] *= -1.0
     return normals, uniforms
 
 
@@ -194,15 +156,16 @@ def _run_paths(params: SimulationParams, n_steps: int, start_state, advance):
     Stopped rows are dropped once 1/DROP_SHARE of a block's rows have stopped,
     and at its end; a drop inside a block keeps the survivors' unread noise
     columns (one copy per drop; a gather per step cost more), and later
-    blocks draw noise for live paths only.
+    blocks draw noise for live paths only.  A chunk whose rows have all
+    stopped takes no further step.
     """
     for lo in range(0, params.n_paths, params.chunk_size):
         pids = np.arange(lo, min(lo + params.chunk_size, params.n_paths))
-        gens = _path_generators(params.seed, pids, params.antithetic)
+        gens = _path_generators(params.seed, pids)
         state = start_state(pids.size)
         step = 0
         while step < n_steps and pids.size:
-            normals, uniforms = _draw_block([gens[p - lo] for p in pids], pids, params.antithetic)
+            normals, uniforms = _draw_block([gens[p - lo] for p in pids])
             live = np.ones(pids.size, dtype=bool)
             width = min(NOISE_BLOCK, n_steps - step)
             cut = 0             # block columns cut off the noise when rows were dropped
@@ -214,6 +177,8 @@ def _run_paths(params: SimulationParams, n_steps: int, start_state, advance):
                     state, pids = [a[live] for a in state], pids[live]
                     normals, uniforms = normals[live, s + 1 - cut:], uniforms[live, s + 1 - cut:]
                     live, cut = live[live], s + 1
+                    if not pids.size:
+                        break
             step += NOISE_BLOCK
 
 
@@ -244,8 +209,6 @@ def _checkpoint_steps(checkpoint_times, dt: float):
 def _resolve_start(start):
     if isinstance(start, RescaledPoint):
         return start.y, start.zz
-    if isinstance(start, ChartPoint):
-        return start.y, start.z
     y, v = start
     return float(y), float(v)
 
@@ -253,8 +216,8 @@ def _resolve_start(start):
 def simulate(gc: GeneratorCoefficients, start, params: SimulationParams) -> ExitSampleBatch:
     """Sample exit angle/time of the (y, height) process of the given flavor.
 
-    Height-zero absorption applies under the absorbing wall policies; paths
-    are censored at the outer wall or at max_time.  The flavor's height
+    Paths are absorbed at height zero and censored at max_time, and at
+    params.wall when it is set.  The flavor's height
     coordinate is interpreted verbatim (z for CHART, zz for RESCALED/LIMIT).
     """
     if gc.flavor is Flavor.LOG:
@@ -283,36 +246,35 @@ def simulate(gc: GeneratorCoefficients, start, params: SimulationParams) -> Exit
         y_new = y + dy
         v_new = v + dv
         t_now = k * dt
-        coeffs = gc.ito(y_new, np.maximum(v_new, 0.0) if params.absorbing else v_new)
-        if params.absorbing:
-            crossed = live & (v_new <= 0.0)
-            if np.any(crossed):
-                frac = v[crossed] / (v[crossed] - v_new[crossed])
-                g = pids[crossed]
+        coeffs = gc.ito(y_new, np.maximum(v_new, 0.0))
+        crossed = live & (v_new <= 0.0)
+        if np.any(crossed):
+            frac = v[crossed] / (v[crossed] - v_new[crossed])
+            g = pids[crossed]
+            exited[g] = True
+            exit_time[g] = t_now + frac * dt
+            exit_y[g] = wrap_angle(y[crossed] + frac * dy[crossed])
+            live = live & ~crossed
+        if params.bridge_absorption:
+            # endpoint-averaged diffusion keeps the crossing test O(dt)
+            with np.errstate(over="ignore", divide="ignore"):
+                p_hit = np.exp(-4.0 * np.maximum(v, 0.0) *
+                               np.maximum(v_new, 0.0) / ((avv + coeffs[4]) * dt))
+            hit = live & (v_new > 0.0) & (uniform < p_hit)
+            if np.any(hit):
+                g = pids[hit]
                 exited[g] = True
-                exit_time[g] = t_now + frac * dt
-                exit_y[g] = wrap_angle(y[crossed] + frac * dy[crossed])
-                live = live & ~crossed
-            if params.bridge_absorption:
-                # endpoint-averaged diffusion keeps the crossing test O(dt)
-                with np.errstate(over="ignore", divide="ignore"):
-                    p_hit = np.exp(-4.0 * np.maximum(v, 0.0) *
-                                   np.maximum(v_new, 0.0) / ((avv + coeffs[4]) * dt))
-                hit = live & (v_new > 0.0) & (uniform < p_hit)
-                if np.any(hit):
-                    g = pids[hit]
-                    exited[g] = True
-                    exit_time[g] = t_now + 0.5 * dt
-                    exit_y[g] = wrap_angle(0.5 * (y[hit] + y_new[hit]))
-                    live = live & ~hit
-        if params.walled:
+                exit_time[g] = t_now + 0.5 * dt
+                exit_y[g] = wrap_angle(0.5 * (y[hit] + y_new[hit]))
+                live = live & ~hit
+        if params.wall is not None:
             over = live & (v_new >= params.wall)
             if np.any(over):
                 exit_time[pids[over]] = t_now + dt
                 live = live & ~over
         return [np.where(live, new, old) for new, old in zip((y_new, v_new, *coeffs), state)], live
 
-    if params.absorbing and v0 <= 0.0:
+    if v0 <= 0.0:
         exited[:] = True
         exit_y[:] = wrap_angle(y0)
         exit_time[:] = 0.0

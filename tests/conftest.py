@@ -22,8 +22,8 @@ def outlier_noise(monkeypatch):
 
     orig = sde._draw_block
 
-    def spiked(gens, path_ids, antithetic):
-        normals, uniforms = orig(gens, path_ids, antithetic)
+    def spiked(gens):
+        normals, uniforms = orig(gens)
         normals[0, 0, 1] = 40.0  # far beyond the 10-sigma displacement guard
         uniforms[0, 0] = 1.0
         return normals, uniforms

@@ -20,7 +20,7 @@ from boundarylab.fields import Flavor, assemble
 from boundarylab.geometry import RescaledPoint
 from boundarylab.halfcyl import HalfCylinderGrid, exit_measure
 from boundarylab.parabolic import StoppedProcessSpec, TimescaleRule, timescale_sweep
-from boundarylab.sde import SimulationParams, WallPolicy
+from boundarylab.sde import SimulationParams
 
 
 def report(n, name, ok, detail):
@@ -74,7 +74,7 @@ def test_criterion_03_hitting_dichotomy(zoo):
 
     gB = assemble(zoo["B"], None, Flavor.LIMIT)
     pB = SimulationParams(dt=1.25e-3, seed=1001, n_paths=100000, max_time=100.0,
-                          wall_policy=WallPolicy.BOTH, wall=64.0)
+                          wall=64.0)
     fracB, seB = sde.simulate(gB, (0.0, 2.0), pB).exit_fraction()
     target = 1.0 - 2.0 / math.sqrt(5.0)
     devB = abs(fracB - target) / seB
@@ -254,7 +254,7 @@ def test_criterion_10_determinism(zoo, tmp_path):
     batches = []
     for chunk in (100, 8192):
         pr = SimulationParams(dt=2e-3, seed=123, n_paths=2000, max_time=5.0,
-                              wall_policy=WallPolicy.BOTH, wall=16.0,
+                              wall=16.0,
                               chunk_size=chunk)
         batches.append(sde.simulate(gc, (0.0, 2.0), pr))
     chunk_invariant = (np.array_equal(batches[0].exit_time, batches[1].exit_time)

@@ -6,9 +6,8 @@ import pytest
 from boundarylab import classifier
 from boundarylab.classifier import Verdict, classify, corrector, invariant_measure
 from boundarylab.coefficients import Const, Cosine, Fourier
-from boundarylab.errors import DegenerateInput, IncompatibleRHS
+from boundarylab.errors import IncompatibleRHS
 from boundarylab.fields import ChartModel
-from boundarylab.geometry import RescaledPoint
 
 from conftest import stationary_density_oracle
 
@@ -92,20 +91,6 @@ def test_incompatible_rhs_raises():
     bad = classifier.InvariantMeasure(density=2.0 * mea.density, grid_size=256)
     with pytest.raises(IncompatibleRHS):
         corrector(m, bad)
-
-
-def test_level_value_examples():
-    zero = Const(0.0)
-    assert classifier.level_value(RescaledPoint(0.3, math.e ** 3), zero) == \
-        pytest.approx(3.0)
-    assert classifier.in_level_set(RescaledPoint(0.3, math.e ** 3), zero, 3, 1e-9)
-    one = Const(1.0)
-    assert classifier.level_value(RescaledPoint(0.1, 1.0), one) == pytest.approx(1.0)
-    with pytest.raises(DegenerateInput):
-        classifier.level_value(RescaledPoint(0.1, 0.0), zero)
-    vals = [classifier.level_value(RescaledPoint(0.2, zz), zero)
-            for zz in (0.5, 1.0, 2.0, 4.0)]
-    assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
 def test_grid_size_validation():

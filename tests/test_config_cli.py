@@ -136,6 +136,33 @@ def test_cli_validate_and_errors(tmp_path, capsys):
     assert cli.main(["run", "/does/not/exist.json"]) == 1
 
 
+# (config, numerics key, malformed value, JSON path the ConfigError names)
+MALFORMED = [
+    ("martingale_a.json", "band", [None, 25.0], "numerics.band[0]"),
+    ("martingale_a.json", "band", ["x", 25.0], "numerics.band[0]"),
+    ("martingale_a.json", "start", [0.0, None], "numerics.start[1]"),
+    ("attraction_a.json", "starts", [[True, 0.5]], "numerics.starts[0][0]"),
+    ("model_d_convergence.json", "probes", [[0.0, "0"]], "numerics.probes[0][1]"),
+    ("model_d_convergence.json", "both_completions", "false", "numerics.both_completions"),
+    ("halfcyl_model_d.json", "levels", ["x"], "numerics.levels[0]"),
+    ("halfcyl_model_d.json", "data", {"kind": "bogus"}, "numerics.data"),
+    ("timescale_a.json", "start", [False, 0.0], "numerics.start[0]"),
+    ("timescale_a.json", "g", {"kind": "cosine", "mean": 0.0, "amp": 1.0}, "numerics.g"),
+]
+
+
+@pytest.mark.parametrize("name, key, value, field", MALFORMED)
+def test_validate_rejects_what_run_would_reject(tmp_path, capsys, name, key, value, field):
+    raw = load(name)
+    raw["numerics"][key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["validate", str(path)]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"]["type"] == "ConfigError"
+    assert err["error"]["field"] == field
+
+
 def test_geometric_grid_past_its_height_is_a_config_error(tmp_path, capsys):
     # 100 steps of at least dz0 = 1 cannot end at height 50: caught before any run
     raw = load("halfcyl_model_d.json")

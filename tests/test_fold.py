@@ -157,9 +157,9 @@ def test_samplers_match_the_unfolded_twin(models, reports, monkeypatch, sampler,
         # path 0 goes non-finite at its first step, so its NaN runs through every entry
         orig = sde._draw_block
 
-        def spike(gens, path_ids, antithetic):
-            normals, uniforms = orig(gens, path_ids, antithetic)
-            if path_ids[0] == 0:
+        def spike(gens):
+            normals, uniforms = orig(gens)
+            if gens[0].bit_generator.state["state"]["key"][1] == 0:   # path 0's stream
                 normals[0, 0] = np.inf
             return normals, uniforms
 

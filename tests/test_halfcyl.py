@@ -116,7 +116,7 @@ def test_conditioned_against_conditional_monte_carlo(zoo):
     sol = halfcyl.solve_conditioned(m, np.cos, LIGHT_TALL, check_truncation=False)
     gc = assemble(m, None, Flavor.LIMIT)
     p = sde.SimulationParams(dt=1.25e-3, seed=5, n_paths=30000, max_time=100.0,
-                             wall_policy=sde.WallPolicy.BOTH, wall=64.0)
+                             wall=64.0)
     batch = sde.simulate(gc, (math.pi / 2, 2.0), p)
     est, se = batch.exit_mean(np.cos)
     assert abs(est - sol.interp(math.pi / 2, 2.0)) <= 3 * se

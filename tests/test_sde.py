@@ -11,7 +11,7 @@ from boundarylab.fields import (ChartModel, Flavor, GeneratorCoefficients, Pertu
                                 assemble)
 from boundarylab.geometry import DomainKind, DomainModel
 from boundarylab.halfcyl import radial_oracle
-from boundarylab.sde import SimulationParams, WallPolicy
+from boundarylab.sde import SimulationParams
 
 from conftest import stationary_density_oracle
 
@@ -23,12 +23,11 @@ def test_params_validation():
         SimulationParams(dt=0.0, seed=1, n_paths=10, max_time=1.0)
     with pytest.raises(ModelError):
         SimulationParams(dt=1e-3, seed=1, n_paths=0, max_time=1.0)
-    with pytest.raises(ModelError):
-        SimulationParams(dt=0.05, seed=1, n_paths=10, max_time=1.0,
-                         wall_policy=WallPolicy.BOTH, wall=4.0)
-    with pytest.raises(ModelError):
-        SimulationParams(dt=1e-3, seed=1, n_paths=10, max_time=1.0,
-                         wall_policy=WallPolicy.STOP_AT_OUTER_WALL)
+    for wall in (0.0, -4.0):
+        with pytest.raises(ModelError):
+            SimulationParams(dt=1e-3, seed=1, n_paths=10, max_time=1.0, wall=wall)
+    with pytest.raises(ModelError):   # too coarse for the wall
+        SimulationParams(dt=0.05, seed=1, n_paths=10, max_time=1.0, wall=4.0)
     for chunk in (0, -5):   # a negative size would run no path and censor them all
         with pytest.raises(ModelError):
             SimulationParams(dt=1e-3, seed=1, n_paths=10, max_time=1.0, chunk_size=chunk)
@@ -38,8 +37,7 @@ def test_determinism_across_chunking(zoo):
     gc = assemble(zoo["B"], None, Flavor.LIMIT)
     batches = []
     for chunk in (64, 257, 5000):
-        p = SimulationParams(dt=2e-3, seed=123, n_paths=600, max_time=5.0,
-                             wall_policy=WallPolicy.BOTH, wall=16.0,
+        p = SimulationParams(dt=2e-3, seed=123, n_paths=600, max_time=5.0, wall=16.0,
                              chunk_size=chunk)
         batches.append(sde.simulate(gc, (0.0, 2.0), p))
     for b in batches[1:]:
@@ -49,8 +47,7 @@ def test_determinism_across_chunking(zoo):
 
 
 def _run_simulate(zoo, reports, chunk):
-    p = SimulationParams(dt=2e-3, seed=124, n_paths=90, max_time=1.2, antithetic=True,
-                         chunk_size=chunk)
+    p = SimulationParams(dt=2e-3, seed=124, n_paths=90, max_time=1.2, chunk_size=chunk)
     b = sde.simulate(assemble(zoo["D"], None, Flavor.LIMIT), (0.3, 1.0), p)
     return b.exited_mask, (b.exit_y, b.exit_time, b.exited_mask, b.unstable_mask)
 
@@ -144,12 +141,6 @@ def _steps_advanced(exit_time, dt):
     return np.ceil(np.asarray(exit_time) / dt - 1e-6).astype(int)
 
 
-def _steps_run(steps, p):
-    """Steps a one-chunk run takes: to the end of the block in which its last path stops."""
-    blocks = -(-steps.max() // sde.NOISE_BLOCK)
-    return min(blocks * sde.NOISE_BLOCK, int(round(p.max_time / p.dt)))
-
-
 def test_sample_exit_evaluates_coefficients_once_per_step_on_the_live_rows(zoo, monkeypatch):
     rows = []
     cartesian_ito = dirichlet.DiskOperator.cartesian_ito
@@ -163,8 +154,8 @@ def test_sample_exit_evaluates_coefficients_once_per_step_on_the_live_rows(zoo, 
     op = dirichlet.DiskOperator(model=zoo["D"], eps=0.2, completion=comp)
     p = SimulationParams(dt=5e-3, seed=132, n_paths=200, max_time=6.0)
     steps = _steps_advanced(dirichlet.sample_exit(op, (0.3, 0.0), p).exit_time, p.dt)
-    # one call at the start, then one per step
-    assert len(rows) == 1 + _steps_run(steps, p)
+    # one call at the start, then one per step until the last path stops
+    assert len(rows) == 1 + steps.max()
     # stopped rows ride along only until they are 1/8 of the rows stepped
     assert sum(rows) <= 8 / 7 * steps.sum() + p.n_paths
 
@@ -185,7 +176,39 @@ def test_simulate_evaluates_coefficients_once_per_step(zoo, monkeypatch):
     p = SimulationParams(dt=2e-3, seed=133, n_paths=60, max_time=0.8)
     batch = sde.simulate(assemble(zoo["D"], None, Flavor.LIMIT), (0.3, 0.2), p)
     assert calls["diffusion_vv"] == 0
-    assert calls["ito"] == 1 + _steps_run(_steps_advanced(batch.exit_time, p.dt), p)
+    assert calls["ito"] == 1 + _steps_advanced(batch.exit_time, p.dt).max()
+
+
+@pytest.mark.parametrize("chunk", [8192, 7])
+def test_a_chunk_takes_no_step_after_its_last_path_stops(zoo, monkeypatch, chunk):
+    rows = []
+    ito = GeneratorCoefficients.ito
+
+    def counting(self, y, v):
+        rows.append(len(y))
+        return ito(self, y, v)
+
+    monkeypatch.setattr(GeneratorCoefficients, "ito", counting)
+    p = SimulationParams(dt=1e-3, seed=134, n_paths=40, max_time=1.0, chunk_size=chunk)
+    batch = sde.simulate(assemble(zoo["A"], None, Flavor.LIMIT), (0.3, 1e-3), p)
+    steps = _steps_advanced(batch.exit_time, p.dt)
+    assert np.all(batch.exited_mask) and steps.max() < 16
+    assert 0 not in rows
+    if chunk > p.n_paths:
+        assert len(rows) == 1 + steps.max()
+
+
+@pytest.mark.parametrize("chunk", [8192, 7])
+def test_a_wall_no_path_reaches_changes_nothing(zoo, chunk):
+    gc = assemble(zoo["B"], None, Flavor.LIMIT)
+    plain, walled = (sde.simulate(gc, (0.3, 2.0), SimulationParams(
+        dt=2e-3, seed=135, n_paths=60, max_time=2.0, wall=wall, chunk_size=chunk))
+        for wall in (None, 1e6))
+    assert 0 < np.count_nonzero(plain.exited_mask) < plain.n_paths
+    for a, b in ((plain.exit_y, walled.exit_y), (plain.exit_time, walled.exit_time),
+                 (plain.exited_mask, walled.exited_mask),
+                 (plain.unstable_mask, walled.unstable_mask)):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_checkpoints_after_time_zero(zoo, reports):
@@ -210,8 +233,7 @@ def test_repelling_exit_fractions_match_oracle(zoo):
     gc = assemble(zoo["B"], None, Flavor.LIMIT)
     wall = 64.0
     for start, seed in ((0.5, 21), (1.0, 22), (2.0, 23), (4.0, 24)):
-        p = SimulationParams(dt=1.25e-3, seed=seed, n_paths=12000, max_time=100.0,
-                             wall_policy=WallPolicy.BOTH, wall=wall)
+        p = SimulationParams(dt=1.25e-3, seed=seed, n_paths=12000, max_time=100.0, wall=wall)
         batch = sde.simulate(gc, (0.0, start), p)
         frac, se = batch.exit_fraction()
         target = exit_p(start, wall)
@@ -222,8 +244,7 @@ def test_dt_halving_consistency(zoo):
     gc = assemble(zoo["B"], None, Flavor.LIMIT)
     ests = []
     for dt in (2.5e-3, 1.25e-3):
-        p = SimulationParams(dt=dt, seed=99, n_paths=20000, max_time=60.0,
-                             wall_policy=WallPolicy.BOTH, wall=32.0)
+        p = SimulationParams(dt=dt, seed=99, n_paths=20000, max_time=60.0, wall=32.0)
         ests.append(sde.simulate(gc, (0.0, 2.0), p).exit_fraction())
     (f1, s1), (f2, s2) = ests
     assert abs(f1 - f2) <= 3.0 * math.hypot(s1, s2)
@@ -245,17 +266,13 @@ def test_log_flavor_rejected_for_exit_sampling(zoo):
         sde.simulate(gc, (0.0, 1.0), p)
 
 
-def test_instability_flag_on_injected_outlier(zoo, outlier_noise, tmp_path):
+def test_instability_flag_on_injected_outlier(zoo, outlier_noise):
     gc = assemble(zoo["A"], None, Flavor.LIMIT)
     p = SimulationParams(dt=1e-3, seed=6, n_paths=4, max_time=0.1,
                          bridge_absorption=False)
     batch = sde.simulate(gc, (0.0, 5.0), p)
     assert batch.unstable_mask[0]
     assert not np.all(batch.unstable_mask)
-    path = tmp_path / "batch.csv"
-    batch.write_csv(path)
-    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
-    assert [int(r[4]) for r in rows] == [int(u) for u in batch.unstable_mask]
 
 
 def test_boundary_histogram_uniform(zoo):
@@ -373,26 +390,3 @@ def test_rescaled_exit_histograms_converge_to_limit(zoo):
         h = hist(assemble(m, eps, Flavor.RESCALED), seed)
         tvs.append(0.5 * np.sum(np.abs(h - ref)))
     assert tvs[1] < tvs[0]
-
-
-def test_antithetic_pairs_mirror_noise(zoo):
-    gc = assemble(zoo["A"], None, Flavor.LIMIT)
-    p = SimulationParams(dt=1e-3, seed=71, n_paths=64, max_time=50.0,
-                         antithetic=True)
-    batch = sde.simulate(gc, (0.0, 1.0), p)
-    assert batch.exit_fraction()[0] >= 0.95
-    p2 = SimulationParams(dt=1e-3, seed=71, n_paths=64, max_time=50.0)
-    batch2 = sde.simulate(gc, (0.0, 1.0), p2)
-    # even paths share streams with the plain run
-    assert np.allclose(batch.exit_time[::2], batch2.exit_time[::2])
-
-
-def test_exit_batch_csv(tmp_path, zoo):
-    gc = assemble(zoo["A"], None, Flavor.LIMIT)
-    p = SimulationParams(dt=1e-3, seed=81, n_paths=16, max_time=0.05)
-    batch = sde.simulate(gc, (0.0, 1.0), p)
-    path = tmp_path / "batch.csv"
-    batch.write_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "path_id,exit_y,exit_time,censored,unstable"
-    assert len(lines) == 17
