@@ -9,6 +9,7 @@ right, so results are bit-reproducible across runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,10 +110,10 @@ def coefficient_from_config(spec, field: str) -> CoefficientFn:
     Accepts a bare number (shorthand for a constant) or a dict with a
     "kind" key as documented in the README.
     """
-    if isinstance(spec, (int, float)) and not isinstance(spec, bool):
+    if finite_number(spec):
         return Const(float(spec))
     if not isinstance(spec, dict):
-        raise ConfigError(field, f"expected number or object, got {type(spec).__name__}")
+        raise ConfigError(field, f"expected a finite number or an object, got {spec!r}")
     kind = spec.get("kind")
     if kind == "const":
         _require_keys(spec, field, {"kind", "c"})
@@ -134,8 +135,12 @@ def coefficient_from_config(spec, field: str) -> CoefficientFn:
             if not (isinstance(t, list) and len(t) == 3):
                 raise ConfigError(f"{field}.terms[{i}]", "expected [k, cos, sin]")
             k = t[0]
-            if not (isinstance(k, int) and k >= 1):
+            if not (isinstance(k, int) and finite_number(k) and k >= 1):
                 raise ConfigError(f"{field}.terms[{i}]", f"mode k must be int >= 1, got {k!r}")
+            for j in (1, 2):
+                if not finite_number(t[j]):
+                    raise ConfigError(f"{field}.terms[{i}][{j}]",
+                                      f"expected a finite number, got {t[j]!r}")
             parsed.append((k, float(t[1]), float(t[2])))
         return Fourier(constant=_number(spec, field, "constant"), terms=tuple(parsed))
     raise ConfigError(field, f"unknown coefficient kind {kind!r}")
@@ -147,9 +152,23 @@ def _number(spec: dict, field: str, key: str, default=None) -> float:
             return default
         raise ConfigError(f"{field}.{key}", "missing required value")
     v = spec[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{field}.{key}", f"expected number, got {v!r}")
+    if not finite_number(v):
+        raise ConfigError(f"{field}.{key}", f"expected a finite number, got {v!r}")
     return float(v)
+
+
+def finite_number(v) -> bool:
+    """Whether a parsed JSON value is a number (a bool is not one) with a finite float value.
+
+    ``json.load`` reads the literals NaN and Infinity, and an integer too
+    large for a float, as numbers; none of them is one here.
+    """
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 def _require_keys(spec: dict, field: str, allowed: set, optional: set = frozenset()):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from .coefficients import coefficient_from_config
+from .coefficients import coefficient_from_config, finite_number
 from .errors import ConfigError, ModelError
 from .fields import ChartModel, chart_model_from_config
 from .geometry import DomainKind, DomainModel
@@ -62,8 +62,7 @@ def _get_number(block: dict, field: str, key: str, *, default=None, positive=Fal
         _expect(default is not None, f"{field}.{key}", "missing required value")
         return default
     v = block[key]
-    _expect(isinstance(v, (int, float)) and not isinstance(v, bool),
-            f"{field}.{key}", f"expected number, got {v!r}")
+    _expect(finite_number(v), f"{field}.{key}", f"expected a finite number, got {v!r}")
     v = float(v)
     if positive:
         _expect(v > 0, f"{field}.{key}", f"must be > 0, got {v}")
@@ -89,12 +88,11 @@ def _get_int(block: dict, field: str, key: str, *, default=None, minimum=None,
 
 def _numbers(seq, field: str, expected: str, length: int | None = None,
              positive: bool = False) -> list:
-    """Floats of a JSON list whose every element is a number (a bool is not one)."""
+    """Floats of a JSON list whose every element is a finite number (a bool is not one)."""
     _expect(isinstance(seq, list) and length in (None, len(seq)), field, f"expected {expected}")
     for i, v in enumerate(seq):
-        number = isinstance(v, (int, float)) and not isinstance(v, bool)
-        _expect(number and (v > 0 or not positive), f"{field}[{i}]",
-                f"must be a {'positive ' * positive}number, got {v!r}")
+        _expect(finite_number(v) and (v > 0 or not positive), f"{field}[{i}]",
+                f"must be a finite {'positive ' * positive}number, got {v!r}")
     return [float(v) for v in seq]
 
 
@@ -336,7 +334,6 @@ def _initial_data(spec):
     """Initial data on the domain from a config spec (constants only)."""
     if isinstance(spec, dict) and spec.get("kind") == "const":
         spec = _get_number(spec, "numerics.g", "c")
-    _expect(isinstance(spec, (int, float)) and not isinstance(spec, bool), "numerics.g",
-            "initial data supports constants only")
+    _expect(finite_number(spec), "numerics.g", "initial data supports finite constants only")
     c = float(spec)
     return lambda x: np.full(len(x), c)

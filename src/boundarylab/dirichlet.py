@@ -51,7 +51,7 @@ def default_completions(m: ChartModel) -> tuple[InteriorCompletion, InteriorComp
 
 
 def _smoothstep(t):
-    t = np.clip(t, 0.0, 1.0)
+    t = np.minimum(np.maximum(t, 0.0), 1.0)
     return t * t * (3.0 - 2.0 * t)
 
 
@@ -98,12 +98,16 @@ class DiskOperator:
         br = chi * (-z * beta) + ((1.0 - chi) * s + pert) / r
         return ctt, ctr, crr, bt, br
 
-    def cartesian_ito(self, x, r):
-        """Drift (n, 2) and Ito diffusion entries (A11, A12, A22) at points x, of norm r."""
-        x = np.asarray(x, dtype=float)
+    def cartesian_ito(self, x1, x2, r):
+        """Drift (b1, b2) and Ito diffusion entries (A11, A12, A22) at the points (x1, x2).
+
+        The coordinates come as two arrays and r is the points' norm, which
+        the caller has already computed; every result is an array of their
+        shape.
+        """
         r_safe = np.maximum(r, 1e-12)
         z = 1.0 - r
-        theta = np.arctan2(x[..., 1], x[..., 0])
+        theta = np.arctan2(x2, x1)
         m = self.model
         chi = self.chart_weight(z)
         s = self.completion.scale
@@ -116,43 +120,40 @@ class DiskOperator:
         b = folded(m.b, theta)
         dmix = folded(m.d, theta)
 
-        cos_t = x[..., 0] / r_safe
-        sin_t = x[..., 1] / r_safe
+        cos_t = x1 / r_safe
+        sin_t = x2 / r_safe
         # chart (y, z) Ito data: A = [[a, z d], [z d, 2 z^2 alpha]], b = (b, z beta)
         ayy = a
         ayz = z * dmix
+        ayz2 = 2.0 * ayz
         azz = 2.0 * z * z * alpha
         # push forward through x = (1 - z)(cos y, sin y)
-        xy1, xy2 = -r * sin_t, r * cos_t          # dx/dy
+        neg_r = -r
+        xy1, xy2 = neg_r * sin_t, r * cos_t       # dx/dy
         xz1, xz2 = -cos_t, -sin_t                 # dx/dz
-        a11 = ayy * xy1 * xy1 + 2.0 * ayz * xy1 * xz1 + azz * xz1 * xz1
+        a11 = ayy * xy1 * xy1 + ayz2 * xy1 * xz1 + azz * xz1 * xz1
         a12 = ayy * xy1 * xy2 + ayz * (xy1 * xz2 + xy2 * xz1) + azz * xz1 * xz2
-        a22 = ayy * xy2 * xy2 + 2.0 * ayz * xy2 * xz2 + azz * xz2 * xz2
-        # drift pushforward: b_y x_y + b_z x_z + 1/2 (A_yy x_yy + 2 A_yz x_yz)
-        byy1, byy2 = -r * cos_t, -r * sin_t       # d2x/dy2
-        byz1, byz2 = sin_t, -cos_t                # d2x/dydz
+        a22 = ayy * xy2 * xy2 + ayz2 * xy2 * xz2 + azz * xz2 * xz2
+        # drift pushforward: b_y x_y + b_z x_z + 1/2 (A_yy x_yy + 2 A_yz x_yz), where
+        # x_yy = (-r cos y, x_y1) and x_yz = (sin y, x_z1)
         bz = z * beta
-        b1 = b * xy1 + bz * xz1 + 0.5 * (ayy * byy1 + 2.0 * ayz * byz1)
-        b2 = b * xy2 + bz * xz2 + 0.5 * (ayy * byy2 + 2.0 * ayz * byz2)
-
-        A11 = chi * a11 + iso
-        A12 = chi * a12
-        A22 = chi * a22 + iso
-        drift = np.stack([chi * b1, chi * b2], axis=-1)
-        return drift, A11, A12, A22
+        b1 = b * xy1 + bz * xz1 + 0.5 * (ayy * (neg_r * cos_t) + ayz2 * sin_t)
+        b2 = b * xy2 + bz * xz2 + 0.5 * (ayy * xy1 + ayz2 * xz1)
+        return chi * b1, chi * b2, chi * a11 + iso, chi * a12, chi * a22 + iso
 
     def normal_diffusion(self, x):
-        """Radial-radial Ito diffusion entry, for boundary bridge tests."""
+        """Radial-radial Ito diffusion entry at points x (..., 2), for boundary bridge tests."""
         x = np.asarray(x, dtype=float)
-        r = np.linalg.norm(x, axis=-1)
-        return _radial_component(x, r, *self.cartesian_ito(x, r)[1:])
+        x1, x2 = x[..., 0], x[..., 1]
+        r = np.sqrt(x1 * x1 + x2 * x2)
+        return _radial_component(x1, x2, r, *self.cartesian_ito(x1, x2, r)[2:])
 
 
-def _radial_component(x, r, a11, a12, a22):
-    """Radial-radial entry at points x, of norm r, of the matrix with entries (a11, a12, a22)."""
+def _radial_component(x1, x2, r, a11, a12, a22):
+    """Radial-radial entry at the points (x1, x2), of norm r, of the matrix (a11, a12, a22)."""
     r = np.maximum(r, 1e-12)
-    c = x[..., 0] / r
-    s = x[..., 1] / r
+    c = x1 / r
+    s = x2 / r
     return a11 * c * c + 2.0 * a12 * c * s + a22 * s * s
 
 
@@ -307,7 +308,10 @@ def sample_exit(op: DiskOperator, start, params: sde.SimulationParams,
     Absorption on the outer (and annulus inner) circle uses the endpoint
     crossing with linear interpolation plus the distance-to-circle
     Brownian-bridge test.  Optional checkpoints record path positions at
-    fixed times (NaN once a path has exited).
+    fixed times (NaN once a path has exited).  The step works on the two
+    coordinates as separate arrays: each step makes one ``cartesian_ito``
+    call at the endpoint and takes the endpoint's norm as
+    sqrt(x1^2 + x2^2).
     """
     x0 = np.asarray(start, dtype=float)
     dom = op.dom
@@ -327,60 +331,61 @@ def sample_exit(op: DiskOperator, start, params: sde.SimulationParams,
     exit_inner = np.zeros(n, dtype=bool)
 
     def start_state(size):
-        x = np.tile(x0, (size, 1))
-        r = np.linalg.norm(x, axis=-1)
-        drift, a11, a12, a22 = op.cartesian_ito(x, r)
-        return [x, r, _radial_component(x, r, a11, a12, a22), drift, a11, a12, a22]
+        x1, x2 = np.full(size, x0[0]), np.full(size, x0[1])
+        r = np.sqrt(x1 * x1 + x2 * x2)
+        b1, b2, a11, a12, a22 = op.cartesian_ito(x1, x2, r)
+        return [x1, x2, r, _radial_component(x1, x2, r, a11, a12, a22), b1, b2, a11, a12, a22]
 
     def advance(k, state, noise, uniform, live, pids):
         # |x|, the coefficients at x and (for the bridge test) their radial entry ride in
-        # the state, made once at x_new
-        x, r, ann, drift, a11, a12, a22 = state
+        # the state, made once at the endpoint
+        x1, x2, r, ann, b1, b2, a11, a12, a22 = state
         noise1, noise2 = sde._increments(sqdt, a11, a12, a22, noise)
-        dx1 = drift[:, 0] * dt + noise1
-        dx2 = drift[:, 1] * dt + noise2
-        x_new = x + np.stack([dx1, dx2], axis=-1)
+        x1_new = x1 + (b1 * dt + noise1)
+        x2_new = x2 + (b2 * dt + noise2)
         t_now = k * dt
-        r_new = np.linalg.norm(x_new, axis=-1)
+        r_new = np.sqrt(x1_new * x1_new + x2_new * x2_new)
         walls = [(1.0, False, r_new >= 1.0)]
         if inner_r is not None:
             walls.append((inner_r, True, r_new <= inner_r))
         for radius, inward, beyond in walls:
             crossed = live & beyond
-            if np.any(crossed):
-                dx = x_new[crossed] - x[crossed]
-                frac = _circle_crossing(x[crossed], dx, radius, inward=inward)
-                hit_pt = x[crossed] + frac[:, None] * dx
+            if np.count_nonzero(crossed):
+                c1, c2 = x1[crossed], x2[crossed]
+                d1, d2 = x1_new[crossed] - c1, x2_new[crossed] - c2
+                frac = _circle_crossing(c1, c2, d1, d2, radius, inward=inward)
                 g = pids[crossed]
                 exited[g] = True
                 exit_inner[g] = inward
                 exit_time[g] = t_now + frac * dt
-                exit_theta[g] = wrap_angle(np.arctan2(hit_pt[:, 1], hit_pt[:, 0]))
+                exit_theta[g] = wrap_angle(np.arctan2(c2 + frac * d2, c1 + frac * d1))
                 live = live & ~crossed
-        drift_new, a11_new, a12_new, a22_new = op.cartesian_ito(x_new, r_new)
+        coeffs = op.cartesian_ito(x1_new, x2_new, r_new)
         if params.bridge_absorption:
-            ann_end = _radial_component(x_new, r_new, a11_new, a12_new, a22_new)
+            ann_end = _radial_component(x1_new, x2_new, r_new, *coeffs[2:])
             z_old = 1.0 - r
             z_new = 1.0 - r_new
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
                 p_hit = np.exp(-4.0 * np.maximum(z_old, 0.0) * np.maximum(z_new, 0.0)
                                / ((ann + ann_end) * dt))
             hit = live & (z_new > 0.0) & (uniform < p_hit)
-            if np.any(hit):
-                mid = 0.5 * (x[hit] + x_new[hit])
+            if np.count_nonzero(hit):
                 g = pids[hit]
                 exited[g] = True
                 exit_time[g] = t_now + 0.5 * dt
-                exit_theta[g] = wrap_angle(np.arctan2(mid[:, 1], mid[:, 0]))
+                exit_theta[g] = wrap_angle(np.arctan2(0.5 * (x2[hit] + x2_new[hit]),
+                                                      0.5 * (x1[hit] + x1_new[hit])))
                 live = live & ~hit
             ann = np.where(live, ann_end, ann)
-        x = np.where(live[:, None], x_new, x)
+        x1 = np.where(live, x1_new, x1)
+        x2 = np.where(live, x2_new, x2)
         if cp is not None:
             for c in np.flatnonzero(steps_at == k + 1):
-                positions[c, pids[live]] = x[live]
-        return [x, np.where(live, r_new, r), ann,
-                np.where(live[:, None], drift_new, drift), np.where(live, a11_new, a11),
-                np.where(live, a12_new, a12), np.where(live, a22_new, a22)], live
+                g = pids[live]
+                positions[c, g, 0] = x1[live]
+                positions[c, g, 1] = x2[live]
+        return [x1, x2, np.where(live, r_new, r), ann,
+                *[np.where(live, new, old) for new, old in zip(coeffs, state[4:])]], live
 
     sde._run_paths(params, int(round(params.max_time / dt)), start_state, advance)
     return AmbientExitBatch(exit_theta=exit_theta, exit_time=exit_time,
@@ -389,11 +394,11 @@ def sample_exit(op: DiskOperator, start, params: sde.SimulationParams,
                             n_paths=n, seed=params.seed)
 
 
-def _circle_crossing(x, dx, radius, inward=False):
-    """Fraction s in [0, 1] with |x + s dx| = radius."""
-    a = np.sum(dx * dx, axis=-1)
-    b = np.sum(x * dx, axis=-1)
-    c = np.sum(x * x, axis=-1) - radius * radius
+def _circle_crossing(x1, x2, dx1, dx2, radius, inward=False):
+    """Fraction s in [0, 1] with |x + s dx| = radius, x and dx given by their coordinates."""
+    a = dx1 * dx1 + dx2 * dx2
+    b = x1 * dx1 + x2 * dx2
+    c = (x1 * x1 + x2 * x2) - radius * radius
     disc = np.maximum(b * b - a * c, 0.0)
     root = np.sqrt(disc)
     if inward:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry
-from .coefficients import CoefficientFn, Const, coefficient_from_config, folded
+from .coefficients import CoefficientFn, Const, coefficient_from_config, finite_number, folded
 from .errors import (
     ConfigError,
     ExtrapolationUnstable,
@@ -753,8 +753,8 @@ def chart_model_from_config(spec: dict, field_prefix: str = "model.chart") -> Ch
     tilde = None
     if "tilde_z_slope" in spec:
         slope = spec["tilde_z_slope"]
-        if not isinstance(slope, (int, float)) or isinstance(slope, bool):
-            raise ConfigError(f"{field_prefix}.tilde_z_slope", "expected number")
+        if not finite_number(slope):
+            raise ConfigError(f"{field_prefix}.tilde_z_slope", "expected a finite number")
         tilde = PerturbationSpec(rho=fns["rho"], z_slope=float(slope))
     return ChartModel(a=fns["a"], b=fns["b"], alpha=fns["alpha"], beta=fns["beta"],
                       d=fns["d"], rho=fns["rho"], tilde=tilde,

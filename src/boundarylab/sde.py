@@ -138,8 +138,8 @@ def _draw_block(gens):
     normals = np.empty((n, NOISE_BLOCK, 2))
     uniforms = np.empty((n, NOISE_BLOCK))
     for i, g in enumerate(gens):
-        normals[i] = g.standard_normal((NOISE_BLOCK, 2))
-        uniforms[i] = g.random(NOISE_BLOCK)
+        g.standard_normal(out=normals[i])
+        g.random(out=uniforms[i])
     return normals, uniforms
 
 
@@ -152,7 +152,9 @@ def _run_paths(params: SimulationParams, n_steps: int, start_state, advance):
     time k dt to (k + 1) dt) on every row with noise (n, 2) and uniforms
     (n,), writes exits and checkpoints into the sampler's own per-path
     arrays through the global path ids ``pids``, keeps the state of the
-    rows that stop frozen, and returns the new state and live mask.
+    rows that stop frozen, and returns the new state and live mask: the
+    very ``live`` it was given (not modified in place) when no row stopped,
+    which spares the driver a recount.
     Stopped rows are dropped once 1/DROP_SHARE of a block's rows have stopped,
     and at its end; a drop inside a block keeps the survivors' unread noise
     columns (one copy per drop; a gather per step cost more), and later
@@ -169,14 +171,17 @@ def _run_paths(params: SimulationParams, n_steps: int, start_state, advance):
             live = np.ones(pids.size, dtype=bool)
             width = min(NOISE_BLOCK, n_steps - step)
             cut = 0             # block columns cut off the noise when rows were dropped
+            stopped = 0         # stopped rows not yet dropped
             for s in range(width):
-                state, live = advance(step + s, state, normals[:, s - cut], uniforms[:, s - cut],
-                                      live, pids)
-                stopped = live.size - np.count_nonzero(live)
+                state, new_live = advance(step + s, state, normals[:, s - cut],
+                                          uniforms[:, s - cut], live, pids)
+                if new_live is not live:
+                    live = new_live
+                    stopped = live.size - np.count_nonzero(live)
                 if stopped and (stopped * DROP_SHARE >= live.size or s == width - 1):
                     state, pids = [a[live] for a in state], pids[live]
                     normals, uniforms = normals[live, s + 1 - cut:], uniforms[live, s + 1 - cut:]
-                    live, cut = live[live], s + 1
+                    live, cut, stopped = live[live], s + 1, 0
                     if not pids.size:
                         break
             step += NOISE_BLOCK
@@ -241,14 +246,14 @@ def simulate(gc: GeneratorCoefficients, start, params: SimulationParams) -> Exit
             10.0 * dt * np.maximum(np.abs(by), np.abs(bv))
         disp = np.maximum(np.abs(dy), np.abs(dv))
         bad = live & ((disp > guard) | ~np.isfinite(disp))
-        if np.any(bad):
+        if np.count_nonzero(bad):
             unstable[pids[bad]] = True
         y_new = y + dy
         v_new = v + dv
         t_now = k * dt
         coeffs = gc.ito(y_new, np.maximum(v_new, 0.0))
         crossed = live & (v_new <= 0.0)
-        if np.any(crossed):
+        if np.count_nonzero(crossed):
             frac = v[crossed] / (v[crossed] - v_new[crossed])
             g = pids[crossed]
             exited[g] = True
@@ -261,7 +266,7 @@ def simulate(gc: GeneratorCoefficients, start, params: SimulationParams) -> Exit
                 p_hit = np.exp(-4.0 * np.maximum(v, 0.0) *
                                np.maximum(v_new, 0.0) / ((avv + coeffs[4]) * dt))
             hit = live & (v_new > 0.0) & (uniform < p_hit)
-            if np.any(hit):
+            if np.count_nonzero(hit):
                 g = pids[hit]
                 exited[g] = True
                 exit_time[g] = t_now + 0.5 * dt
@@ -269,7 +274,7 @@ def simulate(gc: GeneratorCoefficients, start, params: SimulationParams) -> Exit
                 live = live & ~hit
         if params.wall is not None:
             over = live & (v_new >= params.wall)
-            if np.any(over):
+            if np.count_nonzero(over):
                 exit_time[pids[over]] = t_now + dt
                 live = live & ~over
         return [np.where(live, new, old) for new, old in zip((y_new, v_new, *coeffs), state)], live
@@ -424,7 +429,7 @@ def martingale_trace(m: ChartModel, report: ClassificationReport, start,
         integral_new = integral + integrand * dt
         t_new = (k + 1) * dt
         out = live & ((w_new <= w_lo) | (w_new >= w_hi))
-        if np.any(out):
+        if np.count_nonzero(out):
             # a path leaving the band keeps its value at every later checkpoint
             values[np.searchsorted(steps_at, k + 1):, pids[out]] = (
                 np.asarray(psi(wrap_angle(y_new[out]))) + w_new[out]

@@ -50,3 +50,19 @@ def test_errors_name_the_field():
         coefficient_from_config({"kind": "fourier", "constant": 1.0,
                                  "terms": [[0, 1.0, 0.0]]}, "model.b")
     assert "terms[0]" in str(err.value)
+
+
+@pytest.mark.parametrize("spec, field", [
+    (float("nan"), "model.a"),
+    ({"kind": "const", "c": float("inf")}, "model.a.c"),
+    ({"kind": "cosine", "mean": 1.0, "amp": float("-inf")}, "model.a.amp"),
+    ({"kind": "fourier", "constant": 1.0, "terms": [[1, 0.5, float("nan")]]},
+     "model.a.terms[0][2]"),
+    ({"kind": "fourier", "constant": 1.0, "terms": [[True, 0.5, 0.0]]}, "model.a.terms[0]"),
+    ({"kind": "fourier", "constant": 10**400, "terms": []}, "model.a.constant"),
+    ({"kind": "fourier", "constant": 1.0, "terms": [[10**400, 1.0, 0.0]]}, "model.a.terms[0]"),
+])
+def test_non_finite_numbers_are_config_errors(spec, field):
+    with pytest.raises(ConfigError) as err:
+        coefficient_from_config(spec, "model.a")
+    assert err.value.field == field

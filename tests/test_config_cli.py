@@ -136,7 +136,8 @@ def test_cli_validate_and_errors(tmp_path, capsys):
     assert cli.main(["run", "/does/not/exist.json"]) == 1
 
 
-# (config, numerics key, malformed value, JSON path the ConfigError names)
+# (config, key, malformed value, JSON path the ConfigError names); the key is a
+# numerics key unless the config has it at the top level
 MALFORMED = [
     ("martingale_a.json", "band", [None, 25.0], "numerics.band[0]"),
     ("martingale_a.json", "band", ["x", 25.0], "numerics.band[0]"),
@@ -148,13 +149,24 @@ MALFORMED = [
     ("halfcyl_model_d.json", "data", {"kind": "bogus"}, "numerics.data"),
     ("timescale_a.json", "start", [False, 0.0], "numerics.start[0]"),
     ("timescale_a.json", "g", {"kind": "cosine", "mean": 0.0, "amp": 1.0}, "numerics.g"),
+    # json.dumps writes these as the literals NaN and Infinity, which json.load reads
+    ("model_d_convergence.json", "probes", [[float("nan"), 0.0]], "numerics.probes[0][0]"),
+    ("halfcyl_model_d.json", "data", {"kind": "const", "c": float("inf")}, "numerics.data.c"),
+    ("classify_tilted.json", "model", {"chart": {
+        "a": 1.0, "b": 0.0, "beta": 0.0,
+        "alpha": {"kind": "fourier", "constant": 1.0, "terms": [[1, "x", 0.0]]}}},
+     "model.chart.alpha.terms[0][1]"),
+    ("classify_tilted.json", "model", {"chart": {
+        "a": 1.0, "b": 0.0, "beta": 0.0,
+        "alpha": {"kind": "fourier", "constant": 1.0, "terms": [[10**400, 1.0, 0.0]]}}},
+     "model.chart.alpha.terms[0]"),
 ]
 
 
 @pytest.mark.parametrize("name, key, value, field", MALFORMED)
 def test_validate_rejects_what_run_would_reject(tmp_path, capsys, name, key, value, field):
     raw = load(name)
-    raw["numerics"][key] = value
+    (raw if key in raw else raw["numerics"])[key] = value
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(raw))
     assert cli.main(["validate", str(path)]) == 1

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from boundarylab import dirichlet, sde
-from boundarylab.coefficients import Const
+from boundarylab.coefficients import Const, Cosine, Fourier
 from boundarylab.dirichlet import (
     DiskOperator,
     convergence_experiment,
@@ -13,7 +13,13 @@ from boundarylab.dirichlet import (
     solve_mc,
 )
 from boundarylab.errors import ModelError
+from boundarylab.fields import ChartModel, PerturbationSpec
 from boundarylab.geometry import DomainKind, DomainModel
+
+# a mixed term and a sloped, angle-dependent perturbation: terms the zoo leaves at zero
+MIXED = ChartModel(a=Cosine(1.5, 0.25), b=Fourier(0.1, ((1, 0.0, 0.3),)), alpha=Const(0.75),
+                   beta=Cosine(0.5, 0.5, 1.0), d=Cosine(0.3, 0.2, 0.5), rho=Cosine(1.25, 0.25),
+                   tilde=PerturbationSpec(Cosine(1.25, 0.25), z_slope=2.0), name="mixed")
 
 
 def test_radial_nodes_resolve_the_layer():
@@ -218,3 +224,41 @@ def test_sample_exit_checkpoints_after_time_zero(zoo):
     p = sde.SimulationParams(dt=1e-3, seed=9, n_paths=8, max_time=0.2)
     with pytest.raises(ModelError):
         sample_exit(op, (0.0, 0.0), p, checkpoint_times=[0.0, 0.1])
+
+
+def _polar_generator(op, theta, r):
+    """The operator of ``polar_coefficients`` applied to x1, x2, x1^2, x1 x2 and x2^2."""
+    ctt, ctr, crr, bt, br = op.polar_coefficients(theta, r)
+    c, s = np.cos(theta), np.sin(theta)
+    # (f_t, f_r, f_tt, f_tr, f_rr) of each test function, t the angle
+    derivs = [(-r * s, c, -r * c, -s, 0.0 * r),
+              (r * c, s, -r * s, c, 0.0 * r),
+              (-2 * r * r * c * s, 2 * r * c * c, -2 * r * r * (c * c - s * s),
+               -4 * r * c * s, 2 * c * c),
+              (r * r * (c * c - s * s), 2 * r * c * s, -4 * r * r * c * s,
+               2 * r * (c * c - s * s), 2 * c * s),
+              (2 * r * r * c * s, 2 * r * s * s, 2 * r * r * (c * c - s * s),
+               4 * r * c * s, 2 * s * s)]
+    return [bt * ft + br * fr + ctt * ftt + 2.0 * ctr * ftr + crr * frr
+            for ft, fr, ftt, ftr, frr in derivs]
+
+
+def _cartesian_generator(op, x1, x2):
+    """Drift plus half the Ito matrix of ``cartesian_ito``, on the same test functions."""
+    b1, b2, a11, a12, a22 = op.cartesian_ito(x1, x2, np.sqrt(x1 * x1 + x2 * x2))
+    return [b1, b2, 2 * x1 * b1 + a11, x2 * b1 + x1 * b2 + a12, 2 * x2 * b2 + a22]
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.3])
+def test_cartesian_and_polar_forms_are_one_operator(zoo, eps):
+    # chart strip (z < delta/2), blend zone and interior of the default chart radius 0.5
+    r = np.array([0.999, 0.9, 0.8, 0.74, 0.7, 0.6, 0.51, 0.45, 0.2, 0.03])
+    theta = np.linspace(0.1, 6.2, 13)
+    theta, r = [a.ravel() for a in np.meshgrid(theta, r)]
+    x1, x2 = r * np.cos(theta), r * np.sin(theta)
+    for m in [*zoo.values(), MIXED]:
+        op = DiskOperator(model=m, eps=eps, completion=default_completions(m)[1])
+        for cart, polar in zip(_cartesian_generator(op, x1, x2),
+                               _polar_generator(op, theta, r)):
+            scale = np.max(np.abs(polar))
+            np.testing.assert_allclose(cart, polar, rtol=1e-12, atol=1e-12 * scale)

@@ -145,9 +145,9 @@ def test_sample_exit_evaluates_coefficients_once_per_step_on_the_live_rows(zoo, 
     rows = []
     cartesian_ito = dirichlet.DiskOperator.cartesian_ito
 
-    def counting(self, x, r):
-        rows.append(len(x))
-        return cartesian_ito(self, x, r)
+    def counting(self, x1, x2, r):
+        rows.append(len(r))
+        return cartesian_ito(self, x1, x2, r)
 
     monkeypatch.setattr(dirichlet.DiskOperator, "cartesian_ito", counting)
     comp = dirichlet.default_completions(zoo["D"])[0]

@@ -1,0 +1,166 @@
+"""Print one ``name sha256`` line per reproducible output of this tree.
+
+Two trees that print the same lines give the same bits: the artifacts of
+the bundled configs, the operation digests of the benchmark workloads and
+direct runs of every sampler.  A refactor that must keep behaviour is
+checked with one ``diff``:
+
+    python tools/digests.py 1 2 > after.txt      # in the changed tree
+    python tools/digests.py 1 2 > before.txt     # in the parent tree (same script)
+    diff before.txt after.txt
+
+The positional arguments are seeds: each keys one pass of every workload
+and one set of direct sampler runs.  The script imports the tree it sits in
+(``src/`` and ``perfbench/`` next to ``tools/``) and writes only into a
+temporary directory.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+
+import numpy as np  # noqa: E402
+
+from boundarylab import config, dirichlet, models, runner, sde  # noqa: E402
+from boundarylab.classifier import classify  # noqa: E402
+from boundarylab.coefficients import Const  # noqa: E402
+from boundarylab.fields import ChartModel, Flavor, PerturbationSpec, assemble  # noqa: E402
+from boundarylab.geometry import DomainKind, DomainModel  # noqa: E402
+
+# d != 0 and a sloped perturbation with rho != 1: terms the zoo leaves at zero
+SLOPED = ChartModel(a=Const(1.5), b=Const(-0.25), alpha=Const(0.75), beta=Const(0.5),
+                    d=Const(0.3), rho=Const(1.25),
+                    tilde=PerturbationSpec(Const(1.25), z_slope=2.0), name="sloped")
+DOMAINS = {"disk": DomainModel(),
+           "annulus": DomainModel(kind=DomainKind.ANNULUS, inner_radius=0.3,
+                                  chart_radius=0.3)}
+CHUNKS = (8192, 7)
+
+
+def _models():
+    return {**{name: models.get_model(name) for name in models.model_names()},
+            "sloped": SLOPED}
+
+
+def _digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a, dtype=float)
+        h.update(repr(a.shape).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def _file_digest(path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def config_digests(tmp):
+    """Every artifact of every bundled config, ``manifest.json`` aside (it holds a wall time)."""
+    cfg_dir = os.path.join(ROOT, "configs")
+    for name in sorted(os.listdir(cfg_dir)):
+        if not name.endswith(".json"):
+            continue
+        cfg = config.parse_config(os.path.join(cfg_dir, name))
+        _, out_dir = runner.run_experiment(cfg, os.path.join(tmp, "configs"))
+        for art in sorted(os.listdir(out_dir)):
+            if art != "manifest.json":
+                yield f"configs/{name}/{art}", _file_digest(os.path.join(out_dir, art))
+
+
+def workload_digests(seed, tmp):
+    """Every operation digest of one pass of each benchmark workload."""
+    import workloads
+
+    for wname, build in workloads.WORKLOADS.items():
+        for op in build(seed, os.path.join(tmp, f"{wname}-{seed}")):
+            digest, _ = op.run({})
+            if isinstance(digest, tuple):       # a config operation: its artifacts
+                for path, sha in digest:
+                    yield f"workload/{wname}/seed{seed}/{op.name}/{path}", sha
+            else:
+                yield f"workload/{wname}/seed{seed}/{op.name}", digest
+
+
+def _exit_batch(b):
+    return _digest(b.exit_y, b.exit_time, b.exited_mask, b.unstable_mask)
+
+
+def direct_digests(seed):
+    """Direct runs of every sampler: both domains, bridge on and off, two chunk sizes."""
+    zoo = _models()
+    for chunk in CHUNKS:
+        def params(**kw):
+            return sde.SimulationParams(**{"seed": seed, "chunk_size": chunk, **kw})
+
+        for mname, m in zoo.items():
+            comp = dirichlet.default_completions(m)[0]
+            for dname, dom in DOMAINS.items():
+                for eps in (0.05, 0.3):
+                    op = dirichlet.DiskOperator(model=m, eps=eps, completion=comp, dom=dom)
+                    for bridge in (True, False):
+                        p = params(dt=0.005, n_paths=40, max_time=1.0,
+                                   bridge_absorption=bridge)
+                        b = dirichlet.sample_exit(op, (0.55, 0.25), p,
+                                                  checkpoint_times=[0.05, 0.5])
+                        yield (f"direct/seed{seed}/chunk{chunk}/sample_exit/{mname}/{dname}/"
+                               f"eps{eps}/bridge{int(bridge)}",
+                               _digest(b.exit_theta, b.exit_time, b.exited_mask,
+                                       b.exit_inner, b.positions))
+        for mname in ("A", "D", "tilted", "sloped"):
+            m = zoo[mname]
+            for flavor, eps in ((Flavor.LIMIT, None), (Flavor.CHART, 0.1)):
+                gc = assemble(m, eps, flavor)
+                for wall in (None, 3.0):
+                    for bridge in (True, False):
+                        p = params(dt=0.002, n_paths=30, max_time=0.5, wall=wall,
+                                   bridge_absorption=bridge)
+                        yield (f"direct/seed{seed}/chunk{chunk}/simulate/{mname}/"
+                               f"{flavor.name}/wall{wall}/bridge{int(bridge)}",
+                               _exit_batch(sde.simulate(gc, (0.3, 0.4), p)))
+        for mname in ("A", "D", "tilted"):
+            m = zoo[mname]
+            rep = classify(m, grid_size=256)
+            t = sde.martingale_trace(m, rep, (0.3, 2.0), params(dt=0.002, n_paths=30,
+                                                                max_time=1.0),
+                                     (0.5, 8.0), [0.25, 0.5, 1.0])
+            yield (f"direct/seed{seed}/chunk{chunk}/martingale_trace/{mname}",
+                   _digest(t.values, t.stderrs))
+            rows = sde.attraction_stats(m, [(0.3, 0.5), (2.0, 0.1)], 1.0,
+                                        params(dt=0.005, n_paths=30, max_time=1.0),
+                                        far_wall=3.0)
+            yield (f"direct/seed{seed}/chunk{chunk}/attraction_stats/{mname}",
+                   _digest([[r.fraction_near, r.min_distance, r.max_distance]
+                            for r in rows]))
+            run = sde.simulate_boundary(m, 1.0, params(dt=0.005, n_paths=30, max_time=1.0),
+                                        burn_in=0.2, bins=16,
+                                        observables={"alpha": m.alpha, "beta": m.beta})
+            yield (f"direct/seed{seed}/chunk{chunk}/simulate_boundary/{mname}",
+                   _digest(run.histogram, *[run.averages[k] for k in ("alpha", "beta")]))
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("seeds", nargs="*", type=int, default=[1])
+    args = ap.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="digests-") as tmp:
+        lines = list(config_digests(tmp))
+        for seed in args.seeds:
+            lines += workload_digests(seed, tmp)
+            lines += direct_digests(seed)
+    for name, sha in lines:
+        print(name, sha)
+    print(json.dumps({"digests": len(lines)}), file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main()
