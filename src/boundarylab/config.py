@@ -56,6 +56,13 @@ def _expect(cond: bool, field: str, message: str):
         raise ConfigError(field, message)
 
 
+def _only(block: dict, field: str, keys):
+    """Reject a key of block that its validator does not read: a misspelt key
+    would otherwise validate and leave its value at the default."""
+    for key in sorted(set(block) - set(keys), key=str):
+        raise ConfigError(f"{field}.{key}", f"unknown key; expected one of {sorted(keys)}")
+
+
 def _get_number(block: dict, field: str, key: str, *, default=None, positive=False,
                 nonnegative=False):
     if key not in block:
@@ -106,6 +113,7 @@ def _parse_model(block, field: str = "model") -> ChartModel:
         except KeyError as exc:
             raise ConfigError(f"{field}.name", str(exc)) from exc
     if "chart" in block:
+        _only(block, field, ("chart",))
         return chart_model_from_config(block["chart"], f"{field}.chart")
     raise ConfigError(field, "needs a 'name' or a 'chart' block")
 
@@ -114,6 +122,7 @@ def _parse_domain(block, field: str = "domain") -> DomainModel:
     if block is None:
         return DomainModel()
     _expect(isinstance(block, dict), field, "expected object")
+    _only(block, field, ("kind", "chart_radius", "inner_radius"))
     kind = block.get("kind", "disk")
     _expect(kind in ("disk", "annulus"), f"{field}.kind", f"unknown kind {kind!r}")
     chart_radius = _get_number(block, field, "chart_radius", default=0.5, positive=True)
@@ -127,6 +136,7 @@ def _parse_domain(block, field: str = "domain") -> DomainModel:
 
 def _parse_mc(block, field: str) -> dict:
     _expect(isinstance(block, dict), field, "expected object")
+    _only(block, field, ("dt", "n_paths", "max_time"))
     out = {
         "dt": _get_number(block, field, "dt", positive=True),
         "n_paths": _get_int(block, field, "n_paths", minimum=1),
@@ -146,17 +156,18 @@ def _coeff(block, field: str):
         raise ConfigError(field, str(exc)) from exc
 
 
+# experiment kind -> (the numerics keys its validator reads, the validator)
 _KIND_VALIDATORS = {}
 
 
-def _kind(name):
+def _kind(name, keys):
     def deco(fn):
-        _KIND_VALIDATORS[name] = fn
+        _KIND_VALIDATORS[name] = (keys, fn)
         return fn
     return deco
 
 
-@_kind("classify")
+@_kind("classify", ("grid_size", "tol"))
 def _validate_classify(num: dict) -> dict:
     return {
         "grid_size": _get_int(num, "numerics", "grid_size", default=1024, minimum=16,
@@ -168,6 +179,7 @@ def _validate_classify(num: dict) -> dict:
 def _grid_block(num: dict) -> dict:
     g = num.get("grid", {})
     _expect(isinstance(g, dict), "numerics.grid", "expected object")
+    _only(g, "numerics.grid", ("n_y", "n_z", "height", "stretching", "dz0"))
     out = {
         "n_y": _get_int(g, "numerics.grid", "n_y", default=64, minimum=32,
                         power_of_two=True),
@@ -183,7 +195,7 @@ def _grid_block(num: dict) -> dict:
     return out
 
 
-@_kind("halfcyl")
+@_kind("halfcyl", ("data", "grid", "levels"))
 def _validate_halfcyl(num: dict) -> dict:
     return {
         "data": _boundary_data(num),
@@ -193,7 +205,8 @@ def _validate_halfcyl(num: dict) -> dict:
     }
 
 
-@_kind("dirichlet-convergence")
+@_kind("dirichlet-convergence", ("eps_list", "probes", "data", "threshold", "n_theta",
+                                 "grid", "both_completions", "mc"))
 def _validate_convergence(num: dict) -> dict:
     eps_list = num.get("eps_list")
     _expect(isinstance(eps_list, list) and len(eps_list) >= 2,
@@ -224,7 +237,7 @@ def _validate_convergence(num: dict) -> dict:
     return out
 
 
-@_kind("attraction")
+@_kind("attraction", ("starts", "horizon", "near", "far_wall", "mc"))
 def _validate_attraction(num: dict) -> dict:
     starts = num.get("starts")
     _expect(isinstance(starts, list) and starts, "numerics.starts",
@@ -240,7 +253,7 @@ def _validate_attraction(num: dict) -> dict:
     }
 
 
-@_kind("martingale")
+@_kind("martingale", ("band", "start", "checkpoints", "mc"))
 def _validate_martingale(num: dict) -> dict:
     lo, hi = _numbers(num.get("band"), "numerics.band", "[lo, hi]", 2)
     _expect(0 < lo < hi, "numerics.band", "must satisfy 0 < lo < hi")
@@ -255,7 +268,7 @@ def _validate_martingale(num: dict) -> dict:
     }
 
 
-@_kind("timescale")
+@_kind("timescale", ("eps_list", "rules", "start", "data", "g", "mc"))
 def _validate_timescale(num: dict) -> dict:
     eps_list = num.get("eps_list")
     _expect(isinstance(eps_list, list) and eps_list, "numerics.eps_list",
@@ -266,11 +279,15 @@ def _validate_timescale(num: dict) -> dict:
     parsed_rules = []
     for i, r in enumerate(rules):
         _expect(isinstance(r, dict), f"numerics.rules[{i}]", "expected object")
+        _only(r, f"numerics.rules[{i}]", ("name", "kind", "c", "p"))
+        name = r.get("name", f"rule{i}")
+        _expect(isinstance(name, str) and name, f"numerics.rules[{i}].name",
+                f"expected a non-empty string, got {name!r}")
         kind = r.get("kind")
         _expect(kind in ("const", "log", "power"), f"numerics.rules[{i}].kind",
                 f"unknown kind {kind!r}")
         parsed_rules.append({
-            "name": r.get("name", f"rule{i}"),
+            "name": name,
             "kind": kind,
             "c": _get_number(r, f"numerics.rules[{i}]", "c", positive=True),
             "p": _get_number(r, f"numerics.rules[{i}]", "p", default=1.0,
@@ -314,7 +331,9 @@ def parse_config(obj) -> ExperimentConfig:
     dom = _parse_domain(obj.get("domain"))
     numerics = obj.get("numerics", {})
     _expect(isinstance(numerics, dict), "numerics", "expected object")
-    validated = _KIND_VALIDATORS[experiment](numerics)
+    keys, validate = _KIND_VALIDATORS[experiment]
+    _only(numerics, "numerics", keys)
+    validated = validate(numerics)
     known = {"version", "experiment", "seed", "output_dir", "model", "domain",
              "numerics"}
     extra = sorted(set(obj) - known)
@@ -333,6 +352,7 @@ def _boundary_data(num: dict):
 def _initial_data(spec):
     """Initial data on the domain from a config spec (constants only)."""
     if isinstance(spec, dict) and spec.get("kind") == "const":
+        _only(spec, "numerics.g", ("kind", "c"))
         spec = _get_number(spec, "numerics.g", "c")
     _expect(finite_number(spec), "numerics.g", "initial data supports finite constants only")
     c = float(spec)

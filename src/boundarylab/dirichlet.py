@@ -99,7 +99,8 @@ class DiskOperator:
         return ctt, ctr, crr, bt, br
 
     def cartesian_ito(self, x1, x2, r):
-        """Drift (b1, b2) and Ito diffusion entries (A11, A12, A22) at the points (x1, x2).
+        """Drift (b1, b2), Ito diffusion entries (A11, A12, A22) and the radial-radial
+        entry A(x/|x|, x/|x|), for the boundary bridge tests, at the points (x1, x2).
 
         The coordinates come as two arrays and r is the points' norm, which
         the caller has already computed; every result is an array of their
@@ -139,22 +140,17 @@ class DiskOperator:
         bz = z * beta
         b1 = b * xy1 + bz * xz1 + 0.5 * (ayy * (neg_r * cos_t) + ayz2 * sin_t)
         b2 = b * xy2 + bz * xz2 + 0.5 * (ayy * xy1 + ayz2 * xz1)
-        return chi * b1, chi * b2, chi * a11 + iso, chi * a12, chi * a22 + iso
+        a11 = chi * a11 + iso
+        a12 = chi * a12
+        a22 = chi * a22 + iso
+        ann = a11 * cos_t * cos_t + 2.0 * a12 * cos_t * sin_t + a22 * sin_t * sin_t
+        return chi * b1, chi * b2, a11, a12, a22, ann
 
     def normal_diffusion(self, x):
         """Radial-radial Ito diffusion entry at points x (..., 2), for boundary bridge tests."""
         x = np.asarray(x, dtype=float)
         x1, x2 = x[..., 0], x[..., 1]
-        r = np.sqrt(x1 * x1 + x2 * x2)
-        return _radial_component(x1, x2, r, *self.cartesian_ito(x1, x2, r)[2:])
-
-
-def _radial_component(x1, x2, r, a11, a12, a22):
-    """Radial-radial entry at the points (x1, x2), of norm r, of the matrix (a11, a12, a22)."""
-    r = np.maximum(r, 1e-12)
-    c = x1 / r
-    s = x2 / r
-    return a11 * c * c + 2.0 * a12 * c * s + a22 * s * s
+        return self.cartesian_ito(x1, x2, np.sqrt(x1 * x1 + x2 * x2))[5]
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +306,8 @@ def sample_exit(op: DiskOperator, start, params: sde.SimulationParams,
     Brownian-bridge test.  Optional checkpoints record path positions at
     fixed times (NaN once a path has exited).  The step works on the two
     coordinates as separate arrays: each step makes one ``cartesian_ito``
-    call at the endpoint and takes the endpoint's norm as
-    sqrt(x1^2 + x2^2).
+    call at the endpoint, which also gives the bridge test its radial
+    entry, and takes the endpoint's norm as sqrt(x1^2 + x2^2).
     """
     x0 = np.asarray(start, dtype=float)
     dom = op.dom
@@ -333,13 +329,12 @@ def sample_exit(op: DiskOperator, start, params: sde.SimulationParams,
     def start_state(size):
         x1, x2 = np.full(size, x0[0]), np.full(size, x0[1])
         r = np.sqrt(x1 * x1 + x2 * x2)
-        b1, b2, a11, a12, a22 = op.cartesian_ito(x1, x2, r)
-        return [x1, x2, r, _radial_component(x1, x2, r, a11, a12, a22), b1, b2, a11, a12, a22]
+        return [x1, x2, r, *op.cartesian_ito(x1, x2, r)]
 
     def advance(k, state, noise, uniform, live, pids):
-        # |x|, the coefficients at x and (for the bridge test) their radial entry ride in
-        # the state, made once at the endpoint
-        x1, x2, r, ann, b1, b2, a11, a12, a22 = state
+        # |x| and the coefficients at x, with their radial entry for the bridge test,
+        # ride in the state, made once at the endpoint
+        x1, x2, r, b1, b2, a11, a12, a22, ann = state
         noise1, noise2 = sde._increments(sqdt, a11, a12, a22, noise)
         x1_new = x1 + (b1 * dt + noise1)
         x2_new = x2 + (b2 * dt + noise2)
@@ -362,7 +357,7 @@ def sample_exit(op: DiskOperator, start, params: sde.SimulationParams,
                 live = live & ~crossed
         coeffs = op.cartesian_ito(x1_new, x2_new, r_new)
         if params.bridge_absorption:
-            ann_end = _radial_component(x1_new, x2_new, r_new, *coeffs[2:])
+            ann_end = coeffs[5]
             z_old = 1.0 - r
             z_new = 1.0 - r_new
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -376,7 +371,6 @@ def sample_exit(op: DiskOperator, start, params: sde.SimulationParams,
                 exit_theta[g] = wrap_angle(np.arctan2(0.5 * (x2[hit] + x2_new[hit]),
                                                       0.5 * (x1[hit] + x1_new[hit])))
                 live = live & ~hit
-            ann = np.where(live, ann_end, ann)
         x1 = np.where(live, x1_new, x1)
         x2 = np.where(live, x2_new, x2)
         if cp is not None:
@@ -384,8 +378,8 @@ def sample_exit(op: DiskOperator, start, params: sde.SimulationParams,
                 g = pids[live]
                 positions[c, g, 0] = x1[live]
                 positions[c, g, 1] = x2[live]
-        return [x1, x2, np.where(live, r_new, r), ann,
-                *[np.where(live, new, old) for new, old in zip(coeffs, state[4:])]], live
+        return [x1, x2, np.where(live, r_new, r),
+                *[np.where(live, new, old) for new, old in zip(coeffs, state[3:])]], live
 
     sde._run_paths(params, int(round(params.max_time / dt)), start_state, advance)
     return AmbientExitBatch(exit_theta=exit_theta, exit_time=exit_time,

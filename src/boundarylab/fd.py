@@ -94,6 +94,13 @@ def _add_band(out: np.ndarray, band: np.ndarray) -> np.ndarray:
     return out
 
 
+def _raise_bad_level(inv, stop: int):
+    """Raise NoConvergence naming the first level below stop whose inverse is not
+    finite, else level stop (from 0), whose block is singular."""
+    j = next((k for k in range(stop) if not np.isfinite(inv[k]).all()), stop)
+    raise NoConvergence(f"level {j + 1}: block is singular or not finite")
+
+
 class Elimination:
     """Block LU of a block-tridiagonal system, swept upward level by level.
 
@@ -104,7 +111,8 @@ class Elimination:
     given, is a dense n x n term added to the first level's diagonal
     block.  Every row is scaled to max |entry| 1 before the sweep, and
     every solve checks its residual on that scaled system.  A level
-    whose block is singular or not finite raises NoConvergence naming it.
+    whose block is singular or not finite raises NoConvergence naming it;
+    the inverses are checked for finite entries once, after the sweep.
     """
 
     def __init__(self, bands: np.ndarray, first: np.ndarray | None = None):
@@ -122,34 +130,54 @@ class Elimination:
         self.first = None if first is None else first / scale[0][:, None]
         self.cross = bool(self.bands[:, (0, 2)][:, :, (0, 2)].any())
         self.cols = None
-        self.inv = np.empty((len(bands),) + 2 * bands.shape[-1:])
-        for j in range(len(bands)):
-            self.inv[j] = self._invert(j, self.bands[j], self.inv[j - 1] if j else None)
+        n_levels, n = bands.shape[0], bands.shape[-1]
+        # flat indices in an n x n block of its band entries (i, i - 1), (i, i), (i, i + 1),
+        # in the band's own order; they collide for n < 3, where _add_band serves
+        i = np.arange(n)
+        self._band_index = None if n < 3 else \
+            np.concatenate([i * n + (i - 1) % n, i * (n + 1), i * n + (i + 1) % n])
+        neg_lower = -bands[:, 0, 1, :, None]
+        self.inv = np.empty((n_levels, n, n))
+        for j in range(n_levels):
+            inv = self._invert(j, bands[j], self.inv[j - 1] if j else None, neg_lower[j])
+            if inv is None:
+                _raise_bad_level(self.inv, j)
+            self.inv[j] = inv
+        if n_levels and not (np.isfinite(self.inv.min()) and np.isfinite(self.inv.max())):
+            _raise_bad_level(self.inv, n_levels)
 
-    def _couple(self, band: np.ndarray, x: np.ndarray, transposed: bool = False):
-        """The off-level block of band, or its transpose, times x."""
+    def _couplings(self, transposed: bool = False):
+        """(product, lower, upper): product(lower[j], x) is level j's block coupling it
+        down, or its transpose, times x, and product(upper[j], x) the one coupling it up.
+        Without a cross term the blocks are diagonal: their operands are the bands'
+        middle entries."""
         if not self.cross:
-            return band[1] * x
-        return band_dot(band_transpose(band) if transposed else band, x)
+            return np.multiply, self.bands[:, 0, 1], self.bands[:, 2, 1]
+        lower, upper = self.bands[:, 0], self.bands[:, 2]
+        if transposed:
+            lower, upper = band_transpose(lower), band_transpose(upper)
+        return band_dot, lower, upper
 
-    def _invert(self, j: int, row: np.ndarray, below: np.ndarray | None) -> np.ndarray:
-        """G_j^-1 for level j (from 0) with row bands row, given G_{j-1}^-1 below."""
+    def _invert(self, j: int, row: np.ndarray, below: np.ndarray | None,
+                neg_lower: np.ndarray | None = None) -> np.ndarray | None:
+        """G_j^-1 for level j (from 0) with row bands row, given G_{j-1}^-1 below, or None
+        if the block is singular.  neg_lower is -row[0, 1][:, None], if made already."""
         if below is None:
             g = np.zeros(2 * row.shape[-1:]) if self.first is None else self.first.copy()
-        else:
+        elif self.cross:
             # g = -L_j G_{j-1}^-1 U_{j-1}
-            lower, upper = row[0], self.bands[j - 1, 2]
-            if self.cross:
-                g = -band_dot(band_transpose(upper), band_dot(lower, below.T).T)
-            else:
-                g = np.multiply(below, -lower[1][:, None])
-                g *= upper[1]
-        lu, piv, info = lapack.dgetrf(_add_band(g, row[1]), overwrite_a=True)
+            g = -band_dot(band_transpose(self.bands[j - 1, 2]), band_dot(row[0], below.T).T)
+        else:
+            g = np.multiply(below, -row[0, 1][:, None] if neg_lower is None else neg_lower)
+            g *= self.bands[j - 1, 2, 1]
+        if self.cross or self._band_index is None:    # the cross path's g may be F-ordered
+            _add_band(g, row[1])
+        else:
+            g.reshape(-1)[self._band_index] += row[1].reshape(-1)
+        lu, piv, info = lapack.dgetrf(g, overwrite_a=True)
         if info == 0:
             inv, info = lapack.dgetri(lu, piv, overwrite_lu=True)
-        if info != 0 or not np.isfinite(inv).all():
-            raise NoConvergence(f"level {j + 1}: block is singular or not finite")
-        return inv
+        return inv if info == 0 else None
 
     def cut(self, level: int, top: np.ndarray, cols: np.ndarray | None = None) -> "Elimination":
         """The system's first level - 1 levels closed at level by the row bands top (3, 3, n),
@@ -165,7 +193,10 @@ class Elimination:
         sub.cross = self.cross or bool(top[0, (0, 2)].any())
         sub.cols = cols
         sub.inv = list(self.inv[:level - 1])
-        sub.inv.append(sub._invert(level - 1, sub.bands[-1], sub.inv[-1]))
+        inv = sub._invert(level - 1, sub.bands[-1], sub.inv[-1])
+        if inv is None or not np.isfinite(inv).all():
+            _raise_bad_level(sub.inv, level - 1)
+        sub.inv.append(inv)
         return sub
 
     def _check(self, x: np.ndarray, rhs: np.ndarray, transposed: bool = False):
@@ -200,12 +231,13 @@ class Elimination:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """x (n_levels, n) with A x = rhs."""
         scaled = rhs / self.scale
-        bands, inv, x = self.bands, self.inv, np.empty_like(scaled)
+        inv, x = self.inv, np.empty_like(scaled)
+        product, lower, upper = self._couplings()
         x[0] = inv[0] @ scaled[0]
         for j in range(1, len(x)):
-            x[j] = inv[j] @ (scaled[j] - self._couple(bands[j, 0], x[j - 1]))
+            x[j] = inv[j] @ (scaled[j] - product(lower[j], x[j - 1]))
         for j in range(len(x) - 2, -1, -1):
-            x[j] -= inv[j] @ self._couple(bands[j, 2], x[j + 1])
+            x[j] -= inv[j] @ product(upper[j], x[j + 1])
         if self.cols is not None:
             x /= self.cols
         self._check(x, rhs)
@@ -213,13 +245,14 @@ class Elimination:
 
     def solve_transposed(self, rhs: np.ndarray) -> np.ndarray:
         """x (n_levels, n) with A^T x = rhs, as D y for (D A)^T y = rhs, D the row scaling."""
-        bands, inv = self.bands, self.inv
+        inv = self.inv
+        product, lower, upper = self._couplings(transposed=True)
         y = rhs / (1.0 if self.cols is None else self.cols)
         for j in range(1, len(y)):
-            y[j] -= self._couple(bands[j - 1, 2], y[j - 1] @ inv[j - 1], transposed=True)
+            y[j] -= product(upper[j - 1], y[j - 1] @ inv[j - 1])
         y[-1] = y[-1] @ inv[-1]
         for j in range(len(y) - 2, -1, -1):
-            y[j] = (y[j] - self._couple(bands[j + 1, 0], y[j + 1], transposed=True)) @ inv[j]
+            y[j] = (y[j] - product(lower[j + 1], y[j + 1])) @ inv[j]
         x = y / self.scale
         self._check(x, rhs, transposed=True)
         return x

@@ -742,6 +742,11 @@ def chart_model_from_config(spec: dict, field_prefix: str = "model.chart") -> Ch
     if not isinstance(spec, dict):
         raise ConfigError(field_prefix, f"expected object, got {type(spec).__name__}")
     required = ("a", "b", "alpha", "beta")
+    for key in sorted(set(spec) - {*required, "d", "rho", "tilde_z_slope", "name"}, key=str):
+        raise ConfigError(f"{field_prefix}.{key}", "unknown key")
+    name = spec.get("name", "")
+    if not isinstance(name, str):
+        raise ConfigError(f"{field_prefix}.name", f"expected a string, got {name!r}")
     fns = {}
     for key in ("a", "b", "alpha", "beta", "d", "rho"):
         if key in spec:
@@ -758,4 +763,4 @@ def chart_model_from_config(spec: dict, field_prefix: str = "model.chart") -> Ch
         tilde = PerturbationSpec(rho=fns["rho"], z_slope=float(slope))
     return ChartModel(a=fns["a"], b=fns["b"], alpha=fns["alpha"], beta=fns["beta"],
                       d=fns["d"], rho=fns["rho"], tilde=tilde,
-                      name=spec.get("name", ""))
+                      name=name)

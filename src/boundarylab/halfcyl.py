@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 
 from . import sde
 from .classifier import Verdict, classify
@@ -355,6 +354,8 @@ def radial_oracle(alpha_c: float, beta_c: float, rho_c: float):
     where exit_probability(zz, wall) is the chance of reaching height 0
     before the wall.
     """
+    import scipy.integrate  # only this oracle integrates; no run or solve imports it
+
     if alpha_c <= 0 or rho_c <= 0:
         raise NotIntegrable("alpha and rho must be positive")
     if beta_c / alpha_c <= 1.0:

@@ -160,6 +160,21 @@ MALFORMED = [
         "a": 1.0, "b": 0.0, "beta": 0.0,
         "alpha": {"kind": "fourier", "constant": 1.0, "terms": [[10**400, 1.0, 0.0]]}}},
      "model.chart.alpha.terms[0]"),
+    # a key no validator reads, misspelt or not, is an error, not a default in disguise
+    ("model_d_convergence.json", "n_thetaa", 1.0, "numerics.n_thetaa"),
+    ("halfcyl_model_d.json", "typo_key", float("inf"), "numerics.typo_key"),
+    ("timescale_a.json", "rules", [{"name": float("nan"), "kind": "const", "c": 0.5}],
+     "numerics.rules[0].name"),
+    ("timescale_a.json", "rules", [{"name": "x", "kind": "const", "c": 0.5, "q": 1.0}],
+     "numerics.rules[0].q"),
+    ("halfcyl_model_d.json", "grid", {"n_y": 32, "n_zz": 100}, "numerics.grid.n_zz"),
+    ("attraction_a.json", "mc", {"dt": 0.005, "n_paths": 8, "max_time": 1.0, "seed": 1},
+     "numerics.mc.seed"),
+    ("classify_tilted.json", "model", {"chart": {
+        "a": 1.0, "b": 0.0, "beta": 0.0, "alpha": 1.0, "dd": 0.5}}, "model.chart.dd"),
+    ("classify_tilted.json", "model", {"chart": {
+        "a": 1.0, "b": 0.0, "beta": 0.0, "alpha": 1.0, "name": float("nan")}},
+     "model.chart.name"),
 ]
 
 
@@ -173,6 +188,13 @@ def test_validate_rejects_what_run_would_reject(tmp_path, capsys, name, key, val
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"]["type"] == "ConfigError"
     assert err["error"]["field"] == field
+
+
+def test_domain_block_rejects_a_key_it_does_not_read():
+    domain = {"kind": "annulus", "inner_radius": 0.3, "chart_radius": 0.3, "outer": 1.0}
+    with pytest.raises(ConfigError) as err:
+        parse_config(minimal_classify(domain=domain))
+    assert err.value.field == "domain.outer"
 
 
 def test_geometric_grid_past_its_height_is_a_config_error(tmp_path, capsys):

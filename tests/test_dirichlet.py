@@ -245,7 +245,7 @@ def _polar_generator(op, theta, r):
 
 def _cartesian_generator(op, x1, x2):
     """Drift plus half the Ito matrix of ``cartesian_ito``, on the same test functions."""
-    b1, b2, a11, a12, a22 = op.cartesian_ito(x1, x2, np.sqrt(x1 * x1 + x2 * x2))
+    b1, b2, a11, a12, a22, _ = op.cartesian_ito(x1, x2, np.sqrt(x1 * x1 + x2 * x2))
     return [b1, b2, 2 * x1 * b1 + a11, x2 * b1 + x1 * b2 + a12, 2 * x2 * b2 + a22]
 
 

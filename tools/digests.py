@@ -1,8 +1,9 @@
 """Print one ``name sha256`` line per reproducible output of this tree.
 
 Two trees that print the same lines give the same bits: the artifacts of
-the bundled configs, the operation digests of the benchmark workloads and
-direct runs of every sampler.  A refactor that must keep behaviour is
+the bundled configs, the operation digests of the benchmark workloads,
+direct runs of every sampler and direct FD solves (cross terms, the
+annulus, transposed solves and the conditioned problem).  A refactor that must keep behaviour is
 checked with one ``diff``:
 
     python tools/digests.py 1 2 > after.txt      # in the changed tree
@@ -29,11 +30,11 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import numpy as np  # noqa: E402
 
-from boundarylab import config, dirichlet, models, runner, sde  # noqa: E402
+from boundarylab import config, dirichlet, halfcyl, models, runner, sde  # noqa: E402
 from boundarylab.classifier import classify  # noqa: E402
-from boundarylab.coefficients import Const  # noqa: E402
+from boundarylab.coefficients import Const, Cosine  # noqa: E402
 from boundarylab.fields import ChartModel, Flavor, PerturbationSpec, assemble  # noqa: E402
-from boundarylab.geometry import DomainKind, DomainModel  # noqa: E402
+from boundarylab.geometry import DomainKind, DomainModel, RescaledPoint  # noqa: E402
 
 # d != 0 and a sloped perturbation with rho != 1: terms the zoo leaves at zero
 SLOPED = ChartModel(a=Const(1.5), b=Const(-0.25), alpha=Const(0.75), beta=Const(0.5),
@@ -148,12 +149,38 @@ def direct_digests(seed):
                    _digest(run.histogram, *[run.averages[k] for k in ("alpha", "beta")]))
 
 
+def fd_digests():
+    """Direct FD solves that no config or workload makes: the polar solve with a cross
+    term (d != 0) and on the annulus, the half-cylinder solve with a cross term, forward
+    and transposed (adjoint exit law), and the conditioned problem of B-asym."""
+    zoo = _models()
+    data = Cosine(mean=0.5, amp=1.0, phase=0.7)
+    for mname in ("D", "sloped"):
+        m = zoo[mname]
+        comp = dirichlet.default_completions(m)[0]
+        for dname, dom in DOMAINS.items():
+            op = dirichlet.DiskOperator(model=m, eps=0.2, completion=comp, dom=dom)
+            sol = dirichlet.solve_fd(op, data, n_theta=32,
+                                     psi_inner=None if dname == "disk" else 0.25)
+            yield f"fd/solve_fd/{mname}/{dname}", _digest(sol.u)
+    grid = halfcyl.HalfCylinderGrid(n_y=32, n_z=200)
+    sol = halfcyl.solve_u(SLOPED, data, grid)
+    yield "fd/solve_u/sloped", _digest(sol.u_grid, [sol.truncation_estimate])
+    for mname in ("sloped", "B-asym"):
+        for start in (None, RescaledPoint(0.3, 2.0)):
+            law = halfcyl.exit_measure(zoo[mname], start, grid, mode="adjoint")
+            yield f"fd/exit_measure/{mname}/start{start is not None:d}", _digest(law.weights)
+    sol = halfcyl.solve_conditioned(zoo["B-asym"], data, grid)
+    yield "fd/solve_conditioned/B-asym", _digest(sol.u_grid, sol.h.u_grid,
+                                                 [sol.truncation_estimate])
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("seeds", nargs="*", type=int, default=[1])
     args = ap.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="digests-") as tmp:
-        lines = list(config_digests(tmp))
+        lines = list(config_digests(tmp)) + list(fd_digests())
         for seed in args.seeds:
             lines += workload_digests(seed, tmp)
             lines += direct_digests(seed)
