@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -327,6 +328,10 @@ def parse_config(obj) -> ExperimentConfig:
     output_dir = obj.get("output_dir", experiment)
     _expect(isinstance(output_dir, str) and output_dir, "output_dir",
             "expected non-empty string")
+    # the run writes into output_dir under its output root, and nowhere else
+    _expect(not os.path.isabs(output_dir)
+            and ".." not in output_dir.replace("\\", "/").split("/"), "output_dir",
+            f"expected a relative path inside the output root, got {output_dir!r}")
     model = _parse_model(obj.get("model"))
     dom = _parse_domain(obj.get("domain"))
     numerics = obj.get("numerics", {})

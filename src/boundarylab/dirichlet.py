@@ -27,7 +27,7 @@ from .errors import ExtensionUndefined, ModelError, NoConvergence
 from .fd import Elimination, band_dot, boundary_values, stencil
 from .fields import ChartModel
 from .geometry import DomainKind, DomainModel, TWO_PI, wrap_angle
-from .halfcyl import HalfCylinderGrid, solve_conditioned, solve_u
+from .halfcyl import HalfCylinderGrid, _conditioned, solve_u
 
 
 @dataclass(frozen=True)
@@ -98,13 +98,15 @@ class DiskOperator:
         br = chi * (-z * beta) + ((1.0 - chi) * s + pert) / r
         return ctt, ctr, crr, bt, br
 
-    def cartesian_ito(self, x1, x2, r):
+    def cartesian_ito(self, x1, x2, r, eps2=None):
         """Drift (b1, b2), Ito diffusion entries (A11, A12, A22) and the radial-radial
         entry A(x/|x|, x/|x|), for the boundary bridge tests, at the points (x1, x2).
 
         The coordinates come as two arrays and r is the points' norm, which
         the caller has already computed; every result is an array of their
-        shape.
+        shape.  eps2, when given, is eps^2 point by point (an array of that
+        shape), in place of this operator's own: the stacked sampler steps
+        operators that differ in eps alone.
         """
         r_safe = np.maximum(r, 1e-12)
         z = 1.0 - r
@@ -112,7 +114,7 @@ class DiskOperator:
         m = self.model
         chi = self.chart_weight(z)
         s = self.completion.scale
-        pert = self.eps ** 2 * m.tilde.czz(theta, z)
+        pert = (self.eps ** 2 if eps2 is None else eps2) * m.tilde.czz(theta, z)
         iso = 2.0 * ((1.0 - chi) * s + pert)  # Ito diffusion of (scale*Laplacian)
 
         a = folded(m.a, theta)
@@ -297,7 +299,7 @@ class AmbientExitBatch:
     seed: int
 
 
-def sample_exit(op: DiskOperator, start, params: sde.SimulationParams,
+def sample_exit(op: DiskOperator | list[DiskOperator], start, params: sde.SimulationParams,
                 checkpoint_times=None) -> AmbientExitBatch:
     """Euler-Maruyama exit sampling of the ambient process from one start.
 
@@ -308,28 +310,61 @@ def sample_exit(op: DiskOperator, start, params: sde.SimulationParams,
     coordinates as separate arrays: each step makes one ``cartesian_ito``
     call at the endpoint, which also gives the bridge test its radial
     entry, and takes the endpoint's norm as sqrt(x1^2 + x2^2).
+
+    ``op`` may also be a sequence of operators that differ in eps alone,
+    with ``checkpoint_times`` one list per operator: they run stacked in one
+    driver run.  Operator e steps rows e * n_paths + p, and row e * n_paths + p
+    reads path p's noise stream, so every operator sees the same noise (common
+    random numbers) and each stream is drawn once.  Operator e's rows are
+    censored one step past its last checkpoint, which is their exit time
+    then; params.max_time must cover the longest of these horizons.  The
+    batch covers every row, and its checkpoints are the union of the lists.
     """
     x0 = np.asarray(start, dtype=float)
-    dom = op.dom
-    inner_r = dom.inner_radius if dom.kind is DomainKind.ANNULUS else None
     n = params.n_paths
     dt = params.dt
     sqdt = math.sqrt(dt)
+    n_steps = int(round(params.max_time / dt))
+    if isinstance(op, DiskOperator):
+        ops, horizons = [op], [float(params.max_time)]
+    else:
+        ops, horizons, checkpoint_times = _stack(list(op), checkpoint_times, dt, n_steps)
+        op = ops[0]
+    dom = op.dom
+    inner_r = dom.inner_radius if dom.kind is DomainKind.ANNULUS else None
+    rows = n * len(ops)
     cp = None
     positions = None
     if checkpoint_times is not None:
-        cp, steps_at = sde._checkpoint_steps(checkpoint_times, dt)
-        positions = np.full((cp.size, n, 2), np.nan)
+        cp, _, cp_at = sde._checkpoint_steps(checkpoint_times, dt)
+        positions = np.full((cp.size, rows, 2), np.nan)
+    # steps after which an operator's rows are censored, short of the driver's last
+    stop_at = {}
+    for e, h in enumerate(horizons):
+        k = int(round(h / dt))
+        if k < n_steps:
+            stop_at.setdefault(k, []).append(e)
 
-    exit_theta = np.full(n, np.nan)
-    exit_time = np.full(n, float(params.max_time))
-    exited = np.zeros(n, dtype=bool)
-    exit_inner = np.zeros(n, dtype=bool)
+    exit_theta = np.full(rows, np.nan)
+    exit_time = np.repeat(horizons, n)
+    exited = np.zeros(rows, dtype=bool)
+    exit_inner = np.zeros(rows, dtype=bool)
+    if len(ops) == 1:
+        streams = None
 
-    def start_state(size):
-        x1, x2 = np.full(size, x0[0]), np.full(size, x0[1])
+        def ito(x1, x2, r, pids):
+            return op.cartesian_ito(x1, x2, r)
+    else:
+        streams = np.tile(np.arange(n), len(ops))
+        eps2 = np.repeat([o.eps ** 2 for o in ops], n)
+
+        def ito(x1, x2, r, pids):
+            return op.cartesian_ito(x1, x2, r, eps2=eps2[pids])
+
+    def start_state(pids):
+        x1, x2 = np.full(pids.size, x0[0]), np.full(pids.size, x0[1])
         r = np.sqrt(x1 * x1 + x2 * x2)
-        return [x1, x2, r, *op.cartesian_ito(x1, x2, r)]
+        return [x1, x2, r, *ito(x1, x2, r, pids)]
 
     def advance(k, state, noise, uniform, live, pids):
         # |x| and the coefficients at x, with their radial entry for the bridge test,
@@ -355,7 +390,7 @@ def sample_exit(op: DiskOperator, start, params: sde.SimulationParams,
                 exit_time[g] = t_now + frac * dt
                 exit_theta[g] = wrap_angle(np.arctan2(c2 + frac * d2, c1 + frac * d1))
                 live = live & ~crossed
-        coeffs = op.cartesian_ito(x1_new, x2_new, r_new)
+        coeffs = ito(x1_new, x2_new, r_new, pids)
         if params.bridge_absorption:
             ann_end = coeffs[5]
             z_old = 1.0 - r
@@ -374,18 +409,34 @@ def sample_exit(op: DiskOperator, start, params: sde.SimulationParams,
         x1 = np.where(live, x1_new, x1)
         x2 = np.where(live, x2_new, x2)
         if cp is not None:
-            for c in np.flatnonzero(steps_at == k + 1):
+            for c in cp_at.get(k + 1, ()):
                 g = pids[live]
                 positions[c, g, 0] = x1[live]
                 positions[c, g, 1] = x2[live]
+        for e in stop_at.get(k + 1, ()):
+            live = live & (pids // n != e)
         return [x1, x2, np.where(live, r_new, r),
                 *[np.where(live, new, old) for new, old in zip(coeffs, state[3:])]], live
 
-    sde._run_paths(params, int(round(params.max_time / dt)), start_state, advance)
+    sde._run_paths(params, n_steps, start_state, advance, streams)
     return AmbientExitBatch(exit_theta=exit_theta, exit_time=exit_time,
                             exited_mask=exited, exit_inner=exit_inner,
                             checkpoints=cp, positions=positions,
-                            n_paths=n, seed=params.seed)
+                            n_paths=rows, seed=params.seed)
+
+
+def _stack(ops, checkpoint_times, dt: float, n_steps: int):
+    """sample_exit's stacked form checked: the operators, their horizons (one step past
+    each list's last checkpoint) and the union of the checkpoint lists."""
+    if not ops or any((o.model, o.completion, o.dom) != (ops[0].model, ops[0].completion,
+                                                          ops[0].dom) for o in ops):
+        raise ModelError("stacked operators must share model, completion and domain")
+    if checkpoint_times is None or len(checkpoint_times) != len(ops):
+        raise ModelError("stacked operators need one checkpoint list each")
+    horizons = [float(sde._checkpoint_steps(ts, dt)[0][-1]) + dt for ts in checkpoint_times]
+    if max(int(round(h / dt)) for h in horizons) > n_steps:
+        raise ModelError("params.max_time must cover every stacked horizon")
+    return ops, horizons, sorted({float(t) for ts in checkpoint_times for t in ts})
 
 
 def _circle_crossing(x1, x2, dx1, dx2, radius, inward=False):
@@ -463,11 +514,12 @@ class ConvergenceTable:
 def limit_value(m: ChartModel, f, grid: HalfCylinderGrid | None = None) -> float:
     """The eps-free limit of the solution, per the boundary verdict.
 
-    Only ubar is kept, so the truncation check is skipped.
+    Only ubar is kept, so the truncation check is skipped, and a repelling
+    model's conditioned solve does not build the h it would carry.
     """
     verdict = classify(m, grid_size=512).verdict
     if verdict is Verdict.REPELLING:
-        return solve_conditioned(m, f, grid, check_truncation=False, _regime=verdict).ubar
+        return _conditioned(m, f, grid, False, verdict)[0].ubar
     return solve_u(m, f, grid, check_truncation=False, _regime=verdict).ubar
 
 

@@ -12,7 +12,14 @@ tridiagonal blocks coupling each level to itself and its two neighbours.
 ``Elimination`` is the one direct solver: block elimination level by level
 (Varah, Math. Comp. 26, 1972) of the row-equilibrated system.  It keeps a
 dense n x n inverse per level, n_levels n^2 doubles (17 MiB for 64 columns
-and 558 levels, 350 MiB for 128 and 2802), freed with the object.
+and 558 levels, 350 MiB for 128 and 2802), freed with the object.  Their
+block is allocated in whole GRANULE_BYTES; the levels past n_levels are
+never written, so the rounding costs address space, not memory.  glibc
+serves a block above its mmap threshold from fresh pages and one below it
+from the heap, and raises the threshold to the size of each fresh block it
+frees.  With exact sizes, which of the two a solve's block came from, and
+a process's peak RSS with it, followed the sizes freed before it; in whole
+granules the sizes fall into a few classes, settled by the first blocks.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from scipy.linalg import lapack
 from .errors import NoConvergence
 
 RESIDUAL_TARGET = 1e-10  # max residual / max right-hand side, row-equilibrated
+GRANULE_BYTES = 8 * 2**20  # the unit an Elimination's block of inverses comes in
 
 
 def stencil(caa, car, crr, ba, br, da: float, hm, hp) -> np.ndarray:
@@ -137,7 +145,8 @@ class Elimination:
         self._band_index = None if n < 3 else \
             np.concatenate([i * n + (i - 1) % n, i * (n + 1), i * n + (i + 1) % n])
         neg_lower = -bands[:, 0, 1, :, None]
-        self.inv = np.empty((n_levels, n, n))
+        per = max(1, GRANULE_BYTES // (8 * n * n))
+        self.inv = np.empty((-(-n_levels // per) * per, n, n))[:n_levels]
         for j in range(n_levels):
             inv = self._invert(j, bands[j], self.inv[j - 1] if j else None, neg_lower[j])
             if inv is None:

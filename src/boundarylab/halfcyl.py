@@ -336,13 +336,20 @@ def solve_conditioned(m: ChartModel, f, grid: HalfCylinderGrid | None = None,
     u = v / h.  The result carries solve_h(m, grid) as h.  _regime is the
     verdict of a caller that has already classified m.
     """
-    grid = grid or conditioned_default_grid()
-    if (_regime or _verdict(m)) is not Verdict.REPELLING:
-        raise WrongRegime("conditioning applies to repelling boundaries only")
-    lower, close, h_solution = _h_sweep(assemble(m, None, Flavor.LIMIT), grid)
-    sol = _cut_solve(lower, close, grid, f, check_truncation)
+    sol, h_solution = _conditioned(m, f, grid, check_truncation, _regime)
     sol.h = h_solution()
     return sol
+
+
+def _conditioned(m: ChartModel, f, grid: HalfCylinderGrid | None, check_truncation: bool,
+                 regime: Verdict | None):
+    """solve_conditioned's result before it carries h, and a function giving that h: a
+    caller that reads ubar alone skips h's cut and solve."""
+    grid = grid or conditioned_default_grid()
+    if (regime or _verdict(m)) is not Verdict.REPELLING:
+        raise WrongRegime("conditioning applies to repelling boundaries only")
+    lower, close, h_solution = _h_sweep(assemble(m, None, Flavor.LIMIT), grid)
+    return _cut_solve(lower, close, grid, f, check_truncation), h_solution
 
 
 def radial_oracle(alpha_c: float, beta_c: float, rho_c: float):

@@ -6,9 +6,11 @@ initial data at the current position otherwise.  Sweeping the evaluation
 time as a function of eps (constant rules against multiples of |ln eps|)
 exhibits the metastable switch: for short times the estimate tracks the
 interior functional of the initial data, past the logarithmic scale it
-approaches the Dirichlet limit.  One simulation per eps serves every rule
-by recording path positions at all requested checkpoint times, which also
-couples the estimates across t (monotone for indicator-type data).
+approaches the Dirichlet limit.  One sampler run serves every eps and rule:
+each eps steps its own rows, which record path positions at its requested
+checkpoint times, and path p reads the same noise stream under every eps.
+The estimates are therefore coupled across t (monotone for indicator-type
+data) and, through common random numbers, across eps.
 """
 
 from __future__ import annotations
@@ -85,39 +87,59 @@ def evolve_mc(spec: StoppedProcessSpec, eps: float, times, start,
     t, so estimates are coupled across times.  t = 0 returns g(start)
     exactly.
     """
-    times = sorted(set(float(t) for t in np.atleast_1d(times)))
+    return _evolve(spec, [(eps, times)], start, params)[0]
+
+
+def _evolve(spec: StoppedProcessSpec, runs, start, params: sde.SimulationParams):
+    """evolve_mc's result for each (eps, times) of runs, from one stacked sampler call.
+
+    Each eps with a positive time gets n_paths rows, which stop one step past
+    its last time; path p reads the same noise stream under every eps, so the
+    estimates are coupled across eps as they are across t.
+    """
     dt = params.dt
-    positive = [t for t in times if t > 0]
-    rounded = [max(dt, round(t / dt) * dt) for t in positive]
+    runs = [(eps, sorted(set(float(t) for t in np.atleast_1d(times)))) for eps, times in runs]
+    # each positive time on the step grid, at least one step
+    rounded = [{t: max(dt, round(t / dt) * dt) for t in times if t > 0} for _, times in runs]
+    sampled = [(eps, sorted(set(r.values()))) for (eps, _), r in zip(runs, rounded) if r]
+    if sampled:
+        cps = [cp for _, cp in sampled]
+        run_params = dataclasses.replace(params, max_time=max(cp[-1] for cp in cps) + dt)
+        batch = sample_exit([spec.operator(eps) for eps, _ in sampled], start, run_params,
+                            checkpoint_times=cps)
+        checkpoints = list(batch.checkpoints)
     results = []
-    if positive:
-        run_params = dataclasses.replace(params, max_time=max(rounded) + dt)
-        op = spec.operator(eps)
-        batch = sample_exit(op, start, run_params, checkpoint_times=rounded)
-        exit_vals = np.where(batch.exited_mask,
-                             np.asarray(spec.psi_d(np.where(batch.exited_mask,
-                                                            batch.exit_theta, 0.0))),
-                             0.0)
-    for t in times:
-        if t <= 0.0:
-            g0 = float(np.asarray(spec.g(np.asarray([start], dtype=float)))[0])
-            results.append((0.0, g0, 0.0))
-            continue
-        k = rounded[positive.index(t)]
-        ci = list(batch.checkpoints).index(k)
-        exited_by_t = batch.exited_mask & (batch.exit_time <= k)
-        vals = np.where(exited_by_t, exit_vals, 0.0)
-        alive = ~exited_by_t
-        if np.any(alive):
-            pos = batch.positions[ci, alive]
-            good = ~np.isnan(pos[:, 0])
-            g_vals = np.zeros(np.count_nonzero(alive))
-            if np.any(good):
-                g_vals[good] = np.asarray(spec.g(pos[good]))
-            vals[alive] = g_vals
-        est = float(np.mean(vals))
-        se = float(np.std(vals, ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
-        results.append((t, est, se))
+    first = 0               # the first row of the next sampled eps
+    for (_, times), on_grid in zip(runs, rounded):
+        if on_grid:
+            rows = slice(first, first + params.n_paths)
+            first += params.n_paths
+            exited, exit_time = batch.exited_mask[rows], batch.exit_time[rows]
+            exit_vals = np.where(exited,
+                                 np.asarray(spec.psi_d(np.where(exited, batch.exit_theta[rows],
+                                                                0.0))),
+                                 0.0)
+        out = []
+        for t in times:
+            if t <= 0.0:
+                g0 = float(np.asarray(spec.g(np.asarray([start], dtype=float)))[0])
+                out.append((0.0, g0, 0.0))
+                continue
+            k = on_grid[t]
+            exited_by_t = exited & (exit_time <= k)
+            vals = np.where(exited_by_t, exit_vals, 0.0)
+            alive = ~exited_by_t
+            if np.any(alive):
+                pos = batch.positions[checkpoints.index(k), rows][alive]
+                good = ~np.isnan(pos[:, 0])
+                g_vals = np.zeros(np.count_nonzero(alive))
+                if np.any(good):
+                    g_vals[good] = np.asarray(spec.g(pos[good]))
+                vals[alive] = g_vals
+            est = float(np.mean(vals))
+            se = float(np.std(vals, ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
+            out.append((t, est, se))
+        results.append(out)
     return results
 
 
@@ -134,10 +156,11 @@ def timescale_sweep(spec: StoppedProcessSpec, eps_list, rules, start,
     """
     if interior_ref is None:
         interior_ref = float(np.asarray(spec.g(np.asarray([start], dtype=float)))[0])
+    eps_list = list(eps_list)
+    runs = _evolve(spec, [(eps, [r.time(eps) for r in rules]) for eps in eps_list], start,
+                   params)
     rows = []
-    for eps in eps_list:
-        times = [r.time(eps) for r in rules]
-        ests = evolve_mc(spec, eps, times, start, params)
+    for eps, ests in zip(eps_list, runs):
         by_time = {round(t, 12): (e, s) for t, e, s in ests}
         for r in rules:
             t = r.time(eps)

@@ -2,10 +2,10 @@
 
 All samplers here and the ambient sampler ``dirichlet.sample_exit`` run
 on one Euler-Maruyama driver, ``_run_paths``: path p of a run draws its
-noise from its own counter-based stream keyed by (seed, p) (Philox),
-consumed in fixed-size blocks, and paths that stop are dropped inside
-and between blocks, so results are bit-identical however paths are
-chunked or scheduled; aggregation always runs in path order.  Each
+noise from its own counter-based stream keyed by (seed, p) (Philox; the
+rows of a stacked run may share a stream), consumed in fixed-size blocks,
+and paths that stop are dropped inside and between blocks, so results are
+bit-identical however paths are chunked or scheduled; aggregation always runs in path order.  Each
 sampler supplies its start state and one step on the Ito form, whose
 coefficients the absorbing samplers evaluate once, at the endpoint.
 A chunk stops stepping once its last path has stopped.  ``simulate``
@@ -143,11 +143,12 @@ def _draw_block(gens):
     return normals, uniforms
 
 
-def _run_paths(params: SimulationParams, n_steps: int, start_state, advance):
+def _run_paths(params: SimulationParams, n_steps: int, start_state, advance, streams=None):
     """The one Euler-Maruyama driver behind every sampler.
 
-    Paths run chunk by chunk.  ``start_state(n)`` returns the state of n fresh
-    paths: a list of arrays whose first axis runs over paths.
+    Paths run chunk by chunk.  ``start_state(pids)`` returns the state of the
+    fresh paths with global ids ``pids``: a list of arrays whose first axis
+    runs over paths.
     ``advance(k, state, noise, uniform, live, pids)`` takes step k (from
     time k dt to (k + 1) dt) on every row with noise (n, 2) and uniforms
     (n,), writes exits and checkpoints into the sampler's own per-path
@@ -160,14 +161,29 @@ def _run_paths(params: SimulationParams, n_steps: int, start_state, advance):
     columns (one copy per drop; a gather per step cost more), and later
     blocks draw noise for live paths only.  A chunk whose rows have all
     stopped takes no further step.
+    By default path p reads stream p.  ``streams`` instead gives each of its
+    rows a stream id, and rows may share one: a block draws each id's noise
+    once, when any of its rows is live, and copies it to those rows, so
+    every row sees the noise its stream alone would give it.
     """
-    for lo in range(0, params.n_paths, params.chunk_size):
-        pids = np.arange(lo, min(lo + params.chunk_size, params.n_paths))
-        gens = _path_generators(params.seed, pids)
-        state = start_state(pids.size)
+    n_rows = params.n_paths if streams is None else streams.size
+    for lo in range(0, n_rows, params.chunk_size):
+        pids = np.arange(lo, min(lo + params.chunk_size, n_rows))
+        if streams is None:
+            slot = None
+            gens = _path_generators(params.seed, pids)
+        else:
+            ids, slot = np.unique(streams[pids], return_inverse=True)
+            gens = _path_generators(params.seed, ids)
+        state = start_state(pids)
         step = 0
         while step < n_steps and pids.size:
-            normals, uniforms = _draw_block([gens[p - lo] for p in pids])
+            if slot is None:
+                normals, uniforms = _draw_block([gens[p - lo] for p in pids])
+            else:
+                drawn, rows = np.unique(slot[pids - lo], return_inverse=True)
+                normals, uniforms = _draw_block([gens[i] for i in drawn])
+                normals, uniforms = normals[rows], uniforms[rows]
             live = np.ones(pids.size, dtype=bool)
             width = min(NOISE_BLOCK, n_steps - step)
             cut = 0             # block columns cut off the noise when rows were dropped
@@ -201,14 +217,18 @@ def _increments(sqdt: float, a11, a12, a22, noise):
 
 
 def _checkpoint_steps(checkpoint_times, dt: float):
-    """Sorted checkpoint times and their step numbers; each must be a positive multiple of dt."""
+    """Sorted checkpoint times, their step numbers, and a map from a step number to the
+    indices of the checkpoints at that step; each time must be a positive multiple of dt."""
     times = np.asarray(sorted(checkpoint_times), dtype=float)
     steps_at = np.round(times / dt).astype(int)
     if np.any(np.abs(steps_at * dt - times) > 1e-9):
         raise ModelError("checkpoint times must be multiples of dt")
     if np.any(steps_at <= 0):
         raise ModelError(f"checkpoint times must be at least dt = {dt}, got {times[0]}")
-    return times, steps_at
+    at_step = {}
+    for c, k in enumerate(steps_at.tolist()):
+        at_step.setdefault(k, []).append(c)
+    return times, steps_at, at_step
 
 
 def _resolve_start(start):
@@ -285,8 +305,9 @@ def simulate(gc: GeneratorCoefficients, start, params: SimulationParams) -> Exit
         exit_time[:] = 0.0
     else:
         _run_paths(params, int(round(params.max_time / dt)),
-                   lambda size: [np.full(size, y0), np.full(size, v0),
-                                 *gc.ito(np.full(size, y0), np.full(size, v0))], advance)
+                   lambda pids: [np.full(pids.size, y0), np.full(pids.size, v0),
+                                 *gc.ito(np.full(pids.size, y0), np.full(pids.size, v0))],
+                   advance)
     return ExitSampleBatch(exit_y=exit_y, exit_time=exit_time, exited_mask=exited,
                            unstable_mask=unstable, n_paths=n, seed=params.seed)
 
@@ -327,7 +348,7 @@ def simulate_boundary(m: ChartModel, start_y: float, params: SimulationParams,
                 sums[name][pids] += fn(wrapped)
         return [y], live
 
-    _run_paths(params, n_steps, lambda size: [np.full(size, float(start_y))], advance)
+    _run_paths(params, n_steps, lambda pids: [np.full(pids.size, float(start_y))], advance)
     hist = counts / counts.sum() / (TWO_PI / bins)
     averages = {}
     for k in observables:
@@ -376,8 +397,9 @@ def attraction_stats(m: ChartModel, starts, horizon: float, params: SimulationPa
             return [y, z, zmin, zmax, frozen], live
 
         _run_paths(params, n_steps,
-                   lambda size: [np.full(size, y0), np.full(size, z0), np.full(size, z0),
-                                 np.full(size, z0), np.zeros(size, dtype=bool)],
+                   lambda pids: [np.full(pids.size, y0), np.full(pids.size, z0),
+                                 np.full(pids.size, z0), np.full(pids.size, z0),
+                                 np.zeros(pids.size, dtype=bool)],
                    advance)
         near = final < near_threshold
         p = float(np.mean(near))
@@ -413,7 +435,7 @@ def martingale_trace(m: ChartModel, report: ClassificationReport, start,
     gap = report.alpha_bar - report.beta_bar
     dt = params.dt
     sqdt = math.sqrt(dt)
-    checkpoints, steps_at = _checkpoint_steps(checkpoint_times, dt)
+    checkpoints, steps_at, at_step = _checkpoint_steps(checkpoint_times, dt)
     n = params.n_paths
     values = np.zeros((checkpoints.size, n))
     h0 = float(psi(y0)) + math.log(zz0)
@@ -438,13 +460,14 @@ def martingale_trace(m: ChartModel, report: ClassificationReport, start,
         y = np.where(live, y_new, y)
         w = np.where(live, w_new, w)
         integral = np.where(live, integral_new, integral)
-        for c in np.flatnonzero(steps_at == k + 1):
+        for c in at_step.get(k + 1, ()):
             h_live = np.asarray(psi(wrap_angle(y))) + w + integral + gap * t_new
             values[c, pids[live]] = h_live[live]
         return [y, w, integral], live
 
     _run_paths(params, int(steps_at.max()),
-               lambda size: [np.full(size, y0), np.full(size, math.log(zz0)), np.zeros(size)],
+               lambda pids: [np.full(pids.size, y0), np.full(pids.size, math.log(zz0)),
+                             np.zeros(pids.size)],
                advance)
     means = values.mean(axis=1)
     stderrs = values.std(axis=1, ddof=1) / math.sqrt(n)

@@ -175,6 +175,11 @@ MALFORMED = [
     ("classify_tilted.json", "model", {"chart": {
         "a": 1.0, "b": 0.0, "beta": 0.0, "alpha": 1.0, "name": float("nan")}},
      "model.chart.name"),
+    # the run joins output_dir to its output root: nothing may lead out of that root
+    ("classify_tilted.json", "output_dir", "/tmp/elsewhere", "output_dir"),
+    ("classify_tilted.json", "output_dir", "../../elsewhere", "output_dir"),
+    ("classify_tilted.json", "output_dir", "runs/../../elsewhere", "output_dir"),
+    ("classify_tilted.json", "output_dir", "runs\\..\\..", "output_dir"),
 ]
 
 

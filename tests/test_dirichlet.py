@@ -1,3 +1,8 @@
+import dataclasses
+import math
+import os
+import sys
+
 import numpy as np
 import pytest
 
@@ -15,6 +20,10 @@ from boundarylab.dirichlet import (
 from boundarylab.errors import ModelError
 from boundarylab.fields import ChartModel, PerturbationSpec
 from boundarylab.geometry import DomainKind, DomainModel
+
+# the benchmark's path-step count, which the stacked sampler must keep exact
+sys.path.append(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "perfbench"))
 
 # a mixed term and a sloped, angle-dependent perturbation: terms the zoo leaves at zero
 MIXED = ChartModel(a=Cosine(1.5, 0.25), b=Fourier(0.1, ((1, 0.0, 0.3),)), alpha=Const(0.75),
@@ -262,3 +271,97 @@ def test_cartesian_and_polar_forms_are_one_operator(zoo, eps):
                                _polar_generator(op, theta, r)):
             scale = np.max(np.abs(polar))
             np.testing.assert_allclose(cart, polar, rtol=1e-12, atol=1e-12 * scale)
+
+
+# three eps whose checkpoint lists end at three different steps, two of them past the
+# first noise block
+STACK_EPS = (0.3, 0.1, 0.05)
+STACK_CHECKPOINTS = ([0.05, 0.3], [0.1, 0.3, 0.6], [0.05, 0.9])
+
+
+def _stacked_run(model, dom, chunk, n_paths=40):
+    comp = default_completions(model)[0]
+    ops = [DiskOperator(model=model, eps=eps, completion=comp, dom=dom) for eps in STACK_EPS]
+    p = sde.SimulationParams(dt=0.002, seed=41, n_paths=n_paths, max_time=0.902,
+                             chunk_size=chunk)
+    return ops, p, sample_exit(ops, (0.55, 0.25), p, checkpoint_times=STACK_CHECKPOINTS)
+
+
+@pytest.mark.parametrize("chunk", [8192, 7])
+@pytest.mark.parametrize("dom", [DomainModel(), DomainModel(
+    kind=DomainKind.ANNULUS, inner_radius=0.3, chart_radius=0.3)], ids=["disk", "annulus"])
+@pytest.mark.parametrize("model", ["D", "mixed"])
+def test_stacked_sample_exit_is_the_per_eps_runs_bit_for_bit(zoo, model, dom, chunk):
+    m = MIXED if model == "mixed" else zoo[model]
+    ops, p, batch = _stacked_run(m, dom, chunk)
+    n = p.n_paths
+    assert batch.exit_time.size == len(ops) * n
+    for e, (op, cps) in enumerate(zip(ops, STACK_CHECKPOINTS)):
+        alone = sample_exit(op, (0.55, 0.25),
+                            dataclasses.replace(p, max_time=cps[-1] + p.dt),
+                            checkpoint_times=cps)
+        rows = slice(e * n, (e + 1) * n)
+        at = [list(batch.checkpoints).index(t) for t in cps]
+        for got, want in ((batch.exit_theta[rows], alone.exit_theta),
+                          (batch.exit_time[rows], alone.exit_time),
+                          (batch.exited_mask[rows], alone.exited_mask),
+                          (batch.exit_inner[rows], alone.exit_inner),
+                          (batch.positions[at, rows], alone.positions)):
+            np.testing.assert_array_equal(np.asarray(got, dtype=float).view(np.int64),
+                                          np.asarray(want, dtype=float).view(np.int64))
+
+
+def _counting_run_paths(monkeypatch, events):
+    """Records, in order, the live rows' stream ids at each block's first step and the
+    stream of every generator each block draws from, and counts the live rows of every step."""
+    run_paths, draw_block = sde._run_paths, sde._draw_block
+
+    def draw(gens):
+        events.append(("drawn", [int(g.bit_generator.state["state"]["key"][1]) for g in gens]))
+        return draw_block(gens)
+
+    def spy(params, n_steps, start_state, advance, streams=None):
+        def counted(k, state, noise, uniform, live, pids):
+            ids = pids if streams is None else streams[pids]
+            if k % sde.NOISE_BLOCK == 0:
+                events.append(("live", ids[live].tolist()))
+            events.append(("steps", int(np.count_nonzero(live))))
+            return advance(k, state, noise, uniform, live, pids)
+        return run_paths(params, n_steps, start_state, counted, streams)
+
+    monkeypatch.setattr(sde, "_draw_block", draw)
+    monkeypatch.setattr(sde, "_run_paths", spy)
+
+
+def test_stacked_rows_censored_at_their_own_horizon_count_the_steps_they_took(
+        zoo, monkeypatch):
+    import instrument
+
+    events = []
+    _counting_run_paths(monkeypatch, events)
+    ops, p, batch = _stacked_run(zoo["D"], DomainModel(), 8192, n_paths=200)
+    n = p.n_paths
+    for e, cps in enumerate(STACK_CHECKPOINTS):
+        rows = slice(e * n, (e + 1) * n)
+        censored = ~batch.exited_mask[rows]
+        assert np.any(censored)
+        assert np.all(batch.exit_time[rows][censored] == cps[-1] + p.dt)
+    taken = sum(v for kind, v in events if kind == "steps")
+    assert instrument.path_steps(batch.exit_time, round(p.max_time / p.dt), p.dt) == taken
+
+
+@pytest.mark.parametrize("chunk", [8192, 7])
+def test_a_stacked_block_draws_each_live_stream_once(zoo, monkeypatch, chunk):
+    events = []
+    _counting_run_paths(monkeypatch, events)
+    # 451 steps: a chunk draws a second block after rows have exited and the shortest
+    # horizon has passed
+    ops, p, batch = _stacked_run(zoo["D"], DomainModel(), chunk)
+    blocks = [v for kind, v in events if kind != "steps"]
+    assert len(blocks) % 2 == 0 and len(blocks) > 2 * math.ceil(len(ops) * p.n_paths / chunk)
+    for drawn, live in zip(blocks[::2], blocks[1::2]):
+        assert drawn == sorted(set(live))
+    if chunk > len(ops) * p.n_paths:
+        # one chunk: every block draws fewer streams than it has live rows
+        assert blocks[0] == list(range(p.n_paths))
+        assert all(len(drawn) < len(live) for drawn, live in zip(blocks[::2], blocks[1::2]))

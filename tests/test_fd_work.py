@@ -84,3 +84,14 @@ def test_conditioned_solution_carries_the_h_of_solve_h(zoo):
     assert np.array_equal(carried.u_grid, sol_h.u_grid)
     assert np.array_equal(carried.z_nodes, sol_h.z_nodes)
     assert carried.truncation_estimate == sol_h.truncation_estimate
+
+
+def test_repelling_limit_value_solves_no_h_it_would_discard(calls, zoo):
+    # the padded h, then the conditioned cut: ubar needs no cut at the grid's top for h
+    grid = halfcyl.HalfCylinderGrid(n_y=32, n_z=200, height=1e13, dz0=0.02)
+    ubar = dirichlet.limit_value(zoo["B-asym"], np.cos, grid)
+    assert calls["elimination"] == 1
+    assert calls["elimination.solve"] == 2
+    assert calls["classify"] == 1
+    assert ubar == halfcyl.solve_conditioned(zoo["B-asym"], np.cos, grid,
+                                             check_truncation=False).ubar

@@ -6,6 +6,7 @@ import pytest
 from boundarylab import parabolic, sde
 from boundarylab.dirichlet import DiskOperator, default_completions, solve_fd
 from boundarylab.errors import ModelError
+from boundarylab.geometry import DomainKind, DomainModel
 from boundarylab.parabolic import StoppedProcessSpec, TimescaleRule, timescale_sweep
 
 
@@ -84,3 +85,31 @@ def test_checkpoints_must_align_with_dt(zoo):
     # times are rounded onto the step grid rather than rejected
     out = parabolic.evolve_mc(spec, 0.2, [0.0011], (0.0, 0.0), p)
     assert out[0][0] == pytest.approx(0.0011)
+
+
+def _bits(values):
+    return np.ascontiguousarray(values, dtype=float).view(np.int64)
+
+
+ANNULUS = DomainModel(kind=DomainKind.ANNULUS, inner_radius=0.3, chart_radius=0.3)
+
+
+@pytest.mark.parametrize("chunk", [8192, 7])
+@pytest.mark.parametrize("dom", [DomainModel(), ANNULUS], ids=["disk", "annulus"])
+def test_sweep_matches_the_per_eps_runs_bit_for_bit(zoo, dom, chunk):
+    # g reads the checkpoint positions and psi_d the exit angles; the log rule gives
+    # each eps its own horizon
+    spec = StoppedProcessSpec(model=zoo["D"], g=lambda x: x[:, 0] + 0.5 * x[:, 1] ** 2,
+                              psi_d=np.cos, dom=dom)
+    rules = [TimescaleRule("const", "const", 0.3), TimescaleRule("log", "log", 0.5)]
+    eps_list = [0.3, 0.1, 0.05]
+    p = sde.SimulationParams(dt=0.005, seed=21, n_paths=40, max_time=2.0, chunk_size=chunk)
+    sweep = timescale_sweep(spec, eps_list, rules, (0.55, 0.25), p, boundary_ref=0.0)
+    assert len({round(r.time(eps) / p.dt) for eps in eps_list for r in rules[1:]}) == 3
+    for eps in eps_list:
+        ref = parabolic.evolve_mc(spec, eps, [r.time(eps) for r in rules], (0.55, 0.25), p)
+        rows = [r for r in sweep.rows if r.eps == eps]
+        assert len(rows) == len(ref) == 2
+        for (t, est, se), row in zip(ref, rows):
+            np.testing.assert_array_equal(_bits([row.rule_time, row.estimate, row.stderr]),
+                                          _bits([t, est, se]))

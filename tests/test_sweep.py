@@ -215,3 +215,11 @@ def test_bad_level_block_raises_a_named_error(fault, level):
         bands[level - 1, 1, 1, 0] = np.nan
     with pytest.raises(NoConvergence, match=f"level {level}"):
         fd.Elimination(bands)
+
+
+def test_inverse_block_comes_in_whole_granules():
+    # exact sizes let the allocator's history choose fresh pages or the heap per block
+    for n_levels, n in [(6, 8), (64, 32), (2050, 32)]:
+        elim = fd.Elimination(_diagonally_dominant(n_levels, n))
+        assert elim.inv.shape == (n_levels, n, n)
+        assert elim.inv.base.nbytes % fd.GRANULE_BYTES == 0

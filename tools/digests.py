@@ -2,9 +2,9 @@
 
 Two trees that print the same lines give the same bits: the artifacts of
 the bundled configs, the operation digests of the benchmark workloads,
-direct runs of every sampler and direct FD solves (cross terms, the
-annulus, transposed solves and the conditioned problem).  A refactor that must keep behaviour is
-checked with one ``diff``:
+direct runs of every sampler and of the time-scale sweep, and direct FD
+solves (cross terms, the annulus, transposed solves and the conditioned
+problem).  A refactor that must keep behaviour is checked with one ``diff``:
 
     python tools/digests.py 1 2 > after.txt      # in the changed tree
     python tools/digests.py 1 2 > before.txt     # in the parent tree (same script)
@@ -30,7 +30,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import numpy as np  # noqa: E402
 
-from boundarylab import config, dirichlet, halfcyl, models, runner, sde  # noqa: E402
+from boundarylab import config, dirichlet, halfcyl, models, parabolic, runner, sde  # noqa: E402
 from boundarylab.classifier import classify  # noqa: E402
 from boundarylab.coefficients import Const, Cosine  # noqa: E402
 from boundarylab.fields import ChartModel, Flavor, PerturbationSpec, assemble  # noqa: E402
@@ -97,7 +97,8 @@ def _exit_batch(b):
 
 
 def direct_digests(seed):
-    """Direct runs of every sampler: both domains, bridge on and off, two chunk sizes."""
+    """Direct runs of every sampler and of the time-scale sweep: both domains, bridge on and
+    off, two chunk sizes."""
     zoo = _models()
     for chunk in CHUNKS:
         def params(**kw):
@@ -147,6 +148,19 @@ def direct_digests(seed):
                                         observables={"alpha": m.alpha, "beta": m.beta})
             yield (f"direct/seed{seed}/chunk{chunk}/simulate_boundary/{mname}",
                    _digest(run.histogram, *[run.averages[k] for k in ("alpha", "beta")]))
+        # three eps with three horizons; g reads the checkpoint positions, psi_d the exit angles
+        rules = [parabolic.TimescaleRule("const", "const", 0.3),
+                 parabolic.TimescaleRule("log", "log", 0.5)]
+        for mname in ("D", "sloped"):
+            for dname, dom in DOMAINS.items():
+                spec = parabolic.StoppedProcessSpec(
+                    model=zoo[mname], g=lambda x: x[:, 0] + 0.5 * x[:, 1] ** 2,
+                    psi_d=np.cos, dom=dom)
+                sweep = parabolic.timescale_sweep(spec, [0.3, 0.1, 0.05], rules, (0.55, 0.25),
+                                                  params(dt=0.005, n_paths=40, max_time=2.0),
+                                                  boundary_ref=0.0)
+                yield (f"direct/seed{seed}/chunk{chunk}/timescale_sweep/{mname}/{dname}",
+                       _digest([[r.rule_time, r.estimate, r.stderr] for r in sweep.rows]))
 
 
 def fd_digests():
