@@ -66,7 +66,9 @@ class Cosine(CoefficientFn):
     phase: float = 0.0
 
     def __call__(self, y):
-        return self.mean + self.amp * np.cos(np.asarray(y, dtype=float) - self.phase)
+        y = np.asarray(y, dtype=float)
+        # at a zero phase, y - phase changes at most the sign of a zero, which cos ignores
+        return self.mean + self.amp * np.cos(y if self.phase == 0.0 else y - self.phase)
 
     def deriv(self, y):
         return -self.amp * np.sin(np.asarray(y, dtype=float) - self.phase)
@@ -83,10 +85,24 @@ class Fourier(CoefficientFn):
     terms: tuple[tuple[int, float, float], ...]
 
     def __call__(self, y):
+        """The series in listed order, with the steps that cannot change a bit skipped.
+
+        Skipped: ``k * y`` at k = 1, a multiply by 1.0, and a zero coefficient
+        whose partner in the term is nonzero.  Adding that zero product
+        changes no bit unless the sum so far is -0.0, which only a -0.0
+        constant starts, and NaN from y reaches the sum through the partner.
+        """
         y = np.asarray(y, dtype=float)
-        out = np.full(y.shape, float(self.constant)) if y.shape else float(self.constant)
+        if not self.terms:
+            return np.full(y.shape, float(self.constant)) if y.shape else float(self.constant)
+        out = float(self.constant)      # broadcast: the bits of the np.full array
+        skip_zero = math.copysign(1.0, out) > 0.0
         for k, ck, sk in self.terms:
-            out = out + ck * np.cos(k * y) + sk * np.sin(k * y)
+            ky = y if k == 1 else k * y
+            if not (skip_zero and ck == 0.0 and sk != 0.0):
+                out = out + _scaled(ck, np.cos(ky))
+            if not (skip_zero and sk == 0.0 and ck != 0.0):
+                out = out + _scaled(sk, np.sin(ky))
         return out
 
     def deriv(self, y):
@@ -102,6 +118,10 @@ class Fourier(CoefficientFn):
             "constant": self.constant,
             "terms": [list(t) for t in self.terms],
         }
+
+
+def _scaled(c: float, values):
+    return values if c == 1.0 else c * values
 
 
 def coefficient_from_config(spec, field: str) -> CoefficientFn:

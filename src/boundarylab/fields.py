@@ -27,6 +27,7 @@ so the Ito diffusion matrix (sigma sigma^T) is twice the C-matrix.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -189,7 +190,9 @@ class GeneratorCoefficients:
     coordinate (z, zz or w).  ``ito`` returns drift plus the Ito diffusion
     matrix entries A = 2C for the path sampler.  Model coefficients are
     read through ``folded``, so a Const costs no array; every entry keeps
-    a term in v, so NaN from an unstable path reaches all of them.
+    a term in v, so NaN from an unstable path reaches all of them.  One
+    call makes that term, the NaN carrier ``0.0 * v``, once and adds it
+    wherever an entry has no other term in v.
     """
 
     model: ChartModel
@@ -198,65 +201,105 @@ class GeneratorCoefficients:
 
     def second_order(self, y, v):
         y, v = _as_arrays(y, v)
-        return self._second_order(y, v, self._decay(y, v))
+        # the flavors whose second-order entries add the carrier
+        zero = 0.0 * v if self.flavor in (Flavor.LOG, Flavor.LIMIT) or self.eps == 0.0 else None
+        return self._second_order(y, v, self._decay(y, v), zero, True)
 
     def first_order(self, y, v):
         y, v = _as_arrays(y, v)
-        return self._first_order(y, v, self._decay(y, v))
+        return self._first_order(y, v, self._decay(y, v), 0.0 * v)
 
     def ito(self, y, v):
         """Drift (by, bv) and Ito diffusion entries (Ayy, Ayv, Avv) = 2C."""
         y, v = _as_arrays(y, v)
-        decay = self._decay(y, v)
-        cyy, cyv, cvv = self._second_order(y, v, decay)
-        by, bv = self._first_order(y, v, decay)
-        return by, bv, 2.0 * cyy, 2.0 * cyv, 2.0 * cvv
+        return self._ito(y, v, True)
+
+    def _ito(self, y, v, cross, e2w=None):
+        """``ito`` on float arrays, the samplers' per-step call.
+
+        With ``cross`` False, Ayv is not built and comes back as None; the
+        samplers pass ``not self.cross_free``.  ``e2w``, when given, is
+        e^(-2v), which a LOG caller has already made.
+        """
+        zero = 0.0 * v
+        decay = self._decay(y, v, e2w)
+        cyy, cyv, cvv = self._second_order(y, v, decay, zero, cross)
+        by, bv = self._first_order(y, v, decay, zero)
+        return by, bv, 2.0 * cyy, None if cyv is None else 2.0 * cyv, 2.0 * cvv
+
+    @property
+    def cross_free(self) -> bool:
+        """Whether a path step may take Ayv as zero and skip it.
+
+        True when d and the remainder's n1 (if any) are ``Const(0.0)``, so
+        Ayv is zero at every finite height, and when a non-finite height
+        makes Ayy NaN as it makes Ayv NaN, so the step's noise keeps the
+        bits of the general Cholesky form.  Ayy carries that NaN through
+        its ``0.0 * v`` term, or, in a perturbed flavor at eps > 0, through
+        the profile 1 + 0·z; a sloped profile is finite at an infinite
+        height, so those flavors then keep the general form.  LIMIT gives
+        Ayv = -0.0 at heights <= -0.0, which the samplers, clipping heights
+        at zero, reach only on rows that have stopped.  A zero detected
+        from ``Const(0.0)`` alone: any other function keeps the general form.
+        """
+        m = self.model
+        if not (_is_plus_zero(m.d) and (m.remainder is None or _is_plus_zero(m.remainder.n1))):
+            return False
+        return self.flavor not in _PERTURBED or self.eps == 0.0 or m.tilde.z_slope == 0.0
 
     def diffusion_vv(self, y, v):
         """Height-height Ito diffusion entry alone (2 Cvv); used by bridge tests."""
         y, v = _as_arrays(y, v)
-        return 2.0 * self._cvv(y, v, self._decay(y, v))
+        # only CHART at eps = 0 adds the carrier to Cvv
+        return 2.0 * self._cvv(y, v, self._decay(y, v), 0.0 * v if self.eps == 0.0 else None)
 
-    def _decay(self, y, v):
+    def _decay(self, y, v, e2w=None):
         """rho e^(-2w), the LOG flavor's share of both orders; None for the others."""
         if self.flavor is Flavor.LOG:
-            return folded(self.model.rho, y) * np.exp(-2.0 * v)
+            return folded(self.model.rho, y) * (np.exp(-2.0 * v) if e2w is None else e2w)
         return None
 
-    def _second_order(self, y, v, decay):
+    def _second_order(self, y, v, decay, zero, cross):
         m = self.model
-        a, d = folded(m.a, y), folded(m.d, y)
-        cvv = self._cvv(y, v, decay)
+        a = folded(m.a, y)
+        d = folded(m.d, y) if cross else None
+        cvv = self._cvv(y, v, decay, zero)
         if self.flavor is Flavor.LOG:
-            return 0.5 * a + 0.0 * v, 0.5 * d + 0.0 * v, cvv
+            return 0.5 * a + zero, (0.5 * d + zero) if cross else None, cvv
         if self.flavor is Flavor.LIMIT:
-            return 0.5 * a + 0.0 * v, 0.5 * v * d, cvv
+            return 0.5 * a + zero, (0.5 * v * d) if cross else None, cvv
         eps = self._eps()
         r = m.remainder
+        cyv = None
         if self.flavor is Flavor.RESCALED:
             z = eps * v
             cyy = 0.5 * a + eps * eps * m.tilde.cyy(y, z)
-            cyv = 0.5 * v * d + eps * m.tilde.cyz(y, z)
+            if cross:
+                cyv = 0.5 * v * d + eps * m.tilde.cyz(y, z)
             if r is not None:
                 cyy = cyy + eps * v * folded(r.k2, y)
-                cyv = cyv + 0.5 * eps * v * v * folded(r.n1, y)
+                if cross:
+                    cyv = cyv + 0.5 * eps * v * v * folded(r.n1, y)
             return cyy, cyv, cvv
         # CHART
         z = v
         if eps == 0.0:
             # the eps^2 terms are zeros: 0.0 * z still carries NaN from z, and
             # + 0.0 still turns -0.0 into +0.0, as adding them did
-            cyy = 0.5 * a + 0.0 * z
-            cyv = 0.5 * z * d + 0.0
+            cyy = 0.5 * a + zero
+            if cross:
+                cyv = 0.5 * z * d + 0.0
         else:
             cyy = 0.5 * a + eps * eps * m.tilde.cyy(y, z)
-            cyv = 0.5 * z * d + eps * eps * m.tilde.cyz(y, z)
+            if cross:
+                cyv = 0.5 * z * d + eps * eps * m.tilde.cyz(y, z)
         if r is not None:
             cyy = cyy + z * folded(r.k2, y)
-            cyv = cyv + 0.5 * z * z * folded(r.n1, y)
+            if cross:
+                cyv = cyv + 0.5 * z * z * folded(r.n1, y)
         return cyy, cyv, cvv
 
-    def _cvv(self, y, v, decay):
+    def _cvv(self, y, v, decay, zero):
         m = self.model
         alpha = folded(m.alpha, y)
         if self.flavor is Flavor.LOG:
@@ -272,14 +315,14 @@ class GeneratorCoefficients:
             return cvv
         # CHART
         z = v
-        cvv = z * z * alpha + (0.0 * z if eps == 0.0 else eps * eps * m.tilde.czz(y, z))
+        cvv = z * z * alpha + (zero if eps == 0.0 else eps * eps * m.tilde.czz(y, z))
         if r is not None:
             cvv = cvv + z ** 3 * folded(r.sigma, y)
         return cvv
 
-    def _first_order(self, y, v, decay):
+    def _first_order(self, y, v, decay, zero):
         m = self.model
-        by = folded(m.b, y) + 0.0 * v
+        by = folded(m.b, y) + zero
         if self.flavor is Flavor.LOG:
             return by, folded(m.beta, y) - folded(m.alpha, y) - decay
         bv = v * folded(m.beta, y)
@@ -302,6 +345,10 @@ class GeneratorCoefficients:
 
 def _as_arrays(y, v):
     return np.asarray(y, dtype=float), np.asarray(v, dtype=float)
+
+
+def _is_plus_zero(fn: CoefficientFn) -> bool:
+    return isinstance(fn, Const) and fn.c == 0.0 and math.copysign(1.0, fn.c) > 0.0
 
 
 def assemble(m: ChartModel, eps: float | None, flavor: Flavor) -> GeneratorCoefficients:

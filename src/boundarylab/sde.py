@@ -46,6 +46,10 @@ class SimulationParams:
     chunk_size: int = 8192
 
     def __post_init__(self):
+        for name in ("dt", "max_time", "wall"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ModelError(f"{name} must be finite, got {value}")
         if self.dt <= 0:
             raise ModelError(f"dt must be > 0, got {self.dt}")
         if self.n_paths < 1:
@@ -123,13 +127,11 @@ class BoundaryRun:
 
 
 def _path_generators(seed: int, path_ids):
-    """One Philox stream per (seed, path)."""
-    gens = []
-    for pid in path_ids:
-        key = np.array([int(seed) & 0xFFFFFFFFFFFFFFFF, int(pid) & 0xFFFFFFFFFFFFFFFF],
-                       dtype=np.uint64)
-        gens.append(np.random.Generator(np.random.Philox(key=key)))
-    return gens
+    """One Philox stream per (seed, path), keyed by the pair; path ids are non-negative."""
+    keys = np.empty((len(path_ids), 2), dtype=np.uint64)
+    keys[:, 0] = int(seed) & 0xFFFFFFFFFFFFFFFF
+    keys[:, 1] = path_ids
+    return [np.random.Generator(np.random.Philox(key=key)) for key in keys]
 
 
 def _draw_block(gens):
@@ -206,12 +208,19 @@ def _run_paths(params: SimulationParams, n_steps: int, start_state, advance, str
 def _increments(sqdt: float, a11, a12, a22, noise):
     """Noise terms of one step of a 2-D path: sqrt(dt) times the Cholesky factor times noise.
 
-    The caller adds its own drift; the order of that sum is part of each
-    sampler's results.
+    ``a12`` None stands for a zero off-diagonal (``GeneratorCoefficients.cross_free``):
+    s2 = 0 / s1 and s3 = sqrt(max(a22, 0)) give the bits of the general form
+    at a12 = +0.0, and s2 keeps NaN from s1 and, through s2 * n1, from the
+    noise.  The caller adds its own drift; the order of that sum is part of
+    each sampler's results.
     """
     s1 = np.sqrt(a11)
-    s2 = a12 / s1
-    s3 = np.sqrt(np.maximum(a22 - s2 * s2, 0.0))
+    if a12 is None:
+        s2 = 0.0 / s1
+        s3 = np.sqrt(np.maximum(a22, 0.0))
+    else:
+        s2 = a12 / s1
+        s3 = np.sqrt(np.maximum(a22 - s2 * s2, 0.0))
     n1, n2 = noise[:, 0], noise[:, 1]
     return sqdt * s1 * n1, sqdt * (s2 * n1 + s3 * n2)
 
@@ -255,11 +264,12 @@ def simulate(gc: GeneratorCoefficients, start, params: SimulationParams) -> Exit
     unstable = np.zeros(n, dtype=bool)
     dt = params.dt
     sqdt = math.sqrt(dt)
+    cross = not gc.cross_free
 
     def advance(k, state, noise, uniform, live, pids):
         # the Ito coefficients at (y, v) ride in the state, made once per step at the endpoint
         y, v, by, bv, ayy, ayv, avv = state
-        noise_y, noise_v = _increments(sqdt, ayy, ayv, avv, noise)
+        noise_y, noise_v = _increments(sqdt, ayy, ayv if cross else None, avv, noise)
         dy = by * dt + noise_y
         dv = bv * dt + noise_v
         guard = 10.0 * np.sqrt(dt * np.maximum(ayy, avv)) + \
@@ -321,6 +331,10 @@ def simulate_boundary(m: ChartModel, start_y: float, params: SimulationParams,
     the time averages of the requested observables use only times past
     burn_in.  Stderrs come from the spread of per-path means.
     """
+    if not burn_in >= 0.0:
+        raise ModelError(f"burn_in must be >= 0, got {burn_in}")
+    if bins < 1:
+        raise ModelError(f"bins must be >= 1, got {bins}")
     n_steps = int(round(params.max_time / params.dt))
     burn_steps = int(round(burn_in / params.dt))
     if burn_steps >= n_steps:
@@ -344,8 +358,10 @@ def simulate_boundary(m: ChartModel, start_y: float, params: SimulationParams,
                 np.minimum((wrapped / TWO_PI * bins).astype(int), bins - 1),
                 minlength=bins,
             )
+            # no path stops, so a chunk's ids stay one contiguous run and a slice adds in place
+            rows = slice(pids[0], pids[0] + pids.size)
             for name, fn in observables.items():
-                sums[name][pids] += fn(wrapped)
+                sums[name][rows] += fn(wrapped)
         return [y], live
 
     _run_paths(params, n_steps, lambda pids: [np.full(pids.size, float(start_y))], advance)
@@ -372,6 +388,7 @@ def attraction_stats(m: ChartModel, starts, horizon: float, params: SimulationPa
     recorded min/max distances.
     """
     gc = assemble(m, eps, Flavor.CHART)
+    cross = not gc.cross_free
     n_steps = int(round(horizon / params.dt))
     dt = params.dt
     sqdt = math.sqrt(dt)
@@ -383,13 +400,13 @@ def attraction_stats(m: ChartModel, starts, horizon: float, params: SimulationPa
 
         def advance(k, state, noise, uniform, live, pids):
             y, z, zmin, zmax, frozen = state
-            by, bz, ayy, ayz, azz = gc.ito(y, z)
+            by, bz, ayy, ayz, azz = gc._ito(y, z, cross)
             noise_y, noise_z = _increments(sqdt, ayy, ayz, azz, noise)
             y = y + by * dt + noise_y
             z_new = np.maximum(z + bz * dt + noise_z, 0.0)
             hit_wall = z_new >= far_wall
             frozen = frozen | hit_wall
-            z = np.where(frozen, np.where(hit_wall, far_wall, z), z_new)
+            z = np.where(frozen, np.where(hit_wall, far_wall, z), z_new) if frozen.any() else z_new
             zmin = np.minimum(zmin, z)
             zmax = np.maximum(zmax, z)
             if k + 1 == n_steps:
@@ -430,11 +447,14 @@ def martingale_trace(m: ChartModel, report: ClassificationReport, start,
     if not lo < zz0 < hi:
         raise ModelError("start height must lie inside the band")
     gc = assemble(m, None, Flavor.LOG)
+    cross = not gc.cross_free
     w_lo, w_hi = math.log(lo), math.log(hi)
     psi = report.corrector_fn()
     gap = report.alpha_bar - report.beta_bar
     dt = params.dt
     sqdt = math.sqrt(dt)
+    if not len(checkpoint_times):
+        raise ModelError("martingale_trace needs at least one checkpoint time")
     checkpoints, steps_at, at_step = _checkpoint_steps(checkpoint_times, dt)
     n = params.n_paths
     values = np.zeros((checkpoints.size, n))
@@ -443,8 +463,9 @@ def martingale_trace(m: ChartModel, report: ClassificationReport, start,
 
     def advance(k, state, noise, uniform, live, pids):
         y, w, integral = state
-        by, bw, ayy, ayw, aww = gc.ito(y, w)
-        integrand = rho_weight * folded(m.rho, rho_angle(y)) * np.exp(-2.0 * w)
+        e2w = np.exp(-2.0 * w)
+        by, bw, ayy, ayw, aww = gc._ito(y, w, cross, e2w)
+        integrand = rho_weight * folded(m.rho, rho_angle(y)) * e2w
         noise_y, noise_w = _increments(sqdt, ayy, ayw, aww, noise)
         y_new = y + by * dt + noise_y
         w_new = w + bw * dt + noise_w

@@ -31,6 +31,18 @@ def test_params_validation():
     for chunk in (0, -5):   # a negative size would run no path and censor them all
         with pytest.raises(ModelError):
             SimulationParams(dt=1e-3, seed=1, n_paths=10, max_time=1.0, chunk_size=chunk)
+    # NaN passes every comparison, an infinite dt runs no step, an infinite max_time overflows
+    for bad in ({"dt": math.nan}, {"dt": math.inf}, {"max_time": math.nan},
+                {"max_time": math.inf}, {"wall": math.nan}, {"wall": math.inf}):
+        with pytest.raises(ModelError, match="must be finite"):
+            SimulationParams(**{"dt": 1e-3, "seed": 1, "n_paths": 10, "max_time": 1.0, **bad})
+
+
+def test_boundary_run_rejects_a_negative_burn_in_and_no_bins(zoo):
+    p = SimulationParams(dt=0.01, seed=1, n_paths=64, max_time=1.0)
+    for kw in ({"burn_in": -0.5}, {"burn_in": math.nan}, {"bins": 0}, {"bins": -3}):
+        with pytest.raises(ModelError):
+            sde.simulate_boundary(zoo["A"], 0.0, p, observables={"one": np.ones_like}, **kw)
 
 
 def test_determinism_across_chunking(zoo):
@@ -213,7 +225,7 @@ def test_a_wall_no_path_reaches_changes_nothing(zoo, chunk):
 
 def test_checkpoints_after_time_zero(zoo, reports):
     p = SimulationParams(dt=1e-3, seed=55, n_paths=8, max_time=0.2)
-    for times in ([0.0, 0.1, 0.2], [-0.1, 0.1], [1e-12, 0.1]):
+    for times in ([0.0, 0.1, 0.2], [-0.1, 0.1], [1e-12, 0.1], []):
         with pytest.raises(ModelError):
             sde.martingale_trace(zoo["A"], reports["A"], (0.0, 5.0), p, band=(1.0, 25.0),
                                  checkpoint_times=times)

@@ -32,7 +32,7 @@ import numpy as np  # noqa: E402
 
 from boundarylab import config, dirichlet, halfcyl, models, parabolic, runner, sde  # noqa: E402
 from boundarylab.classifier import classify  # noqa: E402
-from boundarylab.coefficients import Const, Cosine  # noqa: E402
+from boundarylab.coefficients import Const, Cosine, Fourier  # noqa: E402
 from boundarylab.fields import ChartModel, Flavor, PerturbationSpec, assemble  # noqa: E402
 from boundarylab.geometry import DomainKind, DomainModel, RescaledPoint  # noqa: E402
 
@@ -40,6 +40,10 @@ from boundarylab.geometry import DomainKind, DomainModel, RescaledPoint  # noqa:
 SLOPED = ChartModel(a=Const(1.5), b=Const(-0.25), alpha=Const(0.75), beta=Const(0.5),
                     d=Const(0.3), rho=Const(1.25),
                     tilde=PerturbationSpec(Const(1.25), z_slope=2.0), name="sloped")
+# a phased Cosine and a two-term Fourier series whose zero and unit coefficients and k = 1
+# term the evaluation skips
+PHASED = ChartModel(a=Const(1.0), b=Fourier(0.1, ((1, 0.0, 0.5), (2, 1.0, 0.0))),
+                    alpha=Cosine(1.0, 0.5, phase=0.7), beta=Const(0.5), name="phased")
 DOMAINS = {"disk": DomainModel(),
            "annulus": DomainModel(kind=DomainKind.ANNULUS, inner_radius=0.3,
                                   chart_radius=0.3)}
@@ -48,7 +52,7 @@ CHUNKS = (8192, 7)
 
 def _models():
     return {**{name: models.get_model(name) for name in models.model_names()},
-            "sloped": SLOPED}
+            "sloped": SLOPED, "phased": PHASED}
 
 
 def _digest(*arrays) -> str:
@@ -118,7 +122,7 @@ def direct_digests(seed):
                                f"eps{eps}/bridge{int(bridge)}",
                                _digest(b.exit_theta, b.exit_time, b.exited_mask,
                                        b.exit_inner, b.positions))
-        for mname in ("A", "D", "tilted", "sloped"):
+        for mname in ("A", "D", "tilted", "sloped", "phased"):
             m = zoo[mname]
             for flavor, eps in ((Flavor.LIMIT, None), (Flavor.CHART, 0.1)):
                 gc = assemble(m, eps, flavor)
@@ -129,7 +133,7 @@ def direct_digests(seed):
                         yield (f"direct/seed{seed}/chunk{chunk}/simulate/{mname}/"
                                f"{flavor.name}/wall{wall}/bridge{int(bridge)}",
                                _exit_batch(sde.simulate(gc, (0.3, 0.4), p)))
-        for mname in ("A", "D", "tilted"):
+        for mname in ("A", "D", "tilted", "sloped", "phased"):
             m = zoo[mname]
             rep = classify(m, grid_size=256)
             t = sde.martingale_trace(m, rep, (0.3, 2.0), params(dt=0.002, n_paths=30,
