@@ -57,6 +57,12 @@ def folded(fn: CoefficientFn, y):
     return float(fn.c) if isinstance(fn, Const) else fn(y)
 
 
+def is_plus_zero(fn: CoefficientFn) -> bool:
+    """Whether fn is ``Const(+0.0)``: a term it multiplies is a zero that per-step
+    callers may skip.  ``Const(-0.0)`` is not one, nor is any other function."""
+    return isinstance(fn, Const) and fn.c == 0.0 and math.copysign(1.0, fn.c) > 0.0
+
+
 @dataclass(frozen=True)
 class Cosine(CoefficientFn):
     """mean + amp * cos(y - phase)"""

@@ -243,7 +243,7 @@ def _validate_attraction(num: dict) -> dict:
     starts = num.get("starts")
     _expect(isinstance(starts, list) and starts, "numerics.starts",
             "expected a non-empty list of [y, z] starts")
-    return {
+    out = {
         "starts": [tuple(_numbers(s, f"numerics.starts[{i}]", "[y, z]", 2))
                    for i, s in enumerate(starts)],
         "horizon": _get_number(num, "numerics", "horizon", positive=True),
@@ -252,6 +252,10 @@ def _validate_attraction(num: dict) -> dict:
                                 positive=True),
         "mc": _parse_mc(num.get("mc"), "numerics.mc"),
     }
+    for i, (_, z) in enumerate(out["starts"]):
+        _expect(0.0 <= z <= out["far_wall"], f"numerics.starts[{i}]",
+                f"start height {z} must lie in [0, far_wall = {out['far_wall']}]")
+    return out
 
 
 @_kind("martingale", ("band", "start", "checkpoints", "mc"))
@@ -339,6 +343,9 @@ def parse_config(obj) -> ExperimentConfig:
     keys, validate = _KIND_VALIDATORS[experiment]
     _only(numerics, "numerics", keys)
     validated = validate(numerics)
+    for field, point in _domain_points(experiment, validated):
+        _expect(dom.contains(*point), field,
+                f"point {list(point)} lies outside the closed {dom.kind.value}")
     known = {"version", "experiment", "seed", "output_dir", "model", "domain",
              "numerics"}
     extra = sorted(set(obj) - known)
@@ -346,6 +353,15 @@ def parse_config(obj) -> ExperimentConfig:
         raise ConfigError(extra[0], "unknown top-level key")
     return ExperimentConfig(experiment=experiment, seed=seed, output_dir=output_dir,
                             model=model, dom=dom, numerics=validated, raw=obj)
+
+
+def _domain_points(experiment: str, num: dict):
+    """(field, point) for every point of the domain that a validated block names."""
+    if experiment == "dirichlet-convergence":
+        return [(f"numerics.probes[{i}]", p) for i, p in enumerate(num["probes"])]
+    if experiment == "timescale":
+        return [("numerics.start", num["start"])]
+    return []
 
 
 def _boundary_data(num: dict):

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import sde
 from .classifier import Verdict, classify
-from .coefficients import folded
+from .coefficients import Const, folded, is_plus_zero
 from .errors import ExtensionUndefined, ModelError, NoConvergence
 from .fd import Elimination, band_dot, boundary_values, stencil
 from .fields import ChartModel
@@ -69,6 +69,16 @@ class DiskOperator:
             raise ModelError("eps must be >= 0")
         if self.dom is None:
             object.__setattr__(self, "dom", DomainModel())
+        # cartesian_ito's terms, decided once: a multiply by a Const(1.0) a goes, and so do
+        # the terms of A that a Const(+0.0) d makes zeros.  The drift's terms of b, beta and
+        # d go only together, all three Const(+0.0), and one + 0.0 then gives the full
+        # sum's zero sign, since that sum is never -0.0 where a >= 0; with one of them
+        # kept, a zero drift's sign would follow the kept term.  A Const(-0.0) keeps its terms.
+        m = self.model
+        object.__setattr__(self, "_terms", (
+            isinstance(m.a, Const) and m.a.c == 1.0,
+            not is_plus_zero(m.d),
+            not (is_plus_zero(m.b) and is_plus_zero(m.beta) and is_plus_zero(m.d))))
 
     # ramp: 1 inside z <= delta/2, 0 outside z >= delta
     def chart_weight(self, z):
@@ -106,8 +116,10 @@ class DiskOperator:
         the caller has already computed; every result is an array of their
         shape.  eps2, when given, is eps^2 point by point (an array of that
         shape), in place of this operator's own: the stacked sampler steps
-        operators that differ in eps alone.
+        operators that differ in eps alone.  The terms that the model's
+        ``Const`` coefficients make exact are skipped (see ``_terms``).
         """
+        unit_a, with_d, with_drift = self._terms
         r_safe = np.maximum(r, 1e-12)
         z = 1.0 - r
         theta = np.arctan2(x2, x1)
@@ -117,34 +129,41 @@ class DiskOperator:
         pert = (self.eps ** 2 if eps2 is None else eps2) * m.tilde.czz(theta, z)
         iso = 2.0 * ((1.0 - chi) * s + pert)  # Ito diffusion of (scale*Laplacian)
 
-        a = folded(m.a, theta)
-        alpha = folded(m.alpha, theta)
-        beta = folded(m.beta, theta)
-        b = folded(m.b, theta)
-        dmix = folded(m.d, theta)
-
         cos_t = x1 / r_safe
         sin_t = x2 / r_safe
-        # chart (y, z) Ito data: A = [[a, z d], [z d, 2 z^2 alpha]], b = (b, z beta)
-        ayy = a
-        ayz = z * dmix
-        ayz2 = 2.0 * ayz
-        azz = 2.0 * z * z * alpha
-        # push forward through x = (1 - z)(cos y, sin y)
+        # chart (y, z) Ito data A = [[a, z d], [z d, 2 z^2 alpha]], b = (b, z beta), pushed
+        # forward through x = (1 - z)(cos y, sin y)
         neg_r = -r
         xy1, xy2 = neg_r * sin_t, r * cos_t       # dx/dy
         xz1, xz2 = -cos_t, -sin_t                 # dx/dz
-        a11 = ayy * xy1 * xy1 + ayz2 * xy1 * xz1 + azz * xz1 * xz1
-        a12 = ayy * xy1 * xy2 + ayz * (xy1 * xz2 + xy2 * xz1) + azz * xz1 * xz2
-        a22 = ayy * xy2 * xy2 + ayz2 * xy2 * xz2 + azz * xz2 * xz2
+        a = folded(m.a, theta)
+        ay1 = xy1 if unit_a else a * xy1          # a x_y1, shared by A11, A12 and b2
+        azz = 2.0 * z * z * folded(m.alpha, theta)
+        az1 = azz * xz1                           # shared by A11 and A12
+        a11 = ay1 * xy1
+        a12 = ay1 * xy2
+        a22 = xy2 * xy2 if unit_a else a * xy2 * xy2
+        if with_drift:
+            ayz = z * folded(m.d, theta)
+            ayz2 = 2.0 * ayz
+        if with_d:
+            a11 = a11 + ayz2 * xy1 * xz1
+            a12 = a12 + ayz * (xy1 * xz2 + xy2 * xz1)
+            a22 = a22 + ayz2 * xy2 * xz2
+        a11 = chi * (a11 + az1 * xz1) + iso
+        a12 = chi * (a12 + az1 * xz2)
+        a22 = chi * (a22 + azz * xz2 * xz2) + iso
         # drift pushforward: b_y x_y + b_z x_z + 1/2 (A_yy x_yy + 2 A_yz x_yz), where
         # x_yy = (-r cos y, x_y1) and x_yz = (sin y, x_z1)
-        bz = z * beta
-        b1 = b * xy1 + bz * xz1 + 0.5 * (ayy * (neg_r * cos_t) + ayz2 * sin_t)
-        b2 = b * xy2 + bz * xz2 + 0.5 * (ayy * xy1 + ayz2 * xz1)
-        a11 = chi * a11 + iso
-        a12 = chi * a12
-        a22 = chi * a22 + iso
+        ar = neg_r * cos_t if unit_a else a * (neg_r * cos_t)
+        if with_drift:
+            b = folded(m.b, theta)
+            bz = z * folded(m.beta, theta)
+            b1 = b * xy1 + bz * xz1 + 0.5 * (ar + ayz2 * sin_t)
+            b2 = b * xy2 + bz * xz2 + 0.5 * (ay1 + ayz2 * xz1)
+        else:
+            b1 = 0.5 * ar + 0.0
+            b2 = 0.5 * ay1 + 0.0
         ann = a11 * cos_t * cos_t + 2.0 * a12 * cos_t * sin_t + a22 * sin_t * sin_t
         return chi * b1, chi * b2, a11, a12, a22, ann
 
@@ -195,7 +214,12 @@ class DirichletSolution:
     probe_values: dict
 
     def probe(self, x1: float, x2: float) -> float:
+        """The solution at (x1, x2), interpolated between rings and angles; a point off
+        the solved rings (outside the closed domain) is a ``ModelError``."""
         r = math.hypot(x1, x2)
+        if not self.r_nodes[0] <= r <= self.r_nodes[-1]:
+            raise ModelError(f"probe ({x1}, {x2}) lies outside the closed domain, "
+                             f"radii [{self.r_nodes[0]}, {self.r_nodes[-1]}]")
         theta = wrap_angle(math.atan2(x2, x1))
         rn = self.r_nodes
         if self.pole_value is not None and r <= rn[1]:
@@ -303,8 +327,10 @@ def sample_exit(op: DiskOperator | list[DiskOperator], start, params: sde.Simula
                 checkpoint_times=None) -> AmbientExitBatch:
     """Euler-Maruyama exit sampling of the ambient process from one start.
 
-    Absorption on the outer (and annulus inner) circle uses the endpoint
-    crossing with linear interpolation plus the distance-to-circle
+    The start must lie in the closed domain (``ModelError`` otherwise; the
+    annulus hole is outside).  Absorption on the outer circle, and on the
+    annulus inner circle, uses the endpoint crossing with linear
+    interpolation; the outer circle alone adds the distance-to-circle
     Brownian-bridge test.  Optional checkpoints record path positions at
     fixed times (NaN once a path has exited).  The step works on the two
     coordinates as separate arrays: each step makes one ``cartesian_ito``
@@ -331,6 +357,8 @@ def sample_exit(op: DiskOperator | list[DiskOperator], start, params: sde.Simula
         ops, horizons, checkpoint_times = _stack(list(op), checkpoint_times, dt, n_steps)
         op = ops[0]
     dom = op.dom
+    if not dom.contains(*x0):
+        raise ModelError(f"start {tuple(x0.tolist())} lies outside the closed {dom.kind.value}")
     inner_r = dom.inner_radius if dom.kind is DomainKind.ANNULUS else None
     rows = n * len(ops)
     cp = None
@@ -364,12 +392,13 @@ def sample_exit(op: DiskOperator | list[DiskOperator], start, params: sde.Simula
     def start_state(pids):
         x1, x2 = np.full(pids.size, x0[0]), np.full(pids.size, x0[1])
         r = np.sqrt(x1 * x1 + x2 * x2)
-        return [x1, x2, r, *ito(x1, x2, r, pids)]
+        return [x1, x2, np.maximum(1.0 - r, 0.0), *ito(x1, x2, r, pids)]
 
     def advance(k, state, noise, uniform, live, pids):
-        # |x| and the coefficients at x, with their radial entry for the bridge test,
-        # ride in the state, made once at the endpoint
-        x1, x2, r, b1, b2, a11, a12, a22, ann = state
+        # the clipped distance to the outer circle max(1 - |x|, 0) and the coefficients
+        # at x, with their radial entry for the bridge test, ride in the state, made once
+        # at the endpoint
+        x1, x2, zc, b1, b2, a11, a12, a22, ann = state
         noise1, noise2 = sde._increments(sqdt, a11, a12, a22, noise)
         x1_new = x1 + (b1 * dt + noise1)
         x2_new = x2 + (b2 * dt + noise2)
@@ -391,14 +420,12 @@ def sample_exit(op: DiskOperator | list[DiskOperator], start, params: sde.Simula
                 exit_theta[g] = wrap_angle(np.arctan2(c2 + frac * d2, c1 + frac * d1))
                 live = live & ~crossed
         coeffs = ito(x1_new, x2_new, r_new, pids)
+        zc_new = zc
         if params.bridge_absorption:
-            ann_end = coeffs[5]
-            z_old = 1.0 - r
-            z_new = 1.0 - r_new
+            zc_new = np.maximum(1.0 - r_new, 0.0)
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                p_hit = np.exp(-4.0 * np.maximum(z_old, 0.0) * np.maximum(z_new, 0.0)
-                               / ((ann + ann_end) * dt))
-            hit = live & (z_new > 0.0) & (uniform < p_hit)
+                p_hit = np.exp(-4.0 * zc * zc_new / ((ann + coeffs[5]) * dt))
+            hit = live & (zc_new > 0.0) & (uniform < p_hit)
             if np.count_nonzero(hit):
                 g = pids[hit]
                 exited[g] = True
@@ -406,17 +433,15 @@ def sample_exit(op: DiskOperator | list[DiskOperator], start, params: sde.Simula
                 exit_theta[g] = wrap_angle(np.arctan2(0.5 * (x2[hit] + x2_new[hit]),
                                                       0.5 * (x1[hit] + x1_new[hit])))
                 live = live & ~hit
-        x1 = np.where(live, x1_new, x1)
-        x2 = np.where(live, x2_new, x2)
         if cp is not None:
             for c in cp_at.get(k + 1, ()):
                 g = pids[live]
-                positions[c, g, 0] = x1[live]
-                positions[c, g, 1] = x2[live]
+                positions[c, g, 0] = x1_new[live]
+                positions[c, g, 1] = x2_new[live]
         for e in stop_at.get(k + 1, ()):
             live = live & (pids // n != e)
-        return [x1, x2, np.where(live, r_new, r),
-                *[np.where(live, new, old) for new, old in zip(coeffs, state[3:])]], live
+        # a stopped row steps on unread until the driver drops it
+        return [x1_new, x2_new, zc_new, *coeffs], live
 
     sde._run_paths(params, n_steps, start_state, advance, streams)
     return AmbientExitBatch(exit_theta=exit_theta, exit_time=exit_time,

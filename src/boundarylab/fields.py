@@ -27,13 +27,19 @@ so the Ito diffusion matrix (sigma sigma^T) is twice the C-matrix.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import geometry
-from .coefficients import CoefficientFn, Const, coefficient_from_config, finite_number, folded
+from .coefficients import (
+    CoefficientFn,
+    Const,
+    coefficient_from_config,
+    finite_number,
+    folded,
+    is_plus_zero,
+)
 from .errors import (
     ConfigError,
     ExtrapolationUnstable,
@@ -243,7 +249,7 @@ class GeneratorCoefficients:
         from ``Const(0.0)`` alone: any other function keeps the general form.
         """
         m = self.model
-        if not (_is_plus_zero(m.d) and (m.remainder is None or _is_plus_zero(m.remainder.n1))):
+        if not (is_plus_zero(m.d) and (m.remainder is None or is_plus_zero(m.remainder.n1))):
             return False
         return self.flavor not in _PERTURBED or self.eps == 0.0 or m.tilde.z_slope == 0.0
 
@@ -345,10 +351,6 @@ class GeneratorCoefficients:
 
 def _as_arrays(y, v):
     return np.asarray(y, dtype=float), np.asarray(v, dtype=float)
-
-
-def _is_plus_zero(fn: CoefficientFn) -> bool:
-    return isinstance(fn, Const) and fn.c == 0.0 and math.copysign(1.0, fn.c) > 0.0
 
 
 def assemble(m: ChartModel, eps: float | None, flavor: Flavor) -> GeneratorCoefficients:

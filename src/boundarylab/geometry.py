@@ -58,6 +58,11 @@ class DomainModel:
                     "chart_radius too large: charts of the two boundary circles overlap"
                 )
 
+    def contains(self, x1: float, x2: float) -> bool:
+        """Whether (x1, x2) lies in the closed domain; the annulus hole is outside it."""
+        r = math.hypot(x1, x2)
+        return self.inner_radius <= r <= 1.0 if self.kind is DomainKind.ANNULUS else r <= 1.0
+
 
 @dataclass(frozen=True)
 class RescaledPoint:

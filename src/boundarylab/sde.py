@@ -154,10 +154,12 @@ def _run_paths(params: SimulationParams, n_steps: int, start_state, advance, str
     ``advance(k, state, noise, uniform, live, pids)`` takes step k (from
     time k dt to (k + 1) dt) on every row with noise (n, 2) and uniforms
     (n,), writes exits and checkpoints into the sampler's own per-path
-    arrays through the global path ids ``pids``, keeps the state of the
-    rows that stop frozen, and returns the new state and live mask: the
-    very ``live`` it was given (not modified in place) when no row stopped,
-    which spares the driver a recount.
+    arrays through the global path ids ``pids``, and returns the new state
+    and live mask: the very ``live`` it was given (not modified in place)
+    when no row stopped, which spares the driver a recount.  The state of a
+    stopped row is undefined until the driver drops it: ``advance`` may step
+    it on, so it masks every write of exits and checkpoints by ``live``, and
+    no run reads it.
     Stopped rows are dropped once 1/DROP_SHARE of a block's rows have stopped,
     and at its end; a drop inside a block keeps the survivors' unread noise
     columns (one copy per drop; a gather per step cost more), and later
@@ -292,7 +294,7 @@ def simulate(gc: GeneratorCoefficients, start, params: SimulationParams) -> Exit
             live = live & ~crossed
         if params.bridge_absorption:
             # endpoint-averaged diffusion keeps the crossing test O(dt)
-            with np.errstate(over="ignore", divide="ignore"):
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
                 p_hit = np.exp(-4.0 * np.maximum(v, 0.0) *
                                np.maximum(v_new, 0.0) / ((avv + coeffs[4]) * dt))
             hit = live & (v_new > 0.0) & (uniform < p_hit)
@@ -307,7 +309,7 @@ def simulate(gc: GeneratorCoefficients, start, params: SimulationParams) -> Exit
             if np.count_nonzero(over):
                 exit_time[pids[over]] = t_now + dt
                 live = live & ~over
-        return [np.where(live, new, old) for new, old in zip((y_new, v_new, *coeffs), state)], live
+        return [y_new, v_new, *coeffs], live
 
     if v0 <= 0.0:
         exited[:] = True
@@ -384,9 +386,14 @@ def attraction_stats(m: ChartModel, starts, horizon: float, params: SimulationPa
 
     Paths run the CHART flavor (eps = 0 unless overridden) for the horizon;
     a path wandering beyond far_wall is frozen there and counted as not
-    near.  Returns one row per start with the near fraction and the
+    near.  Every start height must lie in [0, far_wall] (``ModelError``
+    otherwise).  Returns one row per start with the near fraction and the
     recorded min/max distances.
     """
+    starts = [_resolve_start(start) for start in starts]
+    for _, z0 in starts:
+        if not 0.0 <= z0 <= far_wall:
+            raise ModelError(f"start height {z0} must lie in [0, far_wall = {far_wall}]")
     gc = assemble(m, eps, Flavor.CHART)
     cross = not gc.cross_free
     n_steps = int(round(horizon / params.dt))
@@ -394,8 +401,7 @@ def attraction_stats(m: ChartModel, starts, horizon: float, params: SimulationPa
     sqdt = math.sqrt(dt)
     n = params.n_paths
     rows = []
-    for start in starts:
-        y0, z0 = _resolve_start(start)
+    for y0, z0 in starts:
         final, mins, maxs = np.full(n, z0), np.full(n, z0), np.full(n, z0)
 
         def advance(k, state, noise, uniform, live, pids):
@@ -478,18 +484,18 @@ def martingale_trace(m: ChartModel, report: ClassificationReport, start,
                 np.asarray(psi(wrap_angle(y_new[out]))) + w_new[out]
                 + integral_new[out] + gap * t_new)
             live = live & ~out
-        y = np.where(live, y_new, y)
-        w = np.where(live, w_new, w)
-        integral = np.where(live, integral_new, integral)
         for c in at_step.get(k + 1, ()):
-            h_live = np.asarray(psi(wrap_angle(y))) + w + integral + gap * t_new
-            values[c, pids[live]] = h_live[live]
-        return [y, w, integral], live
+            values[c, pids[live]] = (np.asarray(psi(wrap_angle(y_new[live]))) + w_new[live]
+                                     + integral_new[live] + gap * t_new)
+        return [y_new, w_new, integral_new], live
 
-    _run_paths(params, int(steps_at.max()),
-               lambda pids: [np.full(pids.size, y0), np.full(pids.size, math.log(zz0)),
-                             np.zeros(pids.size)],
-               advance)
+    # a row below the band keeps stepping, unread, until the driver drops it, and there
+    # e^(-2w) may overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        _run_paths(params, int(steps_at.max()),
+                   lambda pids: [np.full(pids.size, y0), np.full(pids.size, math.log(zz0)),
+                                 np.zeros(pids.size)],
+                   advance)
     means = values.mean(axis=1)
     stderrs = values.std(axis=1, ddof=1) / math.sqrt(n)
     return MartingaleTrace(times=checkpoints, values=means, stderrs=stderrs,

@@ -175,6 +175,11 @@ MALFORMED = [
     ("classify_tilted.json", "model", {"chart": {
         "a": 1.0, "b": 0.0, "beta": 0.0, "alpha": 1.0, "name": float("nan")}},
      "model.chart.name"),
+    # a point outside the closed domain, and an attraction start outside [0, far_wall]
+    ("model_d_convergence.json", "probes", [[0.0, 0.0], [1.5, 0.0]], "numerics.probes[1]"),
+    ("timescale_a.json", "start", [0.0, -1.2], "numerics.start"),
+    ("attraction_a.json", "starts", [[0.0, -1.0]], "numerics.starts[0]"),
+    ("attraction_a.json", "starts", [[0.0, 0.3], [0.0, 60.0]], "numerics.starts[1]"),
     # the run joins output_dir to its output root: nothing may lead out of that root
     ("classify_tilted.json", "output_dir", "/tmp/elsewhere", "output_dir"),
     ("classify_tilted.json", "output_dir", "../../elsewhere", "output_dir"),
@@ -193,6 +198,16 @@ def test_validate_rejects_what_run_would_reject(tmp_path, capsys, name, key, val
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"]["type"] == "ConfigError"
     assert err["error"]["field"] == field
+
+
+def test_a_start_in_the_annulus_hole_names_the_field():
+    raw = load("timescale_a.json")
+    raw["domain"] = {"kind": "annulus", "inner_radius": 0.3, "chart_radius": 0.3}
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw)
+    assert err.value.field == "numerics.start"
+    raw["numerics"]["start"] = [0.5, 0.0]
+    parse_config(raw)
 
 
 def test_domain_block_rejects_a_key_it_does_not_read():

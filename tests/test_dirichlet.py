@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from boundarylab import dirichlet, sde
+from boundarylab import dirichlet, parabolic, sde
 from boundarylab.coefficients import Const, Cosine, Fourier
 from boundarylab.dirichlet import (
     DiskOperator,
@@ -212,6 +212,44 @@ def test_annulus_mc_needs_inner_data(zoo, monkeypatch):
     monkeypatch.setattr(dirichlet, "sample_exit", no_sampling)
     with pytest.raises(ModelError, match="inner boundary data"):
         solve_mc(op, np.cos, (0.5, 0.0), p)
+
+
+ANNULUS = DomainModel(kind=DomainKind.ANNULUS, inner_radius=0.4, chart_radius=0.25)
+
+
+@pytest.mark.parametrize("dom, point", [
+    (DomainModel(), (1.5, 0.0)), (DomainModel(), (0.0, -1.0 - 1e-9)),
+    (DomainModel(), (math.nan, 0.0)), (ANNULUS, (1.2, 0.0)),
+    (ANNULUS, (0.1, 0.1)), (ANNULUS, (0.0, 0.0))])   # the annulus hole is outside
+def test_points_outside_the_closed_domain_are_rejected(zoo, dom, point):
+    comp = default_completions(zoo["D"])[0]
+    op = DiskOperator(model=zoo["D"], eps=0.2, completion=comp, dom=dom)
+    p = sde.SimulationParams(dt=5e-3, seed=1, n_paths=8, max_time=1.0)
+    inner = None if dom.kind is DomainKind.DISK else np.sin
+    spec = parabolic.StoppedProcessSpec(model=zoo["D"], g=lambda x: x[:, 0], psi_d=np.cos,
+                                        dom=dom)
+    sol = solve_fd(op, np.cos, n_theta=32, psi_inner=inner)
+    for run in (lambda: sample_exit(op, point, p),
+                lambda: sample_exit([op, dataclasses.replace(op, eps=0.1)], point, p,
+                                    checkpoint_times=[[0.5], [0.5]]),
+                lambda: solve_mc(op, np.cos, point, p, psi_inner=inner),
+                lambda: parabolic.timescale_sweep(
+                    spec, [0.2], [parabolic.TimescaleRule("c", "const", 0.5)], point, p,
+                    boundary_ref=0.0),
+                lambda: sol.probe(*point)):
+        with pytest.raises(ModelError, match="outside the closed"):
+            run()
+
+
+@pytest.mark.parametrize("dom, point", [(DomainModel(), (1.0, 0.0)), (DomainModel(), (0.0, 0.0)),
+                                        (ANNULUS, (0.0, -0.4)), (ANNULUS, (-1.0, 0.0))])
+def test_points_on_the_boundary_are_inside_the_closed_domain(zoo, dom, point):
+    comp = default_completions(zoo["D"])[0]
+    op = DiskOperator(model=zoo["D"], eps=0.2, completion=comp, dom=dom)
+    inner = None if dom.kind is DomainKind.DISK else np.sin
+    sol = solve_fd(op, np.cos, n_theta=32, psi_inner=inner)
+    assert -1.0 <= sol.probe(*point) <= 1.0
+    sample_exit(op, point, sde.SimulationParams(dt=5e-3, seed=1, n_paths=8, max_time=0.1))
 
 
 def test_eps_list_must_decrease(zoo):

@@ -27,10 +27,15 @@ REMAINDER_MODEL = ChartModel(
                         sigma=Const(0.05)),
     name="remainder")
 
+# a = Const(1.0), whose multiplies the disk operator skips, and b, beta and d Const(-0.0):
+# unlike a +0.0, a -0.0 keeps the terms it multiplies
+SIGNED_ZERO_MODEL = ChartModel(a=Const(1.0), b=Const(-0.0), alpha=Const(0.75),
+                               beta=Const(-0.0), d=Const(-0.0), name="signed-zero")
+
 
 @pytest.fixture(scope="module")
 def models(zoo):
-    return {**zoo, "remainder": REMAINDER_MODEL}
+    return {**zoo, "remainder": REMAINDER_MODEL, "signed-zero": SIGNED_ZERO_MODEL}
 
 
 def _unfolded(fn):
@@ -112,6 +117,11 @@ def test_disk_operator_matches_the_unfolded_twin(models):
             norm = np.linalg.norm(x, axis=-1)
             for left, right in zip(op.cartesian_ito(x1, x2, norm),
                                    ot.cartesian_ito(x1, x2, norm)):
+                assert_same_bits(left, right)
+            # the stacked sampler's per-point eps^2, a zero among them
+            eps2 = np.linspace(0.0, 0.09, norm.size)
+            for left, right in zip(op.cartesian_ito(x1, x2, norm, eps2=eps2),
+                                   ot.cartesian_ito(x1, x2, norm, eps2=eps2)):
                 assert_same_bits(left, right)
             for left, right in zip(op.polar_coefficients(theta, r),
                                    ot.polar_coefficients(theta, r)):

@@ -147,6 +147,77 @@ def test_chunk_invariance_when_most_paths_stop_inside_the_first_block(run, zoo):
             np.testing.assert_array_equal(a, b)
 
 
+def _stacked_sample_exit(zoo, reports, chunk):
+    comp = dirichlet.default_completions(zoo["D"])[0]
+    ops = [dirichlet.DiskOperator(model=zoo["D"], eps=eps, completion=comp) for eps in (0.3, 0.1)]
+    p = SimulationParams(dt=2e-3, seed=129, n_paths=60, max_time=1.0, chunk_size=chunk)
+    b = dirichlet.sample_exit(ops, (0.5, 0.3), p, checkpoint_times=[[0.2], [0.4, 0.9]])
+    return b.exited_mask, (b.exit_theta, b.exit_time, b.exited_mask, b.positions)
+
+
+def _chart_simulate(zoo, reports, chunk):
+    # at eps = 0 the height diffusion vanishes on the boundary, where a row that an outlier
+    # step took across it sits on
+    p = SimulationParams(dt=2e-3, seed=130, n_paths=60, max_time=1.0, wall=1.5,
+                         chunk_size=chunk)
+    b = sde.simulate(assemble(zoo["A"], 0.0, Flavor.CHART), (0.3, 0.2), p)
+    return b.exited_mask, (b.exit_y, b.exit_time, b.exited_mask, b.unstable_mask)
+
+
+def _deep_martingale(zoo, reports, chunk):
+    # a row that leaves this band below steps on into heights where e^(-2w) overflows
+    p = SimulationParams(dt=1e-3, seed=131, n_paths=60, max_time=1.0, chunk_size=chunk)
+    tr = sde.martingale_trace(zoo["A"], reports["A"], (0.3, 5.0), p, band=(1.0, 25.0),
+                              checkpoint_times=[0.3, 1.0])
+    return None, (tr.values, tr.stderrs)
+
+
+STOPPING_SAMPLERS = {
+    "simulate": _run_simulate,
+    "simulate-chart": _chart_simulate,
+    "martingale_trace": _run_martingale,
+    "martingale_trace-deep": _deep_martingale,
+    "sample_exit-disk": CHUNKED_SAMPLERS["sample_exit-disk"],
+    "sample_exit-annulus": CHUNKED_SAMPLERS["sample_exit-annulus"],
+    "sample_exit-stacked": _stacked_sample_exit,
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("sampler", sorted(STOPPING_SAMPLERS))
+def test_stopped_rows_are_never_read(sampler, zoo, reports, monkeypatch):
+    # a stopped row's state is undefined until the driver drops it: in the step it stops
+    # (10**9), once half of a block's rows have stopped (2), or only when all have or at
+    # the block's end (1); each block's first row takes a -40 sigma first step, so some
+    # rows stop far outside
+    orig = sde._draw_block
+
+    def spiked(gens):
+        normals, uniforms = orig(gens)
+        normals[0, 0, 1] = -40.0
+        return normals, uniforms
+
+    monkeypatch.setattr(sde, "_draw_block", spiked)
+    run = STOPPING_SAMPLERS[sampler]
+    _, ref = run(zoo, reports, 8192)
+    for share in (1, 2, 10**9):
+        monkeypatch.setattr(sde, "DROP_SHARE", share)
+        _, out = run(zoo, reports, 8192)
+        for a, b in zip(out, ref):
+            a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+            assert a.shape == b.shape
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_attraction_rejects_a_start_outside_its_walls(zoo):
+    p = SimulationParams(dt=5e-3, seed=1, n_paths=8, max_time=0.05)
+    for z in (-1.0, 5.0, math.nan):
+        with pytest.raises(ModelError, match="far_wall"):
+            sde.attraction_stats(zoo["A"], [(0.0, 0.3), (0.0, z)], 0.05, p, far_wall=2.0)
+    rows = sde.attraction_stats(zoo["A"], [(0.0, 0.0), (0.0, 2.0)], 0.05, p, far_wall=2.0)
+    assert rows[0].min_distance == 0.0 and rows[1].max_distance == 2.0
+
+
 def _steps_advanced(exit_time, dt):
     """Steps each path advanced: a path stopping in step k (exit time in (k dt, (k+1) dt])
     advanced k + 1; a censored one, all of them."""

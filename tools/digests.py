@@ -44,6 +44,10 @@ SLOPED = ChartModel(a=Const(1.5), b=Const(-0.25), alpha=Const(0.75), beta=Const(
 # term the evaluation skips
 PHASED = ChartModel(a=Const(1.0), b=Fourier(0.1, ((1, 0.0, 0.5), (2, 1.0, 0.0))),
                     alpha=Cosine(1.0, 0.5, phase=0.7), beta=Const(0.5), name="phased")
+# a = Const(1.0) with b, beta and d Const(-0.0): multiplies by a are skipped, but a -0.0
+# keeps the terms it multiplies, which a +0.0 would not
+SIGNED_ZERO = ChartModel(a=Const(1.0), b=Const(-0.0), alpha=Const(0.75), beta=Const(-0.0),
+                         d=Const(-0.0), name="signed-zero")
 DOMAINS = {"disk": DomainModel(),
            "annulus": DomainModel(kind=DomainKind.ANNULUS, inner_radius=0.3,
                                   chart_radius=0.3)}
@@ -52,7 +56,7 @@ CHUNKS = (8192, 7)
 
 def _models():
     return {**{name: models.get_model(name) for name in models.model_names()},
-            "sloped": SLOPED, "phased": PHASED}
+            "sloped": SLOPED, "phased": PHASED, "signed-zero": SIGNED_ZERO}
 
 
 def _digest(*arrays) -> str:
