@@ -346,7 +346,6 @@ def sample_exit(op: DiskOperator | list[DiskOperator], start, params: sde.Simula
     then; params.max_time must cover the longest of these horizons.  The
     batch covers every row, and its checkpoints are the union of the lists.
     """
-    x0 = np.asarray(start, dtype=float)
     n = params.n_paths
     dt = params.dt
     sqdt = math.sqrt(dt)
@@ -357,15 +356,14 @@ def sample_exit(op: DiskOperator | list[DiskOperator], start, params: sde.Simula
         ops, horizons, checkpoint_times = _stack(list(op), checkpoint_times, dt, n_steps)
         op = ops[0]
     dom = op.dom
-    if not dom.contains(*x0):
-        raise ModelError(f"start {tuple(x0.tolist())} lies outside the closed {dom.kind.value}")
+    x0 = check_start(dom, start)
     inner_r = dom.inner_radius if dom.kind is DomainKind.ANNULUS else None
     rows = n * len(ops)
     cp = None
     positions = None
     if checkpoint_times is not None:
         cp, _, cp_at = sde._checkpoint_steps(checkpoint_times, dt)
-        positions = np.full((cp.size, rows, 2), np.nan)
+        positions = sde.shared((cp.size, rows, 2), np.nan)
     # steps after which an operator's rows are censored, short of the driver's last
     stop_at = {}
     for e, h in enumerate(horizons):
@@ -373,10 +371,10 @@ def sample_exit(op: DiskOperator | list[DiskOperator], start, params: sde.Simula
         if k < n_steps:
             stop_at.setdefault(k, []).append(e)
 
-    exit_theta = np.full(rows, np.nan)
-    exit_time = np.repeat(horizons, n)
-    exited = np.zeros(rows, dtype=bool)
-    exit_inner = np.zeros(rows, dtype=bool)
+    exit_theta = sde.shared(rows, np.nan)
+    exit_time = sde.shared(rows, np.repeat(horizons, n))
+    exited = sde.shared(rows, False, bool)
+    exit_inner = sde.shared(rows, False, bool)
     if len(ops) == 1:
         streams = None
 
@@ -448,6 +446,14 @@ def sample_exit(op: DiskOperator | list[DiskOperator], start, params: sde.Simula
                             exited_mask=exited, exit_inner=exit_inner,
                             checkpoints=cp, positions=positions,
                             n_paths=rows, seed=params.seed)
+
+
+def check_start(dom: DomainModel, start) -> np.ndarray:
+    """The start point as an array; ``ModelError`` unless it lies in the closed domain."""
+    x0 = np.asarray(start, dtype=float)
+    if not dom.contains(*x0):
+        raise ModelError(f"start {tuple(x0.tolist())} lies outside the closed {dom.kind.value}")
+    return x0
 
 
 def _stack(ops, checkpoint_times, dt: float, n_steps: int):

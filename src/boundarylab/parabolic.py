@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sde
-from .dirichlet import DiskOperator, InteriorCompletion, default_completions, sample_exit
+from .dirichlet import (DiskOperator, InteriorCompletion, check_start, default_completions,
+                        sample_exit)
 from .errors import ModelError
 from .fields import ChartModel
 from .geometry import DomainModel
@@ -85,7 +86,8 @@ def evolve_mc(spec: StoppedProcessSpec, eps: float, times, start,
 
     Returns a list of (t, estimate, stderr); the same paths underlie every
     t, so estimates are coupled across times.  t = 0 returns g(start)
-    exactly.
+    exactly.  A start outside the closed domain raises ``ModelError``,
+    whatever the times.
     """
     return _evolve(spec, [(eps, times)], start, params)[0]
 
@@ -97,6 +99,7 @@ def _evolve(spec: StoppedProcessSpec, runs, start, params: sde.SimulationParams)
     its last time; path p reads the same noise stream under every eps, so the
     estimates are coupled across eps as they are across t.
     """
+    check_start(spec.dom, start)
     dt = params.dt
     runs = [(eps, sorted(set(float(t) for t in np.atleast_1d(times)))) for eps, times in runs]
     # each positive time on the step grid, at least one step

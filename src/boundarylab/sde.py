@@ -5,7 +5,13 @@ on one Euler-Maruyama driver, ``_run_paths``: path p of a run draws its
 noise from its own counter-based stream keyed by (seed, p) (Philox; the
 rows of a stacked run may share a stream), consumed in fixed-size blocks,
 and paths that stop are dropped inside and between blocks, so results are
-bit-identical however paths are chunked or scheduled; aggregation always runs in path order.  Each
+bit-identical however paths are chunked or scheduled.  Past its first noise
+block, a chunk whose live rows read at least 2 * MIN_ROWS streams is split
+over worker processes, one per CPU the process may use: each forked worker
+steps a contiguous range of stream ids and writes its paths' results into
+arrays in shared memory.  The bits are the same however the paths are
+split, and aggregation always runs in path order, in the calling process;
+``taskset -c 0`` (one usable CPU) runs a sampler in one process.  Each
 sampler supplies its start state and one step on the Ito form, whose
 coefficients the absorbing samplers evaluate once, at the endpoint.
 A chunk stops stepping once its last path has stopped.  ``simulate``
@@ -20,7 +26,13 @@ is set, paths reaching that height are censored there as well.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import mmap
+import os
+import pickle
+import signal
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +45,8 @@ from .geometry import RescaledPoint, TWO_PI, wrap_angle
 
 NOISE_BLOCK = 256  # steps of noise drawn per path per block; part of the sampler definition
 DROP_SHARE = 8     # stopped rows are dropped inside a block once 1/DROP_SHARE have stopped
+MIN_ROWS = 256     # fewest live streams a worker process is given; fewer stay in one process
+PR_SET_PDEATHSIG = 1   # prctl(2) option: the signal a process gets when its parent ends
 
 
 @dataclass(frozen=True)
@@ -145,7 +159,8 @@ def _draw_block(gens):
     return normals, uniforms
 
 
-def _run_paths(params: SimulationParams, n_steps: int, start_state, advance, streams=None):
+def _run_paths(params: SimulationParams, n_steps: int, start_state, advance, streams=None,
+               totals=()):
     """The one Euler-Maruyama driver behind every sampler.
 
     Paths run chunk by chunk.  ``start_state(pids)`` returns the state of the
@@ -169,42 +184,169 @@ def _run_paths(params: SimulationParams, n_steps: int, start_state, advance, str
     rows a stream id, and rows may share one: a block draws each id's noise
     once, when any of its rows is live, and copies it to those rows, so
     every row sees the noise its stream alone would give it.
+    After a chunk's first block, its live rows are split over worker
+    processes (``_worker_count`` of them, by the streams they read): each
+    takes a contiguous range of those stream ids with every live row that
+    reads one, and steps them to the end of the chunk (``_fork_each``).  The
+    first block shows how many rows stay live: a run whose rows mostly stop
+    in it would not repay a fork.  So the per-path arrays ``advance`` writes
+    must come from ``shared``, and ``totals`` names the arrays that it only
+    adds into, which the parent sums over the workers.
     """
     n_rows = params.n_paths if streams is None else streams.size
     for lo in range(0, n_rows, params.chunk_size):
         pids = np.arange(lo, min(lo + params.chunk_size, n_rows))
+        ids = pids if streams is None else np.unique(streams[pids])
+        gens = dict(zip(ids.tolist(), _path_generators(params.seed, ids)))
+        pids, state = _run_blocks(n_steps, advance, streams, gens, pids, start_state(pids),
+                                  0, NOISE_BLOCK)
+        if n_steps <= NOISE_BLOCK or not pids.size:
+            continue
+        key = pids if streams is None else streams[pids]
+        ids = np.unique(key)
+        workers = _worker_count(ids.size)
+        parts = [slice(None)]
+        if workers > 1:
+            part = np.searchsorted(ids[[j * ids.size // workers for j in range(1, workers)]],
+                                   key, side="right")
+            parts = [np.flatnonzero(part == j) for j in range(workers)]
+        _fork_each(parts, lambda rows: _run_blocks(n_steps, advance, streams, gens, pids[rows],
+                                                   [a[rows] for a in state], NOISE_BLOCK,
+                                                   n_steps), totals)
+
+
+def _run_blocks(n_steps: int, advance, streams, gens, pids, state, step: int, stop: int):
+    """Step the rows ``pids`` of one chunk, in state ``state``, through the noise blocks
+    from step ``step`` up to ``stop``; returns the rows still live and their state."""
+    while step < min(stop, n_steps) and pids.size:
         if streams is None:
-            slot = None
-            gens = _path_generators(params.seed, pids)
+            normals, uniforms = _draw_block([gens[p] for p in pids.tolist()])
         else:
-            ids, slot = np.unique(streams[pids], return_inverse=True)
-            gens = _path_generators(params.seed, ids)
-        state = start_state(pids)
-        step = 0
-        while step < n_steps and pids.size:
-            if slot is None:
-                normals, uniforms = _draw_block([gens[p - lo] for p in pids])
-            else:
-                drawn, rows = np.unique(slot[pids - lo], return_inverse=True)
-                normals, uniforms = _draw_block([gens[i] for i in drawn])
-                normals, uniforms = normals[rows], uniforms[rows]
-            live = np.ones(pids.size, dtype=bool)
-            width = min(NOISE_BLOCK, n_steps - step)
-            cut = 0             # block columns cut off the noise when rows were dropped
-            stopped = 0         # stopped rows not yet dropped
-            for s in range(width):
-                state, new_live = advance(step + s, state, normals[:, s - cut],
-                                          uniforms[:, s - cut], live, pids)
-                if new_live is not live:
-                    live = new_live
-                    stopped = live.size - np.count_nonzero(live)
-                if stopped and (stopped * DROP_SHARE >= live.size or s == width - 1):
-                    state, pids = [a[live] for a in state], pids[live]
-                    normals, uniforms = normals[live, s + 1 - cut:], uniforms[live, s + 1 - cut:]
-                    live, cut, stopped = live[live], s + 1, 0
-                    if not pids.size:
-                        break
-            step += NOISE_BLOCK
+            drawn, at = np.unique(streams[pids], return_inverse=True)
+            normals, uniforms = _draw_block([gens[i] for i in drawn.tolist()])
+            normals, uniforms = normals[at], uniforms[at]
+        live = np.ones(pids.size, dtype=bool)
+        width = min(NOISE_BLOCK, n_steps - step)
+        cut = 0             # block columns cut off the noise when rows were dropped
+        stopped = 0         # stopped rows not yet dropped
+        for s in range(width):
+            state, new_live = advance(step + s, state, normals[:, s - cut],
+                                      uniforms[:, s - cut], live, pids)
+            if new_live is not live:
+                live = new_live
+                stopped = live.size - np.count_nonzero(live)
+            if stopped and (stopped * DROP_SHARE >= live.size or s == width - 1):
+                state, pids = [a[live] for a in state], pids[live]
+                normals, uniforms = normals[live, s + 1 - cut:], uniforms[live, s + 1 - cut:]
+                live, cut, stopped = live[live], s + 1, 0
+                if not pids.size:
+                    break
+        step += NOISE_BLOCK
+    return pids, state
+
+
+def shared(shape, fill, dtype=float) -> np.ndarray:
+    """A new array, set to ``fill``, in anonymous shared memory: what the forked workers
+    of ``_run_paths`` write into it shows in every process.  The samplers allocate
+    each per-path output that their steps write here."""
+    dtype = np.dtype(dtype)
+    size = int(np.prod(shape))
+    out = np.frombuffer(mmap.mmap(-1, max(size * dtype.itemsize, 1)), dtype=dtype,
+                        count=size).reshape(shape)
+    out[...] = fill
+    return out
+
+
+def _worker_count(n_streams: int) -> int:
+    """Processes that rows reading ``n_streams`` streams are split over: one per CPU this
+    process may use, each taking at least MIN_ROWS streams; one where fork is missing."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), n_streams // MIN_ROWS))
+
+
+def _fork_each(parts, run, totals=()):
+    """Call ``run(part)`` for every part: the first in this process, each other in a
+    forked worker, all at once.
+
+    A worker shares nothing with the parent but ``shared`` arrays, so ``run``
+    writes its results there; each array in ``totals`` is one that every
+    process only adds into, its own copy, and what each worker added is added
+    into the parent's.  An exception in a worker is raised again here; a
+    worker that ends any other way than by returning raises ``RuntimeError``.
+    Once the parent itself raises, it kills the workers it has not yet
+    reaped, and every worker is reaped before this returns or raises.
+    """
+    if len(parts) == 1:
+        run(parts[0])
+        return
+    slots = [shared((len(parts) - 1, *total.shape), 0, total.dtype) for total in totals]
+    parent = os.getpid()
+    workers = {}            # pid -> the worker's error pipe, in fork order, until reaped
+    try:
+        for j, part in enumerate(parts[1:]):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                os.close(read)
+                _work(parent, write, run, part, [(s[j], t) for s, t in zip(slots, totals)])
+            os.close(write)
+            workers[pid] = open(read, "rb")
+        run(parts[0])
+        for pid, pipe in list(workers.items()):
+            error = pipe.read()
+            pipe.close()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del workers[pid]
+            if error:
+                raise pickle.loads(error)
+            if status:
+                raise RuntimeError(f"sampler worker {pid} ended with status {status}")
+        for slot, total in zip(slots, totals):
+            total += slot.sum(axis=0)
+    finally:
+        for pid, pipe in workers.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _work(parent: int, pipe: int, run, part, totals):
+    """A forked worker from start to end: run its part, copy out what it added to its
+    totals, report an exception through ``pipe``, and leave by ``os._exit``, so it never
+    returns into the caller's frames and runs no exit handler nor flushes the parent's
+    stdio buffers."""
+    status = 1
+    try:
+        forked = [total.copy() for _, total in totals]
+        # the kernel kills this worker when the parent ends; the check catches a parent
+        # that ended before the request was made
+        libc = ctypes.CDLL(None)
+        if hasattr(libc, "prctl"):
+            libc.prctl(PR_SET_PDEATHSIG, signal.SIGKILL)
+        if os.getppid() != parent:
+            return
+        run(part)
+        for (slot, total), before in zip(totals, forked):
+            slot[...] = total - before
+        status = 0
+    except BaseException as exc:
+        if hasattr(exc, "add_note"):        # Python >= 3.11
+            exc.add_note(f"raised in sampler worker {os.getpid()}:\n{traceback.format_exc()}")
+        try:
+            error = pickle.dumps(exc)
+            pickle.loads(error)
+        except Exception:                   # an exception that does not survive pickling
+            error = pickle.dumps(RuntimeError(traceback.format_exc()))
+        with open(pipe, "wb") as out:
+            out.write(error)
+    finally:
+        os._exit(status)
 
 
 def _increments(sqdt: float, a11, a12, a22, noise):
@@ -260,10 +402,10 @@ def simulate(gc: GeneratorCoefficients, start, params: SimulationParams) -> Exit
         raise ModelError("log-flavor paths never reach the boundary; simulate LIMIT instead")
     y0, v0 = _resolve_start(start)
     n = params.n_paths
-    exit_y = np.full(n, np.nan)
-    exit_time = np.full(n, float(params.max_time))
-    exited = np.zeros(n, dtype=bool)
-    unstable = np.zeros(n, dtype=bool)
+    exit_y = shared(n, np.nan)
+    exit_time = shared(n, float(params.max_time))
+    exited = shared(n, False, bool)
+    unstable = shared(n, False, bool)
     dt = params.dt
     sqdt = math.sqrt(dt)
     cross = not gc.cross_free
@@ -346,7 +488,7 @@ def simulate_boundary(m: ChartModel, start_y: float, params: SimulationParams,
     edges = np.linspace(0.0, TWO_PI, bins + 1)
     counts = np.zeros(bins)
     observables = observables or {}
-    sums = {k: np.zeros(params.n_paths) for k in observables}
+    sums = {k: shared(params.n_paths, 0.0) for k in observables}
     kept = n_steps - burn_steps
 
     def advance(k, state, noise, uniform, live, pids):
@@ -366,7 +508,8 @@ def simulate_boundary(m: ChartModel, start_y: float, params: SimulationParams,
                 sums[name][rows] += fn(wrapped)
         return [y], live
 
-    _run_paths(params, n_steps, lambda pids: [np.full(pids.size, float(start_y))], advance)
+    _run_paths(params, n_steps, lambda pids: [np.full(pids.size, float(start_y))], advance,
+               totals=[counts])
     hist = counts / counts.sum() / (TWO_PI / bins)
     averages = {}
     for k in observables:
@@ -402,7 +545,7 @@ def attraction_stats(m: ChartModel, starts, horizon: float, params: SimulationPa
     n = params.n_paths
     rows = []
     for y0, z0 in starts:
-        final, mins, maxs = np.full(n, z0), np.full(n, z0), np.full(n, z0)
+        final, mins, maxs = shared(n, z0), shared(n, z0), shared(n, z0)
 
         def advance(k, state, noise, uniform, live, pids):
             y, z, zmin, zmax, frozen = state
@@ -463,7 +606,7 @@ def martingale_trace(m: ChartModel, report: ClassificationReport, start,
         raise ModelError("martingale_trace needs at least one checkpoint time")
     checkpoints, steps_at, at_step = _checkpoint_steps(checkpoint_times, dt)
     n = params.n_paths
-    values = np.zeros((checkpoints.size, n))
+    values = shared((checkpoints.size, n), 0.0)
     h0 = float(psi(y0)) + math.log(zz0)
     rho_angle = (lambda y: y) if isinstance(m.rho, Const) else wrap_angle  # a Const reads no angle
 

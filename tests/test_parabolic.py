@@ -25,6 +25,16 @@ def test_time_zero_returns_initial_data(zoo):
     assert t == 0.0 and est == pytest.approx(0.7) and se == 0.0
 
 
+def test_a_start_outside_the_domain_is_rejected_at_every_time(zoo):
+    p = sde.SimulationParams(dt=1e-3, seed=1, n_paths=16, max_time=1.0)
+    annulus = DomainModel(kind=DomainKind.ANNULUS, inner_radius=0.4, chart_radius=0.25)
+    for dom, start in ((DomainModel(), (3.0, 0.0)), (annulus, (0.1, 0.0))):
+        spec = StoppedProcessSpec(model=zoo["A"], g=lambda x: x[:, 0], psi_d=np.cos, dom=dom)
+        for times in ([0.0], [0.0, 0.5], [0.5]):
+            with pytest.raises(ModelError, match="outside"):
+                parabolic.evolve_mc(spec, 0.1, times, start, p)
+
+
 def test_matching_data_gives_constant(zoo):
     spec = spec_for(zoo["A"], 0.4, lambda th: np.full_like(th, 0.4))
     p = sde.SimulationParams(dt=2e-3, seed=2, n_paths=400, max_time=20.0)

@@ -2,7 +2,8 @@
 
 Two trees that print the same lines give the same bits: the artifacts of
 the bundled configs, the operation digests of the benchmark workloads,
-direct runs of every sampler and of the time-scale sweep, and direct FD
+direct runs of every sampler and of the time-scale sweep (small ones, and
+ones with enough paths to be split over worker processes), and direct FD
 solves (cross terms, the annulus, transposed solves and the conditioned
 problem).  A refactor that must keep behaviour is checked with one ``diff``:
 
@@ -52,6 +53,12 @@ DOMAINS = {"disk": DomainModel(),
            "annulus": DomainModel(kind=DomainKind.ANNULUS, inner_radius=0.3,
                                   chart_radius=0.3)}
 CHUNKS = (8192, 7)
+# enough paths, and starts deep enough inside, that rows on 512 or more streams are still
+# live after the first noise block in every chunk: the runs are split over worker processes
+# wherever two or more CPUs are usable
+SPLIT_PATHS = 2000
+SPLIT_CHUNKS = (8192, 1000)
+SPLIT_START = {"disk": (0.0, 0.0), "annulus": (0.65, 0.0)}
 
 
 def _models():
@@ -171,6 +178,49 @@ def direct_digests(seed):
                        _digest([[r.rule_time, r.estimate, r.stderr] for r in sweep.rows]))
 
 
+def split_digests(seed):
+    """Direct runs of every sampler with enough paths still live after the first noise
+    block that a machine with two or more CPUs splits them over worker processes: all of
+    them in one chunk, and the fixed-horizon ones and the disk's exit runs also chunk by
+    chunk at 1000 paths a chunk."""
+    zoo = _models()
+    for chunk in SPLIT_CHUNKS:
+        def params(**kw):
+            return sde.SimulationParams(**{"seed": seed, "chunk_size": chunk,
+                                           "n_paths": SPLIT_PATHS, **kw})
+
+        name = f"split/seed{seed}/chunk{chunk}"
+        for dname, dom in DOMAINS.items():
+            ops = [dirichlet.DiskOperator(model=zoo["D"], eps=eps, dom=dom,
+                                          completion=dirichlet.default_completions(zoo["D"])[0])
+                   for eps in (0.3, 0.1)]
+            p = params(dt=0.002, max_time=0.8)
+            b = dirichlet.sample_exit(ops[1], SPLIT_START[dname], p, checkpoint_times=[0.1, 0.5])
+            yield (f"{name}/sample_exit/{dname}",
+                   _digest(b.exit_theta, b.exit_time, b.exited_mask, b.exit_inner, b.positions))
+            b = dirichlet.sample_exit(ops, SPLIT_START[dname], p,
+                                      checkpoint_times=[[0.2], [0.6, 0.7]])
+            yield (f"{name}/sample_exit-stacked/{dname}",
+                   _digest(b.exit_theta, b.exit_time, b.exited_mask, b.exit_inner, b.positions))
+        gc = assemble(zoo["D"], None, Flavor.LIMIT)
+        yield (f"{name}/simulate",
+               _exit_batch(sde.simulate(gc, (0.3, 2.0), params(dt=0.002, max_time=1.0,
+                                                                wall=5.0))))
+        m = zoo["B"]
+        t = sde.martingale_trace(m, classify(m, grid_size=256), (0.0, 3.0),
+                                 params(dt=0.001, max_time=0.5), (0.5, 20.0), [0.1, 0.3, 0.5])
+        yield f"{name}/martingale_trace", _digest(t.values, t.stderrs)
+        rows = sde.attraction_stats(m, [(0.0, 0.3), (1.0, 2.0)], 2.0,
+                                    params(dt=0.005, max_time=2.0), far_wall=2.5)
+        yield (f"{name}/attraction_stats",
+               _digest([[r.fraction_near, r.min_distance, r.max_distance] for r in rows]))
+        m = zoo["tilted"]
+        run = sde.simulate_boundary(m, 0.5, params(dt=0.002, max_time=1.0), burn_in=0.2,
+                                    bins=16, observables={"alpha": m.alpha, "beta": m.beta})
+        yield (f"{name}/simulate_boundary",
+               _digest(run.histogram, *[run.averages[k] for k in ("alpha", "beta")]))
+
+
 def fd_digests():
     """Direct FD solves that no config or workload makes: the polar solve with a cross
     term (d != 0) and on the annulus, the half-cylinder solve with a cross term, forward
@@ -206,6 +256,7 @@ def main(argv=None):
         for seed in args.seeds:
             lines += workload_digests(seed, tmp)
             lines += direct_digests(seed)
+            lines += split_digests(seed)
     for name, sha in lines:
         print(name, sha)
     print(json.dumps({"digests": len(lines)}), file=sys.stderr)
