@@ -178,19 +178,23 @@ class DiskOperator:
 # Polar finite differences
 # ---------------------------------------------------------------------------
 
-def radial_nodes(eps: float, dom: DomainModel, layer_cells: int = 22,
-                 growth: float = 1.1, cap: float = 0.02) -> np.ndarray:
-    """Boundary-clustered radial nodes; >= layer_cells cells within 1 - r < eps."""
+LAYER_CELLS = 22     # radial cells within the boundary layer 1 - r < eps
+GROWTH = 1.1         # ratio of neighbouring radial steps, from the boundary inwards
+STEP_CAP = 0.02      # the longest radial step
+
+
+def radial_nodes(eps: float, dom: DomainModel) -> np.ndarray:
+    """Boundary-clustered radial nodes; >= LAYER_CELLS cells within 1 - r < eps."""
     if eps <= 0:
         raise ModelError("eps must be > 0")
-    dz_min = eps * (growth - 1.0) / (growth ** layer_cells - 1.0)
+    dz_min = eps * (GROWTH - 1.0) / (GROWTH ** LAYER_CELLS - 1.0)
     inner_limit = dom.inner_radius if dom.kind is DomainKind.ANNULUS else 0.0
     steps = []
     total = 0.0
     k = 0
     span = 1.0 - inner_limit
     while total < span - 1e-12:
-        h = min(dz_min * growth ** k, cap, span - total)
+        h = min(dz_min * GROWTH ** k, STEP_CAP, span - total)
         steps.append(h)
         total += h
         k += 1
@@ -243,7 +247,6 @@ def _periodic_interp(row: np.ndarray, theta_nodes: np.ndarray, theta: float) -> 
 
 
 def solve_fd(op: DiskOperator, psi_d, n_theta: int = 64,
-             r_nodes: np.ndarray | None = None,
              psi_inner=None) -> DirichletSolution:
     """Second-order polar finite-difference solve of the blended operator.
 
@@ -255,8 +258,7 @@ def solve_fd(op: DiskOperator, psi_d, n_theta: int = 64,
     """
     dom = op.dom
     disk = dom.kind is DomainKind.DISK
-    if r_nodes is None:
-        r_nodes = radial_nodes(op.eps, dom)
+    r_nodes = radial_nodes(op.eps, dom)
     theta = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
     n_r = r_nodes.size - 1          # index of the outer boundary node
     dtheta = TWO_PI / n_theta
@@ -536,10 +538,6 @@ class ConvergenceTable:
                and (completion is None or r.completion == completion)]
         sel.sort(key=lambda r: -r.eps)
         return [r.abs_error for r in sel]
-
-    def final_errors(self, method="fd"):
-        eps_min = min(r.eps for r in self.rows)
-        return [r.abs_error for r in self.rows if r.eps == eps_min and r.method == method]
 
 
 def limit_value(m: ChartModel, f, grid: HalfCylinderGrid | None = None) -> float:

@@ -25,14 +25,6 @@ class ModelError(BoundaryLabError):
     pass
 
 
-class SpanViolation(ModelError):
-    """Driving fields fail to span the plane at a sampled point."""
-
-
-class TangencyViolation(ModelError):
-    """A field has a nonzero normal component on the boundary circle."""
-
-
 class ExtrapolationUnstable(ModelError):
     """Coefficient extraction residual above tolerance."""
 

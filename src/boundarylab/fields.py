@@ -194,11 +194,12 @@ class GeneratorCoefficients:
     ``second_order`` returns the operator-form triple (Cyy, Cyv, Cvv) and
     ``first_order`` the drift pair (by, bv), where v is the flavor's second
     coordinate (z, zz or w).  ``ito`` returns drift plus the Ito diffusion
-    matrix entries A = 2C for the path sampler.  Model coefficients are
-    read through ``folded``, so a Const costs no array; every entry keeps
-    a term in v, so NaN from an unstable path reaches all of them.  One
-    call makes that term, the NaN carrier ``0.0 * v``, once and adds it
-    wherever an entry has no other term in v.
+    matrix entries A = 2C for the path sampler.  All of them read one
+    evaluation of the flavor, ``_entries``.  Model coefficients are read
+    through ``folded``, so a Const costs no array; every entry keeps a term
+    in v, so NaN from an unstable path reaches all of them.  One call makes
+    that term, the NaN carrier ``0.0 * v``, once and adds it wherever an
+    entry has no other term in v.
     """
 
     model: ChartModel
@@ -206,31 +207,19 @@ class GeneratorCoefficients:
     eps: float | None = None
 
     def second_order(self, y, v):
-        y, v = _as_arrays(y, v)
-        # the flavors whose second-order entries add the carrier
-        zero = 0.0 * v if self.flavor in (Flavor.LOG, Flavor.LIMIT) or self.eps == 0.0 else None
-        return self._second_order(y, v, self._decay(y, v), zero, True)
+        return self._entries(*_as_arrays(y, v), True)[2:]
 
     def first_order(self, y, v):
-        y, v = _as_arrays(y, v)
-        return self._first_order(y, v, self._decay(y, v), 0.0 * v)
+        return self._entries(*_as_arrays(y, v), False)[:2]
 
-    def ito(self, y, v):
-        """Drift (by, bv) and Ito diffusion entries (Ayy, Ayv, Avv) = 2C."""
-        y, v = _as_arrays(y, v)
-        return self._ito(y, v, True)
-
-    def _ito(self, y, v, cross, e2w=None):
-        """``ito`` on float arrays, the samplers' per-step call.
+    def ito(self, y, v, cross=True, e2w=None):
+        """Drift (by, bv) and Ito diffusion entries (Ayy, Ayv, Avv) = 2C.
 
         With ``cross`` False, Ayv is not built and comes back as None; the
         samplers pass ``not self.cross_free``.  ``e2w``, when given, is
         e^(-2v), which a LOG caller has already made.
         """
-        zero = 0.0 * v
-        decay = self._decay(y, v, e2w)
-        cyy, cyv, cvv = self._second_order(y, v, decay, zero, cross)
-        by, bv = self._first_order(y, v, decay, zero)
+        by, bv, cyy, cyv, cvv = self._entries(*_as_arrays(y, v), cross, e2w)
         return by, bv, 2.0 * cyy, None if cyv is None else 2.0 * cyv, 2.0 * cvv
 
     @property
@@ -255,98 +244,67 @@ class GeneratorCoefficients:
 
     def diffusion_vv(self, y, v):
         """Height-height Ito diffusion entry alone (2 Cvv); used by bridge tests."""
-        y, v = _as_arrays(y, v)
-        # only CHART at eps = 0 adds the carrier to Cvv
-        return 2.0 * self._cvv(y, v, self._decay(y, v), 0.0 * v if self.eps == 0.0 else None)
+        return 2.0 * self._entries(*_as_arrays(y, v), False)[4]
 
-    def _decay(self, y, v, e2w=None):
-        """rho e^(-2w), the LOG flavor's share of both orders; None for the others."""
-        if self.flavor is Flavor.LOG:
-            return folded(self.model.rho, y) * (np.exp(-2.0 * v) if e2w is None else e2w)
-        return None
+    def _entries(self, y, v, cross, e2w=None):
+        """(by, bv, Cyy, Cyv, Cvv) on float arrays; Cyv is None unless ``cross``.
 
-    def _second_order(self, y, v, decay, zero, cross):
-        m = self.model
-        a = folded(m.a, y)
+        ``e2w``, when given, is e^(-2v), which a LOG caller has already made.
+        """
+        m, flavor = self.model, self.flavor
+        zero = 0.0 * v
+        a, alpha = folded(m.a, y), folded(m.alpha, y)
         d = folded(m.d, y) if cross else None
-        cvv = self._cvv(y, v, decay, zero)
-        if self.flavor is Flavor.LOG:
-            return 0.5 * a + zero, (0.5 * d + zero) if cross else None, cvv
-        if self.flavor is Flavor.LIMIT:
-            return 0.5 * a + zero, (0.5 * v * d) if cross else None, cvv
-        eps = self._eps()
-        r = m.remainder
+        by = folded(m.b, y) + zero
         cyv = None
-        if self.flavor is Flavor.RESCALED:
-            z = eps * v
-            cyy = 0.5 * a + eps * eps * m.tilde.cyy(y, z)
+        if flavor is Flavor.LOG:
+            decay = folded(m.rho, y) * (np.exp(-2.0 * v) if e2w is None else e2w)
             if cross:
-                cyv = 0.5 * v * d + eps * m.tilde.cyz(y, z)
+                cyv = 0.5 * d + zero
+            return by, folded(m.beta, y) - alpha - decay, 0.5 * a + zero, cyv, alpha + decay
+        bv = v * folded(m.beta, y)
+        if flavor is Flavor.LIMIT:
+            if cross:
+                cyv = 0.5 * v * d
+            return by, bv, 0.5 * a + zero, cyv, v * v * alpha + folded(m.rho, y)
+        eps, r, tilde = self.eps, m.remainder, m.tilde
+        if eps is None:
+            raise FlavorRangeError(f"flavor {flavor.value} requires eps")
+        if flavor is Flavor.RESCALED:
+            z = eps * v
+            cyy = 0.5 * a + eps * eps * tilde.cyy(y, z)
+            cvv = v * v * alpha + tilde.czz(y, z)
+            if cross:
+                cyv = 0.5 * v * d + eps * tilde.cyz(y, z)
             if r is not None:
+                by = by + eps * v * folded(r.k1, y)
+                bv = bv + eps * v * v * folded(r.n0, y)
                 cyy = cyy + eps * v * folded(r.k2, y)
+                cvv = cvv + eps * v ** 3 * folded(r.sigma, y)
                 if cross:
                     cyv = cyv + 0.5 * eps * v * v * folded(r.n1, y)
-            return cyy, cyv, cvv
-        # CHART
-        z = v
+            return by, bv, cyy, cyv, cvv
+        # CHART: v is z
         if eps == 0.0:
             # the eps^2 terms are zeros: 0.0 * z still carries NaN from z, and
             # + 0.0 still turns -0.0 into +0.0, as adding them did
             cyy = 0.5 * a + zero
+            cvv = v * v * alpha + zero
             if cross:
-                cyv = 0.5 * z * d + 0.0
+                cyv = 0.5 * v * d + 0.0
         else:
-            cyy = 0.5 * a + eps * eps * m.tilde.cyy(y, z)
+            cyy = 0.5 * a + eps * eps * tilde.cyy(y, v)
+            cvv = v * v * alpha + eps * eps * tilde.czz(y, v)
             if cross:
-                cyv = 0.5 * z * d + eps * eps * m.tilde.cyz(y, z)
+                cyv = 0.5 * v * d + eps * eps * tilde.cyz(y, v)
         if r is not None:
-            cyy = cyy + z * folded(r.k2, y)
+            by = by + v * folded(r.k1, y)
+            bv = bv + v * v * folded(r.n0, y)
+            cyy = cyy + v * folded(r.k2, y)
+            cvv = cvv + v ** 3 * folded(r.sigma, y)
             if cross:
-                cyv = cyv + 0.5 * z * z * folded(r.n1, y)
-        return cyy, cyv, cvv
-
-    def _cvv(self, y, v, decay, zero):
-        m = self.model
-        alpha = folded(m.alpha, y)
-        if self.flavor is Flavor.LOG:
-            return alpha + decay
-        if self.flavor is Flavor.LIMIT:
-            return v * v * alpha + folded(m.rho, y)
-        eps = self._eps()
-        r = m.remainder
-        if self.flavor is Flavor.RESCALED:
-            cvv = v * v * alpha + m.tilde.czz(y, eps * v)
-            if r is not None:
-                cvv = cvv + eps * v ** 3 * folded(r.sigma, y)
-            return cvv
-        # CHART
-        z = v
-        cvv = z * z * alpha + (zero if eps == 0.0 else eps * eps * m.tilde.czz(y, z))
-        if r is not None:
-            cvv = cvv + z ** 3 * folded(r.sigma, y)
-        return cvv
-
-    def _first_order(self, y, v, decay, zero):
-        m = self.model
-        by = folded(m.b, y) + zero
-        if self.flavor is Flavor.LOG:
-            return by, folded(m.beta, y) - folded(m.alpha, y) - decay
-        bv = v * folded(m.beta, y)
-        if self.flavor is Flavor.LIMIT:
-            return by, bv
-        eps = self._eps()
-        r = m.remainder
-        if r is None:
-            return by, bv
-        if self.flavor is Flavor.RESCALED:
-            return by + eps * v * folded(r.k1, y), bv + eps * v * v * folded(r.n0, y)
-        # CHART
-        return by + v * folded(r.k1, y), bv + v * v * folded(r.n0, y)
-
-    def _eps(self) -> float:
-        if self.eps is None:
-            raise FlavorRangeError(f"flavor {self.flavor.value} requires eps")
-        return self.eps
+                cyv = cyv + 0.5 * v * v * folded(r.n1, y)
+        return by, bv, cyy, cyv, cvv
 
 
 def _as_arrays(y, v):

@@ -549,7 +549,7 @@ def attraction_stats(m: ChartModel, starts, horizon: float, params: SimulationPa
 
         def advance(k, state, noise, uniform, live, pids):
             y, z, zmin, zmax, frozen = state
-            by, bz, ayy, ayz, azz = gc._ito(y, z, cross)
+            by, bz, ayy, ayz, azz = gc.ito(y, z, cross)
             noise_y, noise_z = _increments(sqdt, ayy, ayz, azz, noise)
             y = y + by * dt + noise_y
             z_new = np.maximum(z + bz * dt + noise_z, 0.0)
@@ -613,7 +613,7 @@ def martingale_trace(m: ChartModel, report: ClassificationReport, start,
     def advance(k, state, noise, uniform, live, pids):
         y, w, integral = state
         e2w = np.exp(-2.0 * w)
-        by, bw, ayy, ayw, aww = gc._ito(y, w, cross, e2w)
+        by, bw, ayy, ayw, aww = gc.ito(y, w, cross, e2w)
         integrand = rho_weight * folded(m.rho, rho_angle(y)) * e2w
         noise_y, noise_w = _increments(sqdt, ayy, ayw, aww, noise)
         y_new = y + by * dt + noise_y

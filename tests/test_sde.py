@@ -262,6 +262,23 @@ def test_simulate_evaluates_coefficients_once_per_step(zoo, monkeypatch):
     assert calls["ito"] == 1 + _steps_advanced(batch.exit_time, p.dt).max()
 
 
+def test_fixed_horizon_samplers_call_ito_once_per_step(zoo, reports, monkeypatch):
+    calls = collections.Counter()
+    ito = GeneratorCoefficients.ito
+
+    def counting(self, y, v, *args):
+        calls[self.flavor] += 1
+        return ito(self, y, v, *args)
+
+    monkeypatch.setattr(GeneratorCoefficients, "ito", counting)
+    # fewer than 2 * MIN_ROWS paths stay in this process, where the counter is
+    p = SimulationParams(dt=1e-3, seed=29, n_paths=2 * sde.MIN_ROWS - 1, max_time=0.3)
+    sde.attraction_stats(zoo["B"], [(0.0, 0.3), (1.0, 2.0)], 0.3, p, far_wall=50.0)
+    sde.martingale_trace(zoo["B"], reports["B"], (0.0, 2.0), p, (1e-3, 1e3), [0.1, 0.3])
+    # 300 steps cross a noise block's end; a wide band keeps paths live to the last one
+    assert calls == {Flavor.CHART: 2 * 300, Flavor.LOG: 300}
+
+
 @pytest.mark.parametrize("chunk", [8192, 7])
 def test_a_chunk_takes_no_step_after_its_last_path_stops(zoo, monkeypatch, chunk):
     rows = []

@@ -88,7 +88,7 @@ def test_cross_free_steps_keep_the_bits_of_the_general_step(zoo, flavor, eps):
             same = np.all(same_bits(general[0], diagonal[0])) and \
                 np.all(same_bits(general[1], diagonal[1]))
             assert gc.cross_free == same, m.name
-            step = gc._ito(y, v, not gc.cross_free)
+            step = gc.ito(y, v, not gc.cross_free)
             for left, right in zip(step, (by, bv, a11, a12, a22)):
                 if left is None:
                     assert gc.cross_free

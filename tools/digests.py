@@ -3,9 +3,10 @@
 Two trees that print the same lines give the same bits: the artifacts of
 the bundled configs, the operation digests of the benchmark workloads,
 direct runs of every sampler and of the time-scale sweep (small ones, and
-ones with enough paths to be split over worker processes), and direct FD
+ones with enough paths to be split over worker processes), direct FD
 solves (cross terms, the annulus, transposed solves and the conditioned
-problem).  A refactor that must keep behaviour is checked with one ``diff``:
+problem), and every operator flavor's coefficients.  A refactor that must
+keep behaviour is checked with one ``diff``:
 
     python tools/digests.py 1 2 > after.txt      # in the changed tree
     python tools/digests.py 1 2 > before.txt     # in the parent tree (same script)
@@ -34,7 +35,8 @@ import numpy as np  # noqa: E402
 from boundarylab import config, dirichlet, halfcyl, models, parabolic, runner, sde  # noqa: E402
 from boundarylab.classifier import classify  # noqa: E402
 from boundarylab.coefficients import Const, Cosine, Fourier  # noqa: E402
-from boundarylab.fields import ChartModel, Flavor, PerturbationSpec, assemble  # noqa: E402
+from boundarylab.fields import (  # noqa: E402
+    ChartModel, Flavor, PerturbationSpec, Remainder, assemble)
 from boundarylab.geometry import DomainKind, DomainModel, RescaledPoint  # noqa: E402
 
 # d != 0 and a sloped perturbation with rho != 1: terms the zoo leaves at zero
@@ -49,6 +51,21 @@ PHASED = ChartModel(a=Const(1.0), b=Fourier(0.1, ((1, 0.0, 0.5), (2, 1.0, 0.0)))
 # keeps the terms it multiplies, which a +0.0 would not
 SIGNED_ZERO = ChartModel(a=Const(1.0), b=Const(-0.0), alpha=Const(0.75), beta=Const(-0.0),
                          d=Const(-0.0), name="signed-zero")
+# every remainder term, Cosine ones among them, d != 0 and a sloped perturbation: no model
+# that a sampler or solve here runs carries a remainder
+REMAINDER = ChartModel(a=Cosine(1.5, 0.5), b=Const(-0.25), alpha=Const(0.75), beta=Const(0.5),
+                       d=Cosine(0.2, 0.1), rho=Const(1.25),
+                       tilde=PerturbationSpec(Const(1.25), z_slope=-0.5),
+                       remainder=Remainder(k2=Const(0.1), k1=Cosine(-0.2, 0.1), n1=Const(0.2),
+                                           n0=Const(0.4), sigma=Cosine(0.05, 0.02)),
+                       name="remainder")
+# every operator flavor, the perturbed ones at two eps each
+FLAVORS = ((Flavor.LOG, None), (Flavor.LIMIT, None), (Flavor.RESCALED, 0.05),
+           (Flavor.RESCALED, 0.3), (Flavor.CHART, 0.0), (Flavor.CHART, 0.1))
+# angles, and heights with signed zeros, subnormals, negatives, infinities and NaN
+COEFF_Y = (0.0, -0.0, 0.7, -2.0, 10.0, np.nan)
+COEFF_V = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 0.3, 1.0, -2.0, 7.5, 1e3, np.nan, np.inf,
+           -np.inf)
 DOMAINS = {"disk": DomainModel(),
            "annulus": DomainModel(kind=DomainKind.ANNULUS, inner_radius=0.3,
                                   chart_radius=0.3)}
@@ -247,12 +264,28 @@ def fd_digests():
                                                  [sol.truncation_estimate])
 
 
+def coefficient_digests():
+    """Every entry point of ``GeneratorCoefficients`` in every flavor, for every model here
+    and one with a remainder, on a grid of angles and heights that reaches the entries'
+    signed zeros and NaN."""
+    y, v = (a.ravel() for a in np.meshgrid(COEFF_Y, COEFF_V, indexing="ij"))
+    for mname, m in {**_models(), "remainder": REMAINDER}.items():
+        for flavor, eps in FLAVORS:
+            gc = assemble(m, eps, flavor)
+            with np.errstate(all="ignore"):
+                for entry in ("ito", "second_order", "first_order", "diffusion_vv"):
+                    out = getattr(gc, entry)(y, v)
+                    yield (f"coefficients/{mname}/{flavor.name}/eps{eps}/{entry}",
+                           _digest(*(out if isinstance(out, tuple) else (out,))))
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("seeds", nargs="*", type=int, default=[1])
     args = ap.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="digests-") as tmp:
-        lines = list(config_digests(tmp)) + list(fd_digests())
+        lines = (list(config_digests(tmp)) + list(fd_digests())
+                 + list(coefficient_digests()))
         for seed in args.seeds:
             lines += workload_digests(seed, tmp)
             lines += direct_digests(seed)
