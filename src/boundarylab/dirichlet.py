@@ -24,7 +24,7 @@ from . import sde
 from .classifier import Verdict, classify
 from .coefficients import Const, folded, is_plus_zero
 from .errors import ExtensionUndefined, ModelError, NoConvergence
-from .fd import Elimination, band_dot, boundary_values, stencil
+from .fd import Elimination, boundary_values, level_bands, within_data
 from .fields import ChartModel
 from .geometry import DomainKind, DomainModel, TWO_PI, wrap_angle
 from .halfcyl import HalfCylinderGrid, _conditioned, solve_u
@@ -213,9 +213,7 @@ class DirichletSolution:
     u: np.ndarray
     pole_value: float | None
     eps: float
-    completion: str
     max_principle_ok: bool
-    probe_values: dict
 
     def probe(self, x1: float, x2: float) -> float:
         """The solution at (x1, x2), interpolated between rings and angles; a point off
@@ -254,59 +252,35 @@ def solve_fd(op: DiskOperator, psi_d, n_theta: int = 64,
     array on the theta grid); the annulus also needs psi_inner.  The disk
     pole is a single value closed by the zero-Laplacian average stencil,
     the mean of the first ring, and eliminated into that ring's rows, so
-    disk and annulus are both one block sweep over the rings.
+    disk and annulus are both one block sweep over the rings, solved
+    against their data.
     """
-    dom = op.dom
-    disk = dom.kind is DomainKind.DISK
-    r_nodes = radial_nodes(op.eps, dom)
+    disk = op.dom.kind is DomainKind.DISK
+    if not disk and psi_inner is None:
+        raise ModelError("annulus solve needs inner boundary data")
+    r_nodes = radial_nodes(op.eps, op.dom)
     theta = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
-    n_r = r_nodes.size - 1          # index of the outer boundary node
-    dtheta = TWO_PI / n_theta
-
     f_outer = boundary_values(psi_d, theta)
-    if not disk:
-        if psi_inner is None:
-            raise ModelError("annulus solve needs inner boundary data")
-        f_inner = boundary_values(psi_inner, theta)
+    f_inner = None if disk else boundary_values(psi_inner, theta)
 
     # unknowns: rings j = 1..n_r-1, one level each
-    TH, R = np.meshgrid(theta, r_nodes[1:-1])
-    ctt, ctr, crr, bt, br = op.polar_coefficients(TH, R)
-    for arr_name, arr in (("ctt", ctt), ("crr", crr)):
+    coeffs = op.polar_coefficients(*np.meshgrid(theta, r_nodes[1:-1]))
+    for arr_name, arr in (("ctt", coeffs[0]), ("crr", coeffs[2])):
         if np.any(~np.isfinite(arr)):
             raise NoConvergence(f"non-finite coefficient {arr_name}")
-    steps = np.diff(r_nodes)[:, None] + np.zeros(n_theta)
-    bands = stencil(ctt, ctr, crr, bt, br, dtheta, steps[:-1], steps[1:])
-
-    rhs = np.zeros((n_r - 1, n_theta))
-    rhs[-1] -= band_dot(bands[-1, 2], f_outer)
+    bands = level_bands(coeffs, r_nodes)
     first = None
     if disk:
         # the pole value is the mean of ring 1 (a vanishing Laplacian average),
         # which puts every inward coupling of ring 1 on all of ring 1
         first = np.outer(bands[0, 0].sum(axis=0), np.full(n_theta, 1.0 / n_theta))
-    else:
-        rhs[0] -= band_dot(bands[0, 0], f_inner)
-    rings = Elimination(bands, first).solve(rhs)
-
-    u = np.empty((n_r + 1, n_theta))
-    u[n_r] = f_outer
-    u[1:n_r] = rings
-    pole_value = None
-    if disk:
-        pole_value = float(np.mean(rings[0]))
-        u[0] = pole_value
-    else:
-        u[0] = f_inner
-
-    lo = float(np.min(f_outer)) if disk else min(float(np.min(f_outer)), float(np.min(f_inner)))
-    hi = float(np.max(f_outer)) if disk else max(float(np.max(f_outer)), float(np.max(f_inner)))
-    tol = 1e-9 * max(hi - lo, 1.0)
-    ok = bool(np.all(u >= lo - tol) and np.all(u <= hi + tol))
+    rings = Elimination(bands, first).solve_data(f_inner, f_outer)
+    pole_value = float(np.mean(rings[0])) if disk else None
+    u = np.vstack([np.full(n_theta, pole_value) if disk else f_inner, rings, f_outer])
+    data = (f_outer,) if disk else (f_outer, f_inner)
     return DirichletSolution(theta_nodes=theta, r_nodes=r_nodes, u=u,
                              pole_value=pole_value, eps=op.eps,
-                             completion=op.completion.label,
-                             max_principle_ok=ok, probe_values={})
+                             max_principle_ok=within_data(u, *data))
 
 
 # ---------------------------------------------------------------------------

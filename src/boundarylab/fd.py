@@ -30,7 +30,8 @@ import functools
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import NoConvergence
+from .errors import ModelError, NoConvergence
+from .geometry import TWO_PI
 
 RESIDUAL_TARGET = 1e-10  # max residual / max right-hand side, row-equilibrated
 GRANULE_BYTES = 8 * 2**20  # the unit an Elimination's block of inverses comes in
@@ -73,6 +74,22 @@ def stencil(caa, car, crr, ba, br, da: float, hm, hp) -> np.ndarray:
     return bands
 
 
+def level_bands(coeffs, nodes: np.ndarray) -> np.ndarray:
+    """Level bands of the stencil with coefficients coeffs (caa, car, crr, ba, br) at
+    the interior nodes[1:-1] of the second direction, by n angles periodic over 2 pi."""
+    n = np.broadcast(*coeffs).shape[-1]
+    steps = np.diff(nodes)[:, None] + np.zeros(n)
+    return stencil(*coeffs, TWO_PI / n, steps[:-1], steps[1:])
+
+
+def within_data(u: np.ndarray, *data) -> bool:
+    """Whether u lies in the range of the data, to 1e-9 of its width (at least 1)."""
+    lo = min(float(np.min(d)) for d in data)
+    hi = max(float(np.max(d)) for d in data)
+    tol = 1e-9 * max(hi - lo, 1.0)
+    return bool(np.all(u >= lo - tol) and np.all(u <= hi + tol))
+
+
 def boundary_values(f, a: np.ndarray) -> np.ndarray:
     """Data on the angle nodes a: f(a) for a callable f, else f broadcast to a's shape."""
     vals = np.asarray(f(a), dtype=float) if callable(f) else np.asarray(f, dtype=float)
@@ -93,15 +110,6 @@ def band_transpose(band: np.ndarray) -> np.ndarray:
                      np.roll(band[..., 0, :], -1, -1)], axis=-2)
 
 
-def _add_band(out: np.ndarray, band: np.ndarray) -> np.ndarray:
-    """out plus the block of band, in place."""
-    i = np.arange(band.shape[-1])
-    out[i, i - 1] += band[0]
-    out[i, i] += band[1]
-    out[i, (i + 1) % i.size] += band[2]
-    return out
-
-
 def _raise_bad_level(inv, stop: int):
     """Raise NoConvergence naming the first level below stop whose inverse is not
     finite, else level stop (from 0), whose block is singular."""
@@ -112,25 +120,34 @@ def _raise_bad_level(inv, stop: int):
 class Elimination:
     """Block LU of a block-tridiagonal system, swept upward level by level.
 
-    bands (n_levels, 3, 3, n) are the rows of the system, laid out as
-    ``stencil`` lays them out.  The first level's coupling downward and
-    the last level's upward act on values outside the system and are
-    left out; the caller moves them to the right-hand side.  first, if
-    given, is a dense n x n term added to the first level's diagonal
-    block.  Every row is scaled to max |entry| 1 before the sweep, and
-    every solve checks its residual on that scaled system.  A level
-    whose block is singular or not finite raises NoConvergence naming it;
-    the inverses are checked for finite entries once, after the sweep.
+    bands (n_levels, 3, 3, n), n >= 3, are the rows of the system, laid
+    out as ``stencil`` lays them out.  The first level's coupling downward
+    and the last level's upward act on data rows outside the system: they
+    are kept, unscaled, as below and above, for solve_data and
+    data_weights.  first, if given, is a dense n x n term added to the
+    first level's diagonal block.  Every row is scaled to max |entry| 1
+    before the sweep, and every solve checks its residual on that scaled
+    system.  A level whose block is singular or not finite raises
+    NoConvergence naming it; the inverses are checked for finite entries
+    once, after the sweep.
     """
 
     def __init__(self, bands: np.ndarray, first: np.ndarray | None = None):
         bands = np.array(bands, dtype=float)
+        n_levels, n = bands.shape[0], bands.shape[-1]
+        if n < 3:    # i - 1 and i + 1 would be one node, and the block's band entries collide
+            raise ModelError(f"a level needs at least 3 columns, got {n}")
+        # flat indices in an n x n block of its band entries (i, i - 1), (i, i), (i, i + 1),
+        # in the band's own order
+        i = np.arange(n)
+        self._band_index = np.concatenate([i * n + (i - 1) % n, i * (n + 1), i * n + (i + 1) % n])
+        self.below, self.above = bands[0, 0].copy(), bands[-1, 2].copy()
         bands[0, 0] = 0.0
         bands[-1, 2] = 0.0
         scale = np.abs(bands).max(axis=(1, 2))
         if first is not None:
             scale[0] = np.maximum(np.abs(bands[0, 2]).max(axis=0),
-                                  np.abs(_add_band(first.copy(), bands[0, 1])).max(axis=1))
+                                  np.abs(self._add_band(first.copy(), bands[0, 1])).max(axis=1))
         scale[scale == 0] = 1.0
         self.scale = scale
         bands /= scale[:, None, None, :]
@@ -138,12 +155,6 @@ class Elimination:
         self.first = None if first is None else first / scale[0][:, None]
         self.cross = bool(self.bands[:, (0, 2)][:, :, (0, 2)].any())
         self.cols = None
-        n_levels, n = bands.shape[0], bands.shape[-1]
-        # flat indices in an n x n block of its band entries (i, i - 1), (i, i), (i, i + 1),
-        # in the band's own order; they collide for n < 3, where _add_band serves
-        i = np.arange(n)
-        self._band_index = None if n < 3 else \
-            np.concatenate([i * n + (i - 1) % n, i * (n + 1), i * n + (i + 1) % n])
         neg_lower = -bands[:, 0, 1, :, None]
         per = max(1, GRANULE_BYTES // (8 * n * n))
         self.inv = np.empty((-(-n_levels // per) * per, n, n))[:n_levels]
@@ -154,6 +165,11 @@ class Elimination:
             self.inv[j] = inv
         if n_levels and not (np.isfinite(self.inv.min()) and np.isfinite(self.inv.max())):
             _raise_bad_level(self.inv, n_levels)
+
+    def _add_band(self, g: np.ndarray, band: np.ndarray) -> np.ndarray:
+        """g, a C-ordered n x n block, plus the block of band, in place."""
+        g.reshape(-1)[self._band_index] += band.reshape(-1)
+        return g
 
     def _couplings(self, transposed: bool = False):
         """(product, lower, upper): product(lower[j], x) is level j's block coupling it
@@ -174,15 +190,13 @@ class Elimination:
         if below is None:
             g = np.zeros(2 * row.shape[-1:]) if self.first is None else self.first.copy()
         elif self.cross:
-            # g = -L_j G_{j-1}^-1 U_{j-1}
-            g = -band_dot(band_transpose(self.bands[j - 1, 2]), band_dot(row[0], below.T).T)
+            # g = -L_j G_{j-1}^-1 U_{j-1}, which may come F-ordered
+            g = np.ascontiguousarray(
+                -band_dot(band_transpose(self.bands[j - 1, 2]), band_dot(row[0], below.T).T))
         else:
             g = np.multiply(below, -row[0, 1][:, None] if neg_lower is None else neg_lower)
             g *= self.bands[j - 1, 2, 1]
-        if self.cross or self._band_index is None:    # the cross path's g may be F-ordered
-            _add_band(g, row[1])
-        else:
-            g.reshape(-1)[self._band_index] += row[1].reshape(-1)
+        self._add_band(g, row[1])
         lu, piv, info = lapack.dgetrf(g, overwrite_a=True)
         if info == 0:
             inv, info = lapack.dgetri(lu, piv, overwrite_lu=True)
@@ -190,8 +204,9 @@ class Elimination:
 
     def cut(self, level: int, top: np.ndarray, cols: np.ndarray | None = None) -> "Elimination":
         """The system's first level - 1 levels closed at level by the row bands top (3, 3, n),
-        sharing this sweep's inverses below the cut.  Given cols (level, n), the cut is
-        the system A diag(cols), A as written: its unknowns are u = v / cols for A v = rhs."""
+        sharing this sweep's inverses below the cut.  top is a far-field row: the cut
+        couples to no data above.  Given cols (level, n), the cut is the system
+        A diag(cols), A as written: its unknowns are u = v / cols for A v = rhs."""
         if not 2 <= level <= len(self.bands):
             raise ValueError(f"cannot cut {len(self.bands)} levels at level {level}")
         sub = copy.copy(self)
@@ -200,7 +215,7 @@ class Elimination:
         sub.scale = np.concatenate([self.scale[:level - 1], top_scale[None]])
         sub.bands = np.concatenate([self.bands[:level - 1], (top / top_scale)[None]])
         sub.cross = self.cross or bool(top[0, (0, 2)].any())
-        sub.cols = cols
+        sub.cols, sub.above = cols, None
         sub.inv = list(self.inv[:level - 1])
         inv = sub._invert(level - 1, sub.bands[-1], sub.inv[-1])
         if inv is None or not np.isfinite(inv).all():
@@ -251,6 +266,20 @@ class Elimination:
             x /= self.cols
         self._check(x, rhs)
         return x
+
+    def solve_data(self, below: np.ndarray | None = None,
+                   above: np.ndarray | None = None) -> np.ndarray:
+        """x (n_levels, n) with A x = 0 beside the data rows below and above, where given."""
+        rhs = np.zeros((len(self.bands), self.bands.shape[-1]))
+        if above is not None:
+            rhs[-1] -= band_dot(self.above, above)
+        if below is not None:
+            rhs[0] -= band_dot(self.below, below)
+        return self.solve(rhs)
+
+    def data_weights(self, c: np.ndarray) -> np.ndarray:
+        """Weights w with c . solve_data(f) = w . f for every f below: -B^T A^-T c."""
+        return -band_dot(band_transpose(self.below), self.solve_transposed(c)[0])
 
     def solve_transposed(self, rhs: np.ndarray) -> np.ndarray:
         """x (n_levels, n) with A^T x = rhs, as D y for (D A)^T y = rhs, D the row scaling."""

@@ -131,7 +131,8 @@ class ChartModel:
     def __post_init__(self):
         y = np.linspace(0.0, TWO_PI, _VALIDATION_GRID, endpoint=False)
         for label, fn, strict in (("a", self.a, True), ("rho", self.rho, True),
-                                  ("alpha", self.alpha, True)):
+                                  ("alpha", self.alpha, True), ("b", self.b, False),
+                                  ("beta", self.beta, False), ("d", self.d, False)):
             vals = np.asarray(fn(y), dtype=float)
             if not np.all(np.isfinite(vals)):
                 raise ModelError(f"coefficient {label} is not finite on the sample grid")
@@ -678,8 +679,9 @@ class ValidationReport:
 def validate(m) -> ValidationReport:
     """Check the standing assumptions at a deterministic sample grid.
 
-    Chart mode: positivity of a, rho, alpha and periodicity of all
-    coefficients.  Ambient mode: tangency of the driving fields on the
+    Chart mode: periodicity of all coefficients (``ChartModel`` itself
+    rejects a non-finite coefficient and a non-positive a, rho or alpha).
+    Ambient mode: tangency of the driving fields on the
     circle, span of (v1, v2) in the interior, span of the perturbation
     fields everywhere sampled.
     """
@@ -693,14 +695,10 @@ def validate(m) -> ValidationReport:
 def _validate_chart(m: ChartModel) -> ValidationReport:
     y = np.linspace(0.0, TWO_PI, _VALIDATION_GRID, endpoint=False)
     bad = []
-    for label, fn, positive in (("a", m.a, True), ("b", m.b, False),
-                                ("alpha", m.alpha, True), ("beta", m.beta, False),
-                                ("d", m.d, False), ("rho", m.rho, True)):
+    # positivity and finiteness are ChartModel's own checks, on this grid
+    for label, fn in (("a", m.a), ("b", m.b), ("alpha", m.alpha), ("beta", m.beta),
+                      ("d", m.d), ("rho", m.rho)):
         vals = np.asarray(fn(y), dtype=float) + np.zeros_like(y)
-        if positive and vals.min() <= 0.0:
-            i = int(np.argmin(vals))
-            bad.append(Violation("PositivityViolation", f"y={y[i]:.4f}", float(vals[i]),
-                                 f"{label} must be > 0"))
         per = np.asarray(fn(y + TWO_PI), dtype=float) + np.zeros_like(y)
         gap = float(np.max(np.abs(per - vals)))
         if gap > 1e-10:

@@ -37,7 +37,7 @@ from .errors import (
     NotIntegrable,
     WrongRegime,
 )
-from .fd import Elimination, band_dot, band_transpose, boundary_values, stencil
+from .fd import Elimination, boundary_values, level_bands, within_data
 from .fields import ChartModel, Flavor, GeneratorCoefficients, assemble
 from .geometry import RescaledPoint, TWO_PI
 
@@ -185,9 +185,7 @@ def _discretize(gc: GeneratorCoefficients, z: np.ndarray, n_y: int, top) -> np.n
     y = np.linspace(0.0, TWO_PI, n_y, endpoint=False)
     Y, Z = np.meshgrid(y, z[1:-1])    # (n_z - 1, n_y)
     coeffs = gc.second_order(Y, Z) + gc.first_order(Y, Z)    # cyy, cyz, czz, by, bz
-    steps = np.diff(z)[:, None] + np.zeros(n_y)
-    return np.concatenate([stencil(*coeffs, TWO_PI / n_y, steps[:-1], steps[1:]),
-                           _top_row(*top, n_y)[None]])
+    return np.concatenate([level_bands(coeffs, z), _top_row(*top, n_y)[None]])
 
 
 def _top_row(below, top, n_y: int) -> np.ndarray:
@@ -199,13 +197,6 @@ def _top_row(below, top, n_y: int) -> np.ndarray:
     return row
 
 
-def _data_rhs(lower: np.ndarray, f_vals: np.ndarray, n_levels: int) -> np.ndarray:
-    """Right-hand side of n_levels levels, the first coupled by lower to the data f_vals."""
-    rhs = np.zeros((n_levels, f_vals.size))
-    rhs[0] = -band_dot(lower, f_vals)
-    return rhs
-
-
 def _half_level(z: np.ndarray) -> int:
     """The node-aligned truncation check's cut: the first node at or past half height."""
     return min(max(int(np.searchsorted(z, z[-1] / 2.0)), 101), z.size - 2)
@@ -215,13 +206,11 @@ def _finish_solution(full: np.ndarray, z: np.ndarray, y: np.ndarray, data,
                      truncation: float) -> HalfCylinderSolution:
     """The solution with rows full at heights z; the range of its boundary data bounds it."""
     top = full[-1]
-    lo, hi = float(np.min(data)), float(np.max(data))
-    tol = 1e-9 * max(hi - lo, 1.0)
-    ok = bool(np.all(full >= lo - tol) and np.all(full <= hi + tol))
     return HalfCylinderSolution(u_grid=full, z_nodes=z, y_nodes=y, ubar=float(np.mean(top)),
                                 top_oscillation=float(np.max(top) - np.min(top)),
                                 variation=full.max(axis=1) - full.min(axis=1),
-                                truncation_estimate=truncation, max_principle_ok=ok)
+                                truncation_estimate=truncation,
+                                max_principle_ok=within_data(full, data))
 
 
 def _verdict(m: ChartModel) -> Verdict:
@@ -229,25 +218,22 @@ def _verdict(m: ChartModel) -> Verdict:
 
 
 def _neumann_sweep(gc: GeneratorCoefficients, grid: HalfCylinderGrid):
-    """The Neumann-top problem on grid, eliminated once: its first level's band down to
-    the data, and close(level), its cut at level closed by the Neumann row (at the
-    grid's top, the sweep itself, closed there already)."""
-    bands = _discretize(gc, grid.z_nodes(), grid.n_y, NEUMANN)
-    elim = Elimination(bands)
-    return bands[0, 0].copy(), lambda level: elim if level == grid.n_z else \
+    """The Neumann-top problem on grid, eliminated once: close(level), its cut at level
+    closed by the Neumann row (at the grid's top, the sweep itself, closed there
+    already)."""
+    elim = Elimination(_discretize(gc, grid.z_nodes(), grid.n_y, NEUMANN))
+    return lambda level: elim if level == grid.n_z else \
         elim.cut(level, _top_row(*NEUMANN, grid.n_y))
 
 
 def _h_sweep(gc: GeneratorCoefficients, grid: HalfCylinderGrid):
     """The h problem on the grid PAD_FACTOR times taller (matching nodes, h = 0 at its top),
-    eliminated once and solved: its first level's band down to the data; close(level),
-    its cut at level closed by the Neumann row on v = h u, whose solves return u = v / h
-    (see fd.Elimination.cut); and a function giving solve_h's result, its cut at the
-    grid's top with h(Z) = 0."""
-    bands = _discretize(gc, grid.extended(PAD_FACTOR), grid.n_y, DIRICHLET_ZERO)
-    elim, ones, lower = Elimination(bands), np.ones(grid.n_y), bands[0, 0].copy()
-    rhs = _data_rhs(lower, ones, len(bands))
-    h = np.vstack([ones, elim.solve(rhs)[:grid.n_z]])
+    eliminated once and solved: close(level), its cut at level closed by the Neumann row
+    on v = h u, whose solves return u = v / h (see fd.Elimination.cut); and a function
+    giving solve_h's result, its cut at the grid's top with h(Z) = 0."""
+    elim = Elimination(_discretize(gc, grid.extended(PAD_FACTOR), grid.n_y, DIRICHLET_ZERO))
+    ones = np.ones(grid.n_y)
+    h = np.vstack([ones, elim.solve_data(ones)[:grid.n_z]])
 
     def close(level):
         if np.min(h[:level + 1]) < _H_FLOOR:
@@ -258,27 +244,25 @@ def _h_sweep(gc: GeneratorCoefficients, grid: HalfCylinderGrid):
 
     def solution():
         cut = elim.cut(grid.n_z, _top_row(*DIRICHLET_ZERO, grid.n_y))
-        full = np.vstack([ones, cut.solve(rhs[:grid.n_z])])
+        full = np.vstack([ones, cut.solve_data(ones)])
         # data are 1 at the bottom and 0 at the cut
         return _finish_solution(full, grid.z_nodes(), grid.y_nodes(), (0.0, 1.0),
                                 float(np.max(np.abs(h - full))))
 
-    return lower, close, solution
+    return close, solution
 
 
-def _cut_solve(lower: np.ndarray, close, grid: HalfCylinderGrid, f,
-               check_truncation: bool) -> HalfCylinderSolution:
-    """The grid's problem with data f from a sweep (lower, close): its cut at the top,
-    and ubar's change from the cut at the first node at or past half height as
-    truncation estimate."""
+def _cut_solve(close, grid: HalfCylinderGrid, f, check_truncation: bool) -> HalfCylinderSolution:
+    """The grid's problem with data f from a sweep's close: its cut at the top, and
+    ubar's change from the cut at the first node at or past half height as truncation
+    estimate."""
     z, y = grid.z_nodes(), grid.y_nodes()
     f_vals = boundary_values(f, y)
-    rhs = _data_rhs(lower, f_vals, grid.n_z)
-    full = np.vstack([f_vals, close(grid.n_z).solve(rhs[:grid.n_z])])
+    full = np.vstack([f_vals, close(grid.n_z).solve_data(f_vals)])
     truncation = math.nan
     if check_truncation:
         k_half = _half_level(z)
-        u_half = close(k_half).solve(rhs[:k_half])
+        u_half = close(k_half).solve_data(f_vals)
         truncation = abs(float(full[-1].mean()) - float(u_half[-1].mean()))
     return _finish_solution(full, z, y, f_vals, truncation)
 
@@ -306,7 +290,7 @@ def solve_u(m: ChartModel, f, grid: HalfCylinderGrid | None = None,
         raise WrongRegime("u-solve needs an attracting or neutral boundary; "
                           "use solve_conditioned")
     gc = assemble(m, eps, Flavor.LIMIT if eps is None else Flavor.RESCALED)
-    return _cut_solve(*_neumann_sweep(gc, grid), grid, f, check_truncation)
+    return _cut_solve(_neumann_sweep(gc, grid), grid, f, check_truncation)
 
 
 def solve_h(m: ChartModel, grid: HalfCylinderGrid | None = None) -> HalfCylinderSolution:
@@ -321,7 +305,7 @@ def solve_h(m: ChartModel, grid: HalfCylinderGrid | None = None) -> HalfCylinder
     grid = grid or HalfCylinderGrid()
     if _verdict(m) is not Verdict.REPELLING:
         raise WrongRegime("hitting probability is identically 1 unless repelling")
-    return _h_sweep(assemble(m, None, Flavor.LIMIT), grid)[2]()
+    return _h_sweep(assemble(m, None, Flavor.LIMIT), grid)[1]()
 
 
 def solve_conditioned(m: ChartModel, f, grid: HalfCylinderGrid | None = None,
@@ -348,8 +332,8 @@ def _conditioned(m: ChartModel, f, grid: HalfCylinderGrid | None, check_truncati
     grid = grid or conditioned_default_grid()
     if (regime or _verdict(m)) is not Verdict.REPELLING:
         raise WrongRegime("conditioning applies to repelling boundaries only")
-    lower, close, h_solution = _h_sweep(assemble(m, None, Flavor.LIMIT), grid)
-    return _cut_solve(lower, close, grid, f, check_truncation), h_solution
+    close, h_solution = _h_sweep(assemble(m, None, Flavor.LIMIT), grid)
+    return _cut_solve(close, grid, f, check_truncation), h_solution
 
 
 def radial_oracle(alpha_c: float, beta_c: float, rho_c: float):
@@ -494,9 +478,8 @@ def _adjoint_weights(gc, grid, start, repelling: bool) -> np.ndarray:
         rows, cols, weights = _interp_functional(grid.z_nodes(), grid.y_nodes(),
                                                  start.y, start.zz)
         c[rows, cols] = weights
-    lower, close = _h_sweep(gc, grid)[:2] if repelling else _neumann_sweep(gc, grid)
-    x = close(grid.n_z).solve_transposed(c[1:])
-    return c[0] - band_dot(band_transpose(lower), x[0])
+    close = _h_sweep(gc, grid)[0] if repelling else _neumann_sweep(gc, grid)
+    return c[0] + close(grid.n_z).data_weights(c[1:])
 
 
 def _interp_functional(z: np.ndarray, y: np.ndarray, yq: float, zq: float):

@@ -528,10 +528,10 @@ def attraction_stats(m: ChartModel, starts, horizon: float, params: SimulationPa
     """Long-run distance-to-boundary statistics of the unperturbed chart flow.
 
     Paths run the CHART flavor (eps = 0 unless overridden) for the horizon;
-    a path wandering beyond far_wall is frozen there and counted as not
-    near.  Every start height must lie in [0, far_wall] (``ModelError``
-    otherwise).  Returns one row per start with the near fraction and the
-    recorded min/max distances.
+    a path that reaches far_wall stops there, is recorded at it, and is
+    counted as not near.  Every start height must lie in [0, far_wall]
+    (``ModelError`` otherwise).  Returns one row per start with the near
+    fraction and the recorded min/max distances.
     """
     starts = [_resolve_start(start) for start in starts]
     for _, z0 in starts:
@@ -548,24 +548,26 @@ def attraction_stats(m: ChartModel, starts, horizon: float, params: SimulationPa
         final, mins, maxs = shared(n, z0), shared(n, z0), shared(n, z0)
 
         def advance(k, state, noise, uniform, live, pids):
-            y, z, zmin, zmax, frozen = state
+            y, z, zmin, zmax = state
             by, bz, ayy, ayz, azz = gc.ito(y, z, cross)
             noise_y, noise_z = _increments(sqdt, ayy, ayz, azz, noise)
             y = y + by * dt + noise_y
-            z_new = np.maximum(z + bz * dt + noise_z, 0.0)
-            hit_wall = z_new >= far_wall
-            frozen = frozen | hit_wall
-            z = np.where(frozen, np.where(hit_wall, far_wall, z), z_new) if frozen.any() else z_new
+            z = np.maximum(z + bz * dt + noise_z, 0.0)
+            out = live & (z >= far_wall)
+            if np.count_nonzero(out):
+                final[pids[out]], maxs[pids[out]] = far_wall, far_wall
+                mins[pids[out]] = np.minimum(zmin[out], far_wall)
+                live = live & ~out
             zmin = np.minimum(zmin, z)
             zmax = np.maximum(zmax, z)
             if k + 1 == n_steps:
-                final[pids], mins[pids], maxs[pids] = z, zmin, zmax
-            return [y, z, zmin, zmax, frozen], live
+                final[pids[live]], mins[pids[live]], maxs[pids[live]] = \
+                    z[live], zmin[live], zmax[live]
+            return [y, z, zmin, zmax], live
 
         _run_paths(params, n_steps,
                    lambda pids: [np.full(pids.size, y0), np.full(pids.size, z0),
-                                 np.full(pids.size, z0), np.full(pids.size, z0),
-                                 np.zeros(pids.size, dtype=bool)],
+                                 np.full(pids.size, z0), np.full(pids.size, z0)],
                    advance)
         near = final < near_threshold
         p = float(np.mean(near))

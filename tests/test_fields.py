@@ -192,6 +192,14 @@ def test_validate_constructed_violations():
                    rho=Const(0.0))
 
 
+@pytest.mark.parametrize("label", ["b", "beta", "d"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_chart_model_rejects_a_non_finite_drift_or_mixed_term(label, value):
+    coeffs = dict(a=Const(1.0), b=Const(0.0), alpha=Const(1.0), beta=Const(0.0))
+    with pytest.raises(ModelError, match=f"coefficient {label} is not finite"):
+        ChartModel(**{**coeffs, label: Const(value)})
+
+
 def test_flavor_eps_requirements():
     m = ChartModel(a=Const(1.0), b=Const(0.0), alpha=Const(1.0), beta=Const(0.0))
     with pytest.raises(FlavorRangeError):

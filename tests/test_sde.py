@@ -218,6 +218,22 @@ def test_attraction_rejects_a_start_outside_its_walls(zoo):
     assert rows[0].min_distance == 0.0 and rows[1].max_distance == 2.0
 
 
+def test_attraction_stops_a_path_at_the_far_wall(zoo, monkeypatch):
+    # fewer than 2 MIN_ROWS paths: no worker process is forked, so every ito call is counted
+    n_paths, n_steps, rows = sde.MIN_ROWS, 400, []
+    ito = GeneratorCoefficients.ito
+
+    def counting(self, y, v, *args):
+        rows.append(np.size(y))
+        return ito(self, y, v, *args)
+
+    monkeypatch.setattr(GeneratorCoefficients, "ito", counting)
+    p = SimulationParams(dt=5e-3, seed=1, n_paths=n_paths, max_time=2.0)
+    row, = sde.attraction_stats(zoo["B"], [(0.0, 1.0)], n_steps * p.dt, p, far_wall=1.1)
+    assert row.max_distance == 1.1
+    assert sum(rows) < n_paths * n_steps
+
+
 def _steps_advanced(exit_time, dt):
     """Steps each path advanced: a path stopping in step k (exit time in (k dt, (k+1) dt])
     advanced k + 1; a censored one, all of them."""

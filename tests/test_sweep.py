@@ -10,7 +10,7 @@ import scipy.sparse.linalg as spla
 
 from boundarylab import dirichlet, fd, halfcyl
 from boundarylab.coefficients import Const
-from boundarylab.errors import NoConvergence
+from boundarylab.errors import ModelError, NoConvergence
 from boundarylab.fields import Flavor, assemble
 from boundarylab.geometry import DomainKind, DomainModel, TWO_PI
 
@@ -38,7 +38,10 @@ def _spsolve(bands, rhs):
 
 
 def _rhs(bands, f_vals):
-    return halfcyl._data_rhs(bands[0, 0], f_vals, len(bands))
+    """Right-hand side of the level system bands whose first level couples to the data f_vals."""
+    rhs = np.zeros((len(bands), f_vals.size))
+    rhs[0] = -fd.band_dot(bands[0, 0], f_vals)
+    return rhs
 
 
 def _neumann_system(gc, grid):
@@ -63,7 +66,7 @@ def test_neumann_solve_matches_spsolve(zoo, cross_d, name):
 
 def _h(gc, grid):
     """The h sweep's h on grid's nodes: the columns of its conditioned cut at the top."""
-    return np.vstack([np.ones(grid.n_y), halfcyl._h_sweep(gc, grid)[1](grid.n_z).cols])
+    return np.vstack([np.ones(grid.n_y), halfcyl._h_sweep(gc, grid)[0](grid.n_z).cols])
 
 
 def _conjugated(gc, grid, h):
@@ -112,7 +115,7 @@ def test_transposed_solve_matches_spsolve(zoo, cross_d, name):
     gc = assemble(cross_d if name == "cross" else zoo[name], None, Flavor.LIMIT)
     c = np.random.default_rng(3).standard_normal((GRID.n_z, GRID.n_y))
     if name == "B-asym":
-        cut = halfcyl._h_sweep(gc, GRID)[1](GRID.n_z)
+        cut = halfcyl._h_sweep(gc, GRID)[0](GRID.n_z)
         # the conjugated system is A H with its PDE rows divided by h, so its transposed
         # solution is h x on those rows and x on the top row, which is the same in both
         x = cut.solve_transposed(c)
@@ -127,9 +130,10 @@ def test_transposed_solve_matches_spsolve(zoo, cross_d, name):
 
 def test_conditioned_check_sees_an_error_at_the_top(zoo):
     gc = assemble(zoo["B-asym"], None, Flavor.LIMIT)
-    lower, close, _ = halfcyl._h_sweep(gc, GRID)
-    rhs = halfcyl._data_rhs(lower, np.cos(GRID.y_nodes()), GRID.n_z)
-    cut = close(GRID.n_z)
+    cut = halfcyl._h_sweep(gc, GRID)[0](GRID.n_z)
+    padded = halfcyl._discretize(gc, GRID.extended(halfcyl.PAD_FACTOR), GRID.n_y,
+                                 halfcyl.DIRICHLET_ZERO)
+    rhs = _rhs(padded[:GRID.n_z], np.cos(GRID.y_nodes()))
     u = cut.solve(rhs)
     u[-2:] *= 1.0 + 1e-6
     with pytest.raises(NoConvergence):
@@ -138,6 +142,20 @@ def test_conditioned_check_sees_an_error_at_the_top(zoo):
     v_system = copy.copy(cut)
     v_system.cols = None
     v_system._check(cut.cols * u, rhs)
+
+
+@pytest.mark.parametrize("name", ["D", "cross"])
+def test_data_weights_are_the_functional_of_the_data_solve(zoo, cross_d, name):
+    m = cross_d if name == "cross" else zoo[name]
+    elim = fd.Elimination(_neumann_system(assemble(m, None, Flavor.LIMIT), GRID))
+    rng = np.random.default_rng(5)
+    c, f = rng.standard_normal((GRID.n_z, GRID.n_y)), rng.standard_normal(GRID.n_y)
+    assert abs(np.sum(c * elim.solve_data(f)) - elim.data_weights(c) @ f) <= TOL
+
+
+def test_a_level_of_fewer_than_three_columns_is_refused():
+    with pytest.raises(ModelError, match="got 2"):
+        fd.Elimination(_diagonally_dominant(n=2))
 
 
 def _polar_reference(op, n_theta, r_nodes, f_outer, f_inner=None):

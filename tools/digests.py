@@ -4,9 +4,10 @@ Two trees that print the same lines give the same bits: the artifacts of
 the bundled configs, the operation digests of the benchmark workloads,
 direct runs of every sampler and of the time-scale sweep (small ones, and
 ones with enough paths to be split over worker processes), direct FD
-solves (cross terms, the annulus, transposed solves and the conditioned
-problem), and every operator flavor's coefficients.  A refactor that must
-keep behaviour is checked with one ``diff``:
+solves (cross terms, the annulus, transposed solves, the conditioned
+problem and data with signed zeros), and every operator flavor's
+coefficients.  A refactor that must keep behaviour is checked with one
+``diff``:
 
     python tools/digests.py 1 2 > after.txt      # in the changed tree
     python tools/digests.py 1 2 > before.txt     # in the parent tree (same script)
@@ -76,6 +77,10 @@ CHUNKS = (8192, 7)
 SPLIT_PATHS = 2000
 SPLIT_CHUNKS = (8192, 1000)
 SPLIT_START = {"disk": (0.0, 0.0), "annulus": (0.65, 0.0)}
+# boundary data that are zero on some or all nodes: the coupling to the data must keep the
+# solutions' zero signs (sin is exactly 0.0 at node 0)
+ZERO_DATA = {"zero": Const(0.0), "minus-zero": Const(-0.0),
+             "sin": Fourier(0.0, ((1, 0.0, 1.0),))}
 
 
 def _models():
@@ -241,8 +246,24 @@ def split_digests(seed):
 def fd_digests():
     """Direct FD solves that no config or workload makes: the polar solve with a cross
     term (d != 0) and on the annulus, the half-cylinder solve with a cross term, forward
-    and transposed (adjoint exit law), and the conditioned problem of B-asym."""
+    and transposed (adjoint exit law), and the conditioned problem of B-asym; and the
+    polar, half-cylinder and conditioned solves on data whose zeros carry signs."""
     zoo = _models()
+    for dname, zdata in ZERO_DATA.items():
+        for mname in ("D", "sloped"):
+            m = zoo[mname]
+            comp = dirichlet.default_completions(m)[0]
+            for domname, dom in DOMAINS.items():
+                op = dirichlet.DiskOperator(model=m, eps=0.2, completion=comp, dom=dom)
+                sol = dirichlet.solve_fd(op, zdata, n_theta=32,
+                                         psi_inner=None if domname == "disk" else zdata)
+                yield f"fd/{dname}/solve_fd/{mname}/{domname}", _digest(sol.u)
+            sol = halfcyl.solve_u(m, zdata, halfcyl.HalfCylinderGrid(n_y=32, n_z=200))
+            yield f"fd/{dname}/solve_u/{mname}", _digest(sol.u_grid, [sol.truncation_estimate])
+        sol = halfcyl.solve_conditioned(zoo["B-asym"], zdata,
+                                        halfcyl.HalfCylinderGrid(n_y=32, n_z=200))
+        yield (f"fd/{dname}/solve_conditioned/B-asym",
+               _digest(sol.u_grid, sol.h.u_grid, [sol.truncation_estimate]))
     data = Cosine(mean=0.5, amp=1.0, phase=0.7)
     for mname in ("D", "sloped"):
         m = zoo[mname]
