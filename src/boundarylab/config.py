@@ -327,8 +327,8 @@ def parse_config(obj) -> ExperimentConfig:
     _expect(experiment in EXPERIMENT_KINDS, "experiment",
             f"unknown experiment {experiment!r}; one of {EXPERIMENT_KINDS}")
     seed = obj.get("seed")
-    _expect(isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0,
-            "seed", "a non-negative integer seed is mandatory (no wall-clock seeding)")
+    _expect(isinstance(seed, int) and not isinstance(seed, bool) and 0 <= seed < 2**64,
+            "seed", "an integer seed in [0, 2**64) is mandatory (no wall-clock seeding)")
     output_dir = obj.get("output_dir", experiment)
     _expect(isinstance(output_dir, str) and output_dir, "output_dir",
             "expected non-empty string")

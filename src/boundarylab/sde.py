@@ -5,23 +5,29 @@ on one Euler-Maruyama driver, ``_run_paths``: path p of a run draws its
 noise from its own counter-based stream keyed by (seed, p) (Philox; the
 rows of a stacked run may share a stream), consumed in fixed-size blocks,
 and paths that stop are dropped inside and between blocks, so results are
-bit-identical however paths are chunked or scheduled.  Past its first noise
-block, a chunk whose live rows read at least 2 * MIN_ROWS streams is split
-over worker processes, one per CPU the process may use: each forked worker
-steps a contiguous range of stream ids and writes its paths' results into
-arrays in shared memory.  The bits are the same however the paths are
-split, and aggregation always runs in path order, in the calling process;
-``taskset -c 0`` (one usable CPU) runs a sampler in one process.  Each
-sampler supplies its start state and one step on the Ito form, whose
-coefficients the absorbing samplers evaluate once, at the endpoint.
-A chunk stops stepping once its last path has stopped.  ``simulate``
-always absorbs at height zero, detected by endpoint crossing (with the
-crossing time and location linearly interpolated inside the step) plus
-a Brownian-bridge test for excursions the endpoints miss (Gobet, "Weak
-approximation of killed diffusion using Euler schemes", SPA 87, 2000);
-the bridge test removes the order-sqrt(dt) exit bias of pure endpoint
-monitoring and can be disabled per run.  When ``SimulationParams.wall``
-is set, paths reaching that height are censored there as well.
+bit-identical however paths are chunked or scheduled.  A chunk of more than
+one noise block whose rows read at least 2 * MIN_ROWS streams is split over
+worker processes, one per CPU the process may use: each forked worker steps
+a contiguous range of stream ids and writes its paths' results into arrays
+in shared memory.  A process makes a stream just before it first draws from
+it.  The fixed-horizon samplers (``attraction_stats``, ``martingale_trace``,
+``simulate_boundary``) split before their first step, so each worker makes
+its own range's streams; the absorbing ones (``simulate`` and
+``dirichlet.sample_exit``) step the first block in the calling process,
+which makes every stream, and split the rows still live after it.  The bits
+are the same however the paths are split, and aggregation always runs in
+path order, in the calling process; ``taskset -c 0`` (one usable CPU) runs
+a sampler in one process.  Each sampler supplies its start state and one
+step on the Ito form, whose coefficients the absorbing samplers evaluate
+once, at the endpoint.  A chunk stops stepping once its last path has
+stopped.  ``simulate`` always absorbs at height zero, detected by endpoint
+crossing (with the crossing time and location linearly interpolated inside
+the step) plus a Brownian-bridge test for excursions the endpoints miss
+(Gobet, "Weak approximation of killed diffusion using Euler schemes", SPA
+87, 2000); the bridge test removes the order-sqrt(dt) exit bias of pure
+endpoint monitoring and can be disabled per run.  When
+``SimulationParams.wall`` is set, paths reaching that height are censored
+there as well.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from __future__ import annotations
 import ctypes
 import math
 import mmap
+import numbers
 import os
 import pickle
 import signal
@@ -36,6 +43,7 @@ import traceback
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .classifier import ClassificationReport
 from .coefficients import Const, folded
@@ -68,6 +76,9 @@ class SimulationParams:
             raise ModelError(f"dt must be > 0, got {self.dt}")
         if self.n_paths < 1:
             raise ModelError("n_paths must be >= 1")
+        if not (isinstance(self.seed, numbers.Integral) and not isinstance(self.seed, bool)
+                and 0 <= int(self.seed) < 2**64):
+            raise ModelError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         if self.chunk_size < 1:
             raise ModelError("chunk_size must be >= 1")
         if self.max_time <= 0:
@@ -140,12 +151,24 @@ class BoundaryRun:
     total_time: float
 
 
+class _Key(ISeedSequence):
+    """A stream's Philox key as the seed of ``np.random.Philox``: Philox takes its two key
+    words from ``generate_state`` and starts at counter 0, the state ``Philox(key=...)``
+    sets, without the OS entropy that the ``SeedSequence`` made beside a key draws."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
 def _path_generators(seed: int, path_ids):
     """One Philox stream per (seed, path), keyed by the pair; path ids are non-negative."""
     keys = np.empty((len(path_ids), 2), dtype=np.uint64)
-    keys[:, 0] = int(seed) & 0xFFFFFFFFFFFFFFFF
+    keys[:, 0] = seed
     keys[:, 1] = path_ids
-    return [np.random.Generator(np.random.Philox(key=key)) for key in keys]
+    return [np.random.Generator(np.random.Philox(_Key(key))) for key in keys]
 
 
 def _draw_block(gens):
@@ -160,7 +183,7 @@ def _draw_block(gens):
 
 
 def _run_paths(params: SimulationParams, n_steps: int, start_state, advance, streams=None,
-               totals=()):
+               totals=(), probe=False):
     """The one Euler-Maruyama driver behind every sampler.
 
     Paths run chunk by chunk.  ``start_state(pids)`` returns the state of the
@@ -183,47 +206,60 @@ def _run_paths(params: SimulationParams, n_steps: int, start_state, advance, str
     By default path p reads stream p.  ``streams`` instead gives each of its
     rows a stream id, and rows may share one: a block draws each id's noise
     once, when any of its rows is live, and copies it to those rows, so
-    every row sees the noise its stream alone would give it.
-    After a chunk's first block, its live rows are split over worker
-    processes (``_worker_count`` of them, by the streams they read): each
-    takes a contiguous range of those stream ids with every live row that
-    reads one, and steps them to the end of the chunk (``_fork_each``).  The
-    first block shows how many rows stay live: a run whose rows mostly stop
-    in it would not repay a fork.  So the per-path arrays ``advance`` writes
-    must come from ``shared``, and ``totals`` names the arrays that it only
-    adds into, which the parent sums over the workers.
+    every row sees the noise its stream alone would give it.  A stream is
+    made by the process that first draws from it, just before that draw.
+    A chunk of more than one block is split over worker processes
+    (``_worker_count`` of them, by the streams its rows read): each takes a
+    contiguous range of those stream ids with every row that reads one, and
+    steps them to the end of the chunk (``_fork_each``).  A run whose rows
+    run to the horizon splits before its first step, so each process makes
+    its own range's streams.  An absorbing run, whose rows mostly stop in the
+    first block and would not repay a fork, sets ``probe``: its chunk steps
+    that block in the calling process, which makes every stream, and splits
+    the rows still live after it by the streams they read.  So the per-path
+    arrays ``advance`` writes must come from ``shared``, and ``totals`` names
+    the arrays that it only adds into, which the parent sums over the workers.
     """
     n_rows = params.n_paths if streams is None else streams.size
     for lo in range(0, n_rows, params.chunk_size):
         pids = np.arange(lo, min(lo + params.chunk_size, n_rows))
-        ids = pids if streams is None else np.unique(streams[pids])
-        gens = dict(zip(ids.tolist(), _path_generators(params.seed, ids)))
-        pids, state = _run_blocks(n_steps, advance, streams, gens, pids, start_state(pids),
-                                  0, NOISE_BLOCK)
-        if n_steps <= NOISE_BLOCK or not pids.size:
-            continue
-        key = pids if streams is None else streams[pids]
-        ids = np.unique(key)
-        workers = _worker_count(ids.size)
+        state = start_state(pids)
+        gens = {}           # stream id -> its generator, in the process that draws from it
+        step = 0
+        if probe:
+            pids, state = _run_blocks(params.seed, n_steps, advance, streams, gens, pids, state,
+                                      0, NOISE_BLOCK)
+            step = NOISE_BLOCK
         parts = [slice(None)]
-        if workers > 1:
-            part = np.searchsorted(ids[[j * ids.size // workers for j in range(1, workers)]],
-                                   key, side="right")
-            parts = [np.flatnonzero(part == j) for j in range(workers)]
-        _fork_each(parts, lambda rows: _run_blocks(n_steps, advance, streams, gens, pids[rows],
-                                                   [a[rows] for a in state], NOISE_BLOCK,
+        if n_steps > NOISE_BLOCK and pids.size:
+            key = pids if streams is None else streams[pids]
+            ids = np.unique(key)
+            workers = _worker_count(ids.size)
+            if workers > 1:
+                part = np.searchsorted(ids[[j * ids.size // workers for j in range(1, workers)]],
+                                       key, side="right")
+                parts = [np.flatnonzero(part == j) for j in range(workers)]
+        _fork_each(parts, lambda rows: _run_blocks(params.seed, n_steps, advance, streams, gens,
+                                                   pids[rows], [a[rows] for a in state], step,
                                                    n_steps), totals)
 
 
-def _run_blocks(n_steps: int, advance, streams, gens, pids, state, step: int, stop: int):
+def _run_blocks(seed: int, n_steps: int, advance, streams, gens, pids, state, step: int,
+                stop: int):
     """Step the rows ``pids`` of one chunk, in state ``state``, through the noise blocks
-    from step ``step`` up to ``stop``; returns the rows still live and their state."""
+    from step ``step`` up to ``stop``; returns the rows still live and their state.  A
+    block first adds to ``gens`` the streams it reads that ``gens`` does not hold yet."""
     while step < min(stop, n_steps) and pids.size:
         if streams is None:
-            normals, uniforms = _draw_block([gens[p] for p in pids.tolist()])
+            ids = pids.tolist()
         else:
             drawn, at = np.unique(streams[pids], return_inverse=True)
-            normals, uniforms = _draw_block([gens[i] for i in drawn.tolist()])
+            ids = drawn.tolist()
+        new = [i for i in ids if i not in gens]
+        if new:
+            gens.update(zip(new, _path_generators(seed, new)))
+        normals, uniforms = _draw_block([gens[i] for i in ids])
+        if streams is not None:
             normals, uniforms = normals[at], uniforms[at]
         live = np.ones(pids.size, dtype=bool)
         width = min(NOISE_BLOCK, n_steps - step)
@@ -461,7 +497,7 @@ def simulate(gc: GeneratorCoefficients, start, params: SimulationParams) -> Exit
         _run_paths(params, int(round(params.max_time / dt)),
                    lambda pids: [np.full(pids.size, y0), np.full(pids.size, v0),
                                  *gc.ito(np.full(pids.size, y0), np.full(pids.size, v0))],
-                   advance)
+                   advance, probe=True)
     return ExitSampleBatch(exit_y=exit_y, exit_time=exit_time, exited_mask=exited,
                            unstable_mask=unstable, n_paths=n, seed=params.seed)
 

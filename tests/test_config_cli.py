@@ -69,6 +69,15 @@ def test_seed_is_mandatory():
     assert "seed" in str(err.value)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True, "1"])
+def test_a_seed_outside_the_stream_keys_is_rejected(seed):
+    # every MC stream is keyed by the seed as one 64-bit word
+    with pytest.raises(ConfigError) as err:
+        parse_config(minimal_classify(seed=seed))
+    assert err.value.field == "seed"
+    assert parse_config(minimal_classify(seed=2**64 - 1)).seed == 2**64 - 1
+
+
 def test_unknown_model_and_keys():
     with pytest.raises(ConfigError):
         parse_config(minimal_classify(model={"name": "Z"}))

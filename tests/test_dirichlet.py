@@ -358,14 +358,14 @@ def _counting_run_paths(monkeypatch, events):
         events.append(("drawn", [int(g.bit_generator.state["state"]["key"][1]) for g in gens]))
         return draw_block(gens)
 
-    def spy(params, n_steps, start_state, advance, streams=None):
+    def spy(params, n_steps, start_state, advance, streams=None, probe=False):
         def counted(k, state, noise, uniform, live, pids):
             ids = pids if streams is None else streams[pids]
             if k % sde.NOISE_BLOCK == 0:
                 events.append(("live", ids[live].tolist()))
             events.append(("steps", int(np.count_nonzero(live))))
             return advance(k, state, noise, uniform, live, pids)
-        return run_paths(params, n_steps, start_state, counted, streams)
+        return run_paths(params, n_steps, start_state, counted, streams, probe=probe)
 
     monkeypatch.setattr(sde, "_draw_block", draw)
     monkeypatch.setattr(sde, "_run_paths", spy)

@@ -38,6 +38,30 @@ def test_params_validation():
             SimulationParams(**{"dt": 1e-3, "seed": 1, "n_paths": 10, "max_time": 1.0, **bad})
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True, np.float64(2.0), "1", None])
+def test_a_seed_that_is_no_64_bit_key_is_rejected(seed):
+    # -1 would read the streams of 2**64 - 1, 2**64 those of 0, and 1.5 and True those of 1
+    with pytest.raises(ModelError, match="seed"):
+        SimulationParams(dt=1e-3, seed=seed, n_paths=10, max_time=1.0)
+    for good in (0, 2**64 - 1, np.uint64(2**64 - 1), np.int64(7)):
+        SimulationParams(dt=1e-3, seed=good, n_paths=10, max_time=1.0)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_a_stream_is_the_philox_stream_of_its_key(seed):
+    ids = [0, 3, 2**32 + 5]
+    for path, g in zip(ids, sde._path_generators(seed, ids)):
+        ref = np.random.Generator(np.random.Philox(key=np.array([seed, path], dtype=np.uint64)))
+        # backed by its key itself, not by a SeedSequence drawn from OS entropy
+        key = g.bit_generator.seed_seq
+        assert not isinstance(key, np.random.SeedSequence)
+        np.testing.assert_array_equal(key.generate_state(2, np.uint64), [seed, path])
+        # the state holds small uint64 arrays, which repr prints in full
+        assert repr(g.bit_generator.state) == repr(ref.bit_generator.state)
+        for draw in (lambda r: r.standard_normal(1000), lambda r: r.random(256)):
+            np.testing.assert_array_equal(draw(g).view(np.int64), draw(ref).view(np.int64))
+
+
 def test_boundary_run_rejects_a_negative_burn_in_and_no_bins(zoo):
     p = SimulationParams(dt=0.01, seed=1, n_paths=64, max_time=1.0)
     for kw in ({"burn_in": -0.5}, {"burn_in": math.nan}, {"bins": 0}, {"bins": -3}):

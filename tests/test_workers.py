@@ -1,9 +1,9 @@
 """Samplers split over worker processes give the bits of one process, and clean up.
 
-After a chunk's first noise block, ``sde._run_paths`` splits its live rows
-over forked workers by their streams (``sde._worker_count``).  The runs here
-force the count: one worker, or three, which is more than the two CPUs of a
-small machine.
+``sde._run_paths`` splits a chunk's rows over forked workers by their
+streams (``sde._worker_count``): a horizon run before its first step, an
+absorbing run after its first noise block.  The runs here force the count:
+one worker, or three, which is more than the two CPUs of a small machine.
 """
 
 import os
@@ -103,6 +103,59 @@ def test_a_split_run_is_the_one_process_run_bit_for_bit(sampler, zoo, reports, m
         a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
         assert a.shape == b.shape
         assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _caller_events(monkeypatch):
+    """Records, in order, what the calling process does: the stream ids of each
+    ``_path_generators`` call, the number of streams each block draws, and each fork."""
+    events = []
+    path_generators, draw_block, fork = sde._path_generators, sde._draw_block, os.fork
+    caller = os.getpid()
+
+    def generators(seed, path_ids):
+        if os.getpid() == caller:
+            events.append(("streams", list(path_ids)))
+        return path_generators(seed, path_ids)
+
+    def draw(gens):
+        if os.getpid() == caller:
+            events.append(("draw", len(gens)))
+        return draw_block(gens)
+
+    def forking():
+        pid = fork()
+        if pid:
+            events.append(("fork", None))
+        return pid
+
+    monkeypatch.setattr(sde, "_path_generators", generators)
+    monkeypatch.setattr(sde, "_draw_block", draw)
+    monkeypatch.setattr(os, "fork", forking)
+    return events
+
+
+@pytest.mark.parametrize("sampler", ["martingale_trace", "simulate_boundary"])
+def test_a_horizon_run_splits_before_its_first_step(sampler, zoo, reports, monkeypatch):
+    _forced(monkeypatch, 3)
+    events = _caller_events(monkeypatch)
+    SAMPLERS[sampler](zoo, reports)
+    # the caller makes its own range's streams only, after forking the other two
+    own = list(range(N // 3))
+    assert events[:4] == [("fork", None), ("fork", None), ("streams", own), ("draw", len(own))]
+    assert [e for e in events[4:] if e[0] != "draw"] == []
+
+
+@pytest.mark.parametrize("sampler", ["simulate", "sample_exit-stacked-disk"])
+def test_an_absorbing_run_probes_its_first_block_in_the_caller(sampler, zoo, reports,
+                                                                monkeypatch):
+    _forced(monkeypatch, 3)
+    events = _caller_events(monkeypatch)
+    SAMPLERS[sampler](zoo, reports)
+    # the caller makes every stream and draws block 0 for all of them before it forks
+    assert events[:4] == [("streams", list(range(N))), ("draw", N), ("fork", None),
+                          ("fork", None)]
+    assert [e for e in events[4:] if e[0] != "draw"] == []
+    assert all(n <= N // 3 for _, n in events[4:])
 
 
 def test_the_worker_count_follows_the_cpus_and_the_streams():

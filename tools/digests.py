@@ -3,7 +3,8 @@
 Two trees that print the same lines give the same bits: the artifacts of
 the bundled configs, the operation digests of the benchmark workloads,
 direct runs of every sampler and of the time-scale sweep (small ones, and
-ones with enough paths to be split over worker processes), direct FD
+ones with enough paths to be split over worker processes, the horizon
+samplers also at the edges of their split), direct FD
 solves (cross terms, the annulus, transposed solves, the conditioned
 problem and data with signed zeros), and every operator flavor's
 coefficients.  A refactor that must keep behaviour is checked with one
@@ -77,6 +78,11 @@ CHUNKS = (8192, 7)
 SPLIT_PATHS = 2000
 SPLIT_CHUNKS = (8192, 1000)
 SPLIT_START = {"disk": (0.0, 0.0), "annulus": (0.65, 0.0)}
+# the edges of a horizon run's split before its first step, as (paths, chunk size, steps):
+# a run of one noise block, which never forks however many paths it has; chunks that each
+# split, the last too small to; and an odd stream count
+HORIZON_EDGES = {"one-block": (600, 8192, sde.NOISE_BLOCK), "chunked": (1300, 600, 400),
+                 "odd": (1025, 8192, 400)}
 # boundary data that are zero on some or all nodes: the coupling to the data must keep the
 # solutions' zero signs (sin is exactly 0.0 at node 0)
 ZERO_DATA = {"zero": Const(0.0), "minus-zero": Const(-0.0),
@@ -243,6 +249,28 @@ def split_digests(seed):
                _digest(run.histogram, *[run.averages[k] for k in ("alpha", "beta")]))
 
 
+def horizon_split_digests(seed):
+    """Direct runs of the horizon samplers, which split a chunk before its first step, at
+    the edges of that split (``HORIZON_EDGES``)."""
+    m = _models()["B"]
+    report = classify(m, grid_size=256)
+    for edge, (n_paths, chunk, n_steps) in HORIZON_EDGES.items():
+        name = f"horizon-split/seed{seed}/{edge}"
+        dt = 0.002
+        p = sde.SimulationParams(dt=dt, seed=seed, n_paths=n_paths, max_time=n_steps * dt,
+                                 chunk_size=chunk)
+        t = sde.martingale_trace(m, report, (0.0, 3.0), p, (0.5, 20.0), [0.1, n_steps * dt])
+        yield f"{name}/martingale_trace", _digest(t.values, t.stderrs)
+        rows = sde.attraction_stats(m, [(0.0, 0.3), (1.0, 2.0)], n_steps * dt, p,
+                                    far_wall=2.5)
+        yield (f"{name}/attraction_stats",
+               _digest([[r.fraction_near, r.min_distance, r.max_distance] for r in rows]))
+        run = sde.simulate_boundary(m, 0.5, p, burn_in=0.2, bins=16,
+                                    observables={"alpha": m.alpha, "beta": m.beta})
+        yield (f"{name}/simulate_boundary",
+               _digest(run.histogram, *[run.averages[k] for k in ("alpha", "beta")]))
+
+
 def fd_digests():
     """Direct FD solves that no config or workload makes: the polar solve with a cross
     term (d != 0) and on the annulus, the half-cylinder solve with a cross term, forward
@@ -311,6 +339,7 @@ def main(argv=None):
             lines += workload_digests(seed, tmp)
             lines += direct_digests(seed)
             lines += split_digests(seed)
+            lines += horizon_split_digests(seed)
     for name, sha in lines:
         print(name, sha)
     print(json.dumps({"digests": len(lines)}), file=sys.stderr)
