@@ -417,7 +417,8 @@ def sample_exit(op: DiskOperator | list[DiskOperator], start, params: sde.Simula
         # a stopped row steps on unread until the driver drops it
         return [x1_new, x2_new, zc_new, *coeffs], live
 
-    sde._run_paths(params, n_steps, start_state, advance, streams, probe=True)
+    sde._run_paths(params, n_steps, start_state, advance, streams, probe=True,
+                   reads=(2, params.bridge_absorption))
     return AmbientExitBatch(exit_theta=exit_theta, exit_time=exit_time,
                             exited_mask=exited, exit_inner=exit_inner,
                             checkpoints=cp, positions=positions,

@@ -56,6 +56,7 @@ def write_json(path, obj):
 class RunManifest:
     config_hash: str
     tool_version: str
+    stream_version: int       # sde.STREAM_VERSION: what the run's Monte Carlo streams draw
     wall_clock_seconds: float
     artifacts: list
 
@@ -63,6 +64,7 @@ class RunManifest:
         return {
             "config_hash": self.config_hash,
             "tool_version": self.tool_version,
+            "stream_version": self.stream_version,
             "wall_clock_seconds": self.wall_clock_seconds,
             "artifacts": self.artifacts,
         }
@@ -102,6 +104,7 @@ def run_experiment(cfg: ExperimentConfig, output_root: str | None = None):
         entries.append({"path": name, "sha256": _sha256(path),
                         "bytes": os.path.getsize(path)})
     manifest = RunManifest(config_hash=cfg.config_hash, tool_version=__version__,
+                           stream_version=sde.STREAM_VERSION,
                            wall_clock_seconds=time.time() - t0, artifacts=entries)
     write_json(os.path.join(out_dir, "manifest.json"), manifest.to_dict())
     return manifest, out_dir

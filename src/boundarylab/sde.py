@@ -5,9 +5,15 @@ on one Euler-Maruyama driver, ``_run_paths``: path p of a run draws its
 noise from its own counter-based stream keyed by (seed, p) (Philox; the
 rows of a stacked run may share a stream), consumed in fixed-size blocks,
 and paths that stop are dropped inside and between blocks, so results are
-bit-identical however paths are chunked or scheduled.  A chunk of more than
-one noise block whose rows read at least 2 * MIN_ROWS streams is split over
-worker processes, one per CPU the process may use: each forked worker steps
+bit-identical however paths are chunked or scheduled.  A stream draws only
+the noise its sampler reads (stream version 2, ``STREAM_VERSION``): per
+block, the normals of every step (two per step for the 2-D samplers, one
+for ``simulate_boundary``), then the block's uniforms if the sampler reads
+them (``simulate`` and ``dirichlet.sample_exit`` with the bridge test on).
+So a stream that reads no uniforms is one plain sequence of normals, the
+same whatever NOISE_BLOCK is.  A chunk of more than one noise block whose
+rows read at least 2 * MIN_ROWS streams is split over worker processes,
+one per CPU the process may use: each forked worker steps
 a contiguous range of stream ids and writes its paths' results into arrays
 in shared memory.  A process makes a stream just before it first draws from
 it.  The fixed-horizon samplers (``attraction_stats``, ``martingale_trace``,
@@ -51,7 +57,8 @@ from .errors import ModelError
 from .fields import ChartModel, Flavor, GeneratorCoefficients, assemble
 from .geometry import RescaledPoint, TWO_PI, wrap_angle
 
-NOISE_BLOCK = 256  # steps of noise drawn per path per block; part of the sampler definition
+STREAM_VERSION = 2  # what a stream draws (``_draw_block``); every run manifest records it
+NOISE_BLOCK = 256  # steps drawn per path per block; part of the bits of a stream with uniforms
 DROP_SHARE = 8     # stopped rows are dropped inside a block once 1/DROP_SHARE have stopped
 MIN_ROWS = 256     # fewest live streams a worker process is given; fewer stay in one process
 PR_SET_PDEATHSIG = 1   # prctl(2) option: the signal a process gets when its parent ends
@@ -171,33 +178,40 @@ def _path_generators(seed: int, path_ids):
     return [np.random.Generator(np.random.Philox(_Key(key))) for key in keys]
 
 
-def _draw_block(gens):
-    """Noise for one block: normals (n, B, 2) and uniforms (n, B)."""
+def _draw_block(gens, reads):
+    """Noise for one block of the streams ``gens``, as ``reads`` = (k, uniforms read) asks:
+    normals (n, B, k), and uniforms (n, B), or (n, 0) when the sampler reads none.  Each
+    stream draws its block's normals, then its uniforms only if they are read."""
+    per_step, with_uniforms = reads
     n = len(gens)
-    normals = np.empty((n, NOISE_BLOCK, 2))
-    uniforms = np.empty((n, NOISE_BLOCK))
+    normals = np.empty((n, NOISE_BLOCK, per_step))
+    uniforms = np.empty((n, NOISE_BLOCK if with_uniforms else 0))
     for i, g in enumerate(gens):
         g.standard_normal(out=normals[i])
-        g.random(out=uniforms[i])
+        if with_uniforms:
+            g.random(out=uniforms[i])
     return normals, uniforms
 
 
 def _run_paths(params: SimulationParams, n_steps: int, start_state, advance, streams=None,
-               totals=(), probe=False):
+               totals=(), probe=False, reads=(2, False)):
     """The one Euler-Maruyama driver behind every sampler.
 
     Paths run chunk by chunk.  ``start_state(pids)`` returns the state of the
     fresh paths with global ids ``pids``: a list of arrays whose first axis
     runs over paths.
     ``advance(k, state, noise, uniform, live, pids)`` takes step k (from
-    time k dt to (k + 1) dt) on every row with noise (n, 2) and uniforms
-    (n,), writes exits and checkpoints into the sampler's own per-path
-    arrays through the global path ids ``pids``, and returns the new state
-    and live mask: the very ``live`` it was given (not modified in place)
-    when no row stopped, which spares the driver a recount.  The state of a
-    stopped row is undefined until the driver drops it: ``advance`` may step
-    it on, so it masks every write of exits and checkpoints by ``live``, and
-    no run reads it.
+    time k dt to (k + 1) dt) on every row with the noise that ``reads``
+    declares: ``reads`` = (k normals per step, uniforms read), by default
+    (2, False), gives noise (n, k), and uniforms (n,) if they are read, else
+    None.  A stream draws just that (``_draw_block``).  ``advance`` writes
+    exits and checkpoints into the
+    sampler's own per-path arrays through the global path ids ``pids``, and
+    returns the new state and live mask: the very ``live`` it was given (not
+    modified in place) when no row stopped, which spares the driver a
+    recount.  The state of a stopped row is undefined until the driver drops
+    it: ``advance`` may step it on, so it masks every write of exits and
+    checkpoints by ``live``, and no run reads it.
     Stopped rows are dropped once 1/DROP_SHARE of a block's rows have stopped,
     and at its end; a drop inside a block keeps the survivors' unread noise
     columns (one copy per drop; a gather per step cost more), and later
@@ -227,8 +241,8 @@ def _run_paths(params: SimulationParams, n_steps: int, start_state, advance, str
         gens = {}           # stream id -> its generator, in the process that draws from it
         step = 0
         if probe:
-            pids, state = _run_blocks(params.seed, n_steps, advance, streams, gens, pids, state,
-                                      0, NOISE_BLOCK)
+            pids, state = _run_blocks(params.seed, n_steps, advance, streams, reads, gens, pids,
+                                      state, 0, NOISE_BLOCK)
             step = NOISE_BLOCK
         parts = [slice(None)]
         if n_steps > NOISE_BLOCK and pids.size:
@@ -239,13 +253,13 @@ def _run_paths(params: SimulationParams, n_steps: int, start_state, advance, str
                 part = np.searchsorted(ids[[j * ids.size // workers for j in range(1, workers)]],
                                        key, side="right")
                 parts = [np.flatnonzero(part == j) for j in range(workers)]
-        _fork_each(parts, lambda rows: _run_blocks(params.seed, n_steps, advance, streams, gens,
-                                                   pids[rows], [a[rows] for a in state], step,
-                                                   n_steps), totals)
+        _fork_each(parts, lambda rows: _run_blocks(params.seed, n_steps, advance, streams, reads,
+                                                   gens, pids[rows], [a[rows] for a in state],
+                                                   step, n_steps), totals)
 
 
-def _run_blocks(seed: int, n_steps: int, advance, streams, gens, pids, state, step: int,
-                stop: int):
+def _run_blocks(seed: int, n_steps: int, advance, streams, reads, gens, pids, state,
+                step: int, stop: int):
     """Step the rows ``pids`` of one chunk, in state ``state``, through the noise blocks
     from step ``step`` up to ``stop``; returns the rows still live and their state.  A
     block first adds to ``gens`` the streams it reads that ``gens`` does not hold yet."""
@@ -258,7 +272,7 @@ def _run_blocks(seed: int, n_steps: int, advance, streams, gens, pids, state, st
         new = [i for i in ids if i not in gens]
         if new:
             gens.update(zip(new, _path_generators(seed, new)))
-        normals, uniforms = _draw_block([gens[i] for i in ids])
+        normals, uniforms = _draw_block([gens[i] for i in ids], reads)
         if streams is not None:
             normals, uniforms = normals[at], uniforms[at]
         live = np.ones(pids.size, dtype=bool)
@@ -267,7 +281,7 @@ def _run_blocks(seed: int, n_steps: int, advance, streams, gens, pids, state, st
         stopped = 0         # stopped rows not yet dropped
         for s in range(width):
             state, new_live = advance(step + s, state, normals[:, s - cut],
-                                      uniforms[:, s - cut], live, pids)
+                                      uniforms[:, s - cut] if reads[1] else None, live, pids)
             if new_live is not live:
                 live = new_live
                 stopped = live.size - np.count_nonzero(live)
@@ -497,7 +511,7 @@ def simulate(gc: GeneratorCoefficients, start, params: SimulationParams) -> Exit
         _run_paths(params, int(round(params.max_time / dt)),
                    lambda pids: [np.full(pids.size, y0), np.full(pids.size, v0),
                                  *gc.ito(np.full(pids.size, y0), np.full(pids.size, v0))],
-                   advance, probe=True)
+                   advance, probe=True, reads=(2, params.bridge_absorption))
     return ExitSampleBatch(exit_y=exit_y, exit_time=exit_time, exited_mask=exited,
                            unstable_mask=unstable, n_paths=n, seed=params.seed)
 
@@ -545,7 +559,7 @@ def simulate_boundary(m: ChartModel, start_y: float, params: SimulationParams,
         return [y], live
 
     _run_paths(params, n_steps, lambda pids: [np.full(pids.size, float(start_y))], advance,
-               totals=[counts])
+               totals=[counts], reads=(1, False))
     hist = counts / counts.sum() / (TWO_PI / bins)
     averages = {}
     for k in observables:

@@ -17,15 +17,17 @@ def reports(zoo):
 
 @pytest.fixture
 def outlier_noise(monkeypatch):
-    """Each noise block gives its first path a first height normal of 40 and uniform 1."""
+    """Each noise block gives its first path a first height normal of 40, and a uniform 1
+    where the sampler reads uniforms; the sampler must draw two normals per step."""
     from boundarylab import sde
 
     orig = sde._draw_block
 
-    def spiked(gens):
-        normals, uniforms = orig(gens)
+    def spiked(gens, reads):
+        normals, uniforms = orig(gens, reads)
         normals[0, 0, 1] = 40.0  # far beyond the 10-sigma displacement guard
-        uniforms[0, 0] = 1.0
+        if uniforms.size:
+            uniforms[0, 0] = 1.0
         return normals, uniforms
 
     monkeypatch.setattr(sde, "_draw_block", spiked)

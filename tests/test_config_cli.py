@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from boundarylab import cli
+from boundarylab import cli, sde
 from boundarylab.config import canonical_json, config_hash, parse_config
 from boundarylab.errors import ConfigError
 
@@ -116,6 +116,13 @@ def test_cli_run_writes_artifacts_and_manifest(tmp_path):
     for art in manifest["artifacts"]:
         digest = hashlib.sha256((out / art["path"]).read_bytes()).hexdigest()
         assert digest == art["sha256"]
+
+
+def test_manifest_records_the_stream_version(tmp_path):
+    assert cli.main(["run", os.path.join(CONFIG_DIR, "classify_tilted.json"),
+                     "--output-root", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "classify_tilted" / "manifest.json").read_text())
+    assert manifest["stream_version"] == sde.STREAM_VERSION == 2
 
 
 def test_cli_determinism_byte_identical(tmp_path):

@@ -354,18 +354,19 @@ def _counting_run_paths(monkeypatch, events):
     stream of every generator each block draws from, and counts the live rows of every step."""
     run_paths, draw_block = sde._run_paths, sde._draw_block
 
-    def draw(gens):
+    def draw(gens, reads):
         events.append(("drawn", [int(g.bit_generator.state["state"]["key"][1]) for g in gens]))
-        return draw_block(gens)
+        return draw_block(gens, reads)
 
-    def spy(params, n_steps, start_state, advance, streams=None, probe=False):
+    def spy(params, n_steps, start_state, advance, streams=None, probe=False, reads=(2, False)):
         def counted(k, state, noise, uniform, live, pids):
             ids = pids if streams is None else streams[pids]
             if k % sde.NOISE_BLOCK == 0:
                 events.append(("live", ids[live].tolist()))
             events.append(("steps", int(np.count_nonzero(live))))
             return advance(k, state, noise, uniform, live, pids)
-        return run_paths(params, n_steps, start_state, counted, streams, probe=probe)
+        return run_paths(params, n_steps, start_state, counted, streams, probe=probe,
+                         reads=reads)
 
     monkeypatch.setattr(sde, "_draw_block", draw)
     monkeypatch.setattr(sde, "_run_paths", spy)

@@ -169,8 +169,8 @@ def test_samplers_match_the_unfolded_twin(models, reports, monkeypatch, sampler,
         # path 0 goes non-finite at its first step, so its NaN runs through every entry
         orig = sde._draw_block
 
-        def spike(gens):
-            normals, uniforms = orig(gens)
+        def spike(gens, reads):
+            normals, uniforms = orig(gens, reads)
             if gens[0].bit_generator.state["state"]["key"][1] == 0:   # path 0's stream
                 normals[0, 0] = np.inf
             return normals, uniforms

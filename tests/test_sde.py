@@ -171,6 +171,105 @@ def test_chunk_invariance_when_most_paths_stop_inside_the_first_block(run, zoo):
             np.testing.assert_array_equal(a, b)
 
 
+def _drawn_shapes(monkeypatch):
+    """Records the shapes of the normals and uniforms of every block drawn from here on."""
+    shapes = []
+    draw_block = sde._draw_block
+
+    def draw(gens, reads):
+        normals, uniforms = draw_block(gens, reads)
+        shapes.append((normals.shape, uniforms.shape))
+        return normals, uniforms
+
+    monkeypatch.setattr(sde, "_draw_block", draw)
+    return shapes
+
+
+def _absorbing_runs(zoo, bridge):
+    p = SimulationParams(dt=2e-3, seed=132, n_paths=90, max_time=1.2,
+                         bridge_absorption=bridge)
+    sde.simulate(assemble(zoo["D"], None, Flavor.LIMIT), (0.3, 1.0), p)
+    comp = dirichlet.default_completions(zoo["D"])[0]
+    op = dirichlet.DiskOperator(model=zoo["D"], eps=0.2, completion=comp)
+    dirichlet.sample_exit(op, (0.0, 0.0), p, checkpoint_times=[0.1])
+
+
+@pytest.mark.parametrize("sampler", ["attraction_stats", "martingale_trace",
+                                     "simulate_boundary", "absorbing-bridge",
+                                     "absorbing-no-bridge"])
+def test_a_stream_draws_only_the_noise_its_sampler_reads(sampler, zoo, reports, monkeypatch):
+    # the 2-D samplers read two normals per step and simulate_boundary one; only the
+    # absorbing samplers' bridge test reads uniforms
+    shapes = _drawn_shapes(monkeypatch)
+    if sampler.startswith("absorbing"):
+        _absorbing_runs(zoo, sampler == "absorbing-bridge")
+    else:
+        CHUNKED_SAMPLERS[sampler](zoo, reports, 8192)
+    per_step = 1 if sampler == "simulate_boundary" else 2
+    uniforms = sde.NOISE_BLOCK if sampler == "absorbing-bridge" else 0
+    assert len(shapes) > 2
+    for normals_shape, uniforms_shape in shapes:
+        n = normals_shape[0]
+        assert normals_shape == (n, sde.NOISE_BLOCK, per_step)
+        assert uniforms_shape == (n, uniforms)
+
+
+def _path_zero_noise(monkeypatch):
+    """Records the noise and uniform that path 0's row reads at each step while it is live."""
+    read = {"noise": [], "uniform": []}
+    run_paths = sde._run_paths
+
+    def spy(params, n_steps, start_state, advance, *args, **kw):
+        read["seed"] = params.seed
+
+        def recorded(k, state, noise, uniform, live, pids):
+            row = np.flatnonzero(pids == 0)
+            if row.size and live[row[0]]:
+                assert len(read["noise"]) == k
+                read["noise"].append(noise[row[0]].copy())
+                read["uniform"].append(None if uniform is None else uniform[row[0]])
+            return advance(k, state, noise, uniform, live, pids)
+        return run_paths(params, n_steps, start_state, recorded, *args, **kw)
+
+    monkeypatch.setattr(sde, "_run_paths", spy)
+    return read
+
+
+def _philox(seed, path):
+    return np.random.Generator(np.random.Philox(key=np.array([seed, path], dtype=np.uint64)))
+
+
+def test_a_bridge_run_reads_each_block_s_normal_pairs_then_its_uniforms(zoo, monkeypatch):
+    # stream version 2 keeps these bits: a bridge-on absorbing run reads, per block, the
+    # block's normal pairs and then its uniforms, from its path's keyed Philox stream
+    read = _path_zero_noise(monkeypatch)
+    comp = dirichlet.default_completions(zoo["D"])[0]
+    op = dirichlet.DiskOperator(model=zoo["D"], eps=0.2, completion=comp)
+    p = SimulationParams(dt=1e-4, seed=133, n_paths=4, max_time=0.06)
+    dirichlet.sample_exit(op, (0.0, 0.0), p)
+    steps = 2 * sde.NOISE_BLOCK
+    assert len(read["noise"]) >= steps      # path 0 is live through two blocks
+    ref = _philox(read["seed"], 0)
+    for b in range(2):
+        normals = ref.standard_normal((sde.NOISE_BLOCK, 2))
+        uniforms = ref.random(sde.NOISE_BLOCK)
+        at = slice(b * sde.NOISE_BLOCK, (b + 1) * sde.NOISE_BLOCK)
+        np.testing.assert_array_equal(np.array(read["noise"][at]).view(np.int64),
+                                      normals.view(np.int64))
+        np.testing.assert_array_equal(np.array(read["uniform"][at]).view(np.int64),
+                                      uniforms.view(np.int64))
+
+
+@pytest.mark.parametrize("sampler", ["martingale_trace", "simulate_boundary"])
+def test_a_horizon_stream_is_one_sequence_of_normals(sampler, zoo, reports, monkeypatch):
+    read = _path_zero_noise(monkeypatch)
+    CHUNKED_SAMPLERS[sampler](zoo, reports, 8192)
+    noise = np.array(read["noise"])
+    assert noise.shape[0] > sde.NOISE_BLOCK and read["uniform"][-1] is None
+    ref = _philox(read["seed"], 0).standard_normal(noise.shape)
+    np.testing.assert_array_equal(noise.view(np.int64), ref.view(np.int64))
+
+
 def _stacked_sample_exit(zoo, reports, chunk):
     comp = dirichlet.default_completions(zoo["D"])[0]
     ops = [dirichlet.DiskOperator(model=zoo["D"], eps=eps, completion=comp) for eps in (0.3, 0.1)]
@@ -216,8 +315,8 @@ def test_stopped_rows_are_never_read(sampler, zoo, reports, monkeypatch):
     # rows stop far outside
     orig = sde._draw_block
 
-    def spiked(gens):
-        normals, uniforms = orig(gens)
+    def spiked(gens, reads):
+        normals, uniforms = orig(gens, reads)
         normals[0, 0, 1] = -40.0
         return normals, uniforms
 

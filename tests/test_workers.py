@@ -105,6 +105,25 @@ def test_a_split_run_is_the_one_process_run_bit_for_bit(sampler, zoo, reports, m
         assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
+@pytest.mark.parametrize("sampler", ["attraction_stats", "martingale_trace",
+                                     "simulate_boundary"])
+def test_a_horizon_run_does_not_depend_on_the_noise_block(sampler, zoo, reports, monkeypatch):
+    # a stream that reads no uniforms is one sequence of normals, however it is cut in blocks
+    run = SAMPLERS[sampler]
+    _forced(monkeypatch, 1)
+    ref = run(zoo, reports)
+    monkeypatch.setattr(sde, "NOISE_BLOCK", 64)
+    for workers in (1, 3):
+        _forced(monkeypatch, workers)
+        forked = _forks(monkeypatch)
+        out = run(zoo, reports)
+        assert bool(forked) == (workers > 1)
+        for a, b in zip(out, ref):
+            a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+            assert a.shape == b.shape
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 def _caller_events(monkeypatch):
     """Records, in order, what the calling process does: the stream ids of each
     ``_path_generators`` call, the number of streams each block draws, and each fork."""
@@ -117,10 +136,10 @@ def _caller_events(monkeypatch):
             events.append(("streams", list(path_ids)))
         return path_generators(seed, path_ids)
 
-    def draw(gens):
+    def draw(gens, reads):
         if os.getpid() == caller:
             events.append(("draw", len(gens)))
-        return draw_block(gens)
+        return draw_block(gens, reads)
 
     def forking():
         pid = fork()

@@ -7,7 +7,9 @@ ones with enough paths to be split over worker processes, the horizon
 samplers also at the edges of their split), direct FD
 solves (cross terms, the annulus, transposed solves, the conditioned
 problem and data with signed zeros), and every operator flavor's
-coefficients.  A refactor that must keep behaviour is checked with one
+coefficients.  The first line is ``stream_version`` (``sde.STREAM_VERSION``),
+so a diff between trees of different stream versions says why their Monte
+Carlo lines moved.  A refactor that must keep behaviour is checked with one
 ``diff``:
 
     python tools/digests.py 1 2 > after.txt      # in the changed tree
@@ -340,6 +342,9 @@ def main(argv=None):
             lines += direct_digests(seed)
             lines += split_digests(seed)
             lines += horizon_split_digests(seed)
+    # first, so that a diff between two trees shows why their Monte Carlo lines moved; a
+    # tree older than the constant draws version 1's streams
+    print("stream_version", getattr(sde, "STREAM_VERSION", 1))
     for name, sha in lines:
         print(name, sha)
     print(json.dumps({"digests": len(lines)}), file=sys.stderr)
