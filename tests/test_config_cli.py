@@ -111,18 +111,12 @@ def test_cli_run_writes_artifacts_and_manifest(tmp_path):
     out = tmp_path / "model_a_convergence"
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["tool_version"]
+    assert manifest["stream_version"] == sde.STREAM_VERSION
     import hashlib
 
     for art in manifest["artifacts"]:
         digest = hashlib.sha256((out / art["path"]).read_bytes()).hexdigest()
         assert digest == art["sha256"]
-
-
-def test_manifest_records_the_stream_version(tmp_path):
-    assert cli.main(["run", os.path.join(CONFIG_DIR, "classify_tilted.json"),
-                     "--output-root", str(tmp_path)]) == 0
-    manifest = json.loads((tmp_path / "classify_tilted" / "manifest.json").read_text())
-    assert manifest["stream_version"] == sde.STREAM_VERSION == 2
 
 
 def test_cli_determinism_byte_identical(tmp_path):

@@ -21,8 +21,8 @@ compared:
   each a mean over independent paths.
 
 The number of comparisons, ``COMPARISONS``, and the family-wise false-alarm
-rate (``--alpha``, default 0.01) are fixed before any run, and each
-comparison fails below the Bonferroni level alpha / COMPARISONS.  Each line
+rate, ``ALPHA`` = 0.01, are fixed before any run, and each comparison fails
+below the Bonferroni level ALPHA / COMPARISONS.  Each line
 prints the comparison's power: the smallest shift it detects with
 probability 0.8 at that level.  For a mean that is the shift itself; for an
 exit law it is Cohen's w = sqrt(sum (p_a - p_b)^2 / p), where moving a mass
@@ -47,13 +47,13 @@ import subprocess
 import sys
 import zlib
 
-HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 POWER = 0.8
 PATHS = 16384
 BINS = 16
 MIN_CELL = 20       # exit-law cells whose two trees hold fewer paths together are pooled
 # the runs below make exactly this many comparisons, whatever the trees give
 COMPARISONS = 61
+ALPHA = 0.01        # family-wise false-alarm rate
 
 
 # --------------------------------------------------------------- collection
@@ -174,9 +174,10 @@ def collect(seed: int) -> dict:
 def _collect_in(tree: str, seed: int) -> dict:
     """``collect(seed)`` in a fresh interpreter that imports ``tree``'s package."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [os.path.join(os.path.abspath(tree), "src")]
+        [os.path.join(os.path.abspath(tree), "src"), os.path.dirname(os.path.abspath(__file__))]
         + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
-    done = subprocess.run([sys.executable, os.path.abspath(__file__), "--collect", str(seed)],
+    code = f"import json, sys; from agreement import collect; json.dump(collect({seed}), sys.stdout)"
+    done = subprocess.run([sys.executable, "-c", code],
                           env=env, check=True, stdout=subprocess.PIPE, text=True)
     return json.loads(done.stdout)
 
@@ -216,12 +217,12 @@ def _chi2_test(a, b, level):
     return f"chi2 {stat:.1f} (df {df})", p, f"w >= {w:.3g}"
 
 
-def compare(a: dict, b: dict, alpha: float) -> list:
+def compare(a: dict, b: dict) -> list:
     """One (name, statistic, p, detectable shift, passed) row per comparison."""
     if sorted(a) != sorted(b) or len(a) != COMPARISONS:
         raise SystemExit(f"expected the same {COMPARISONS} comparisons from both trees, "
                          f"got {len(a)} and {len(b)}")
-    level = alpha / COMPARISONS
+    level = ALPHA / COMPARISONS
     rows = []
     for name in sorted(a):
         test = _z_test if a[name][0] == "z" else _chi2_test
@@ -232,30 +233,21 @@ def compare(a: dict, b: dict, alpha: float) -> list:
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("trees", nargs="*", default=[HERE],
-                    help="two trees (one: that tree against this one)")
+    ap.add_argument("trees", nargs=2, help="the two trees to compare")
     ap.add_argument("--seeds", nargs=2, type=int, default=[1, 2],
                     help="the first tree's seed and the second's; they must differ")
-    ap.add_argument("--alpha", type=float, default=0.01, help="family-wise false-alarm rate")
-    ap.add_argument("--collect", type=int, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
-    if args.collect is not None:
-        json.dump(collect(args.collect), sys.stdout)
-        return 0
-    if len(args.trees) > 2:
-        ap.error("give at most two trees")
-    trees = (args.trees + [HERE])[:2]
     if args.seeds[0] == args.seeds[1]:
         ap.error("the two trees need independent seeds")
-    a, b = (_collect_in(t, s) for t, s in zip(trees, args.seeds))
-    rows = compare(a, b, args.alpha)
+    a, b = (_collect_in(t, s) for t, s in zip(args.trees, args.seeds))
+    rows = compare(a, b)
     width = max(len(r[0]) for r in rows)
     for name, stat, p, detectable, passed in rows:
         print(f"{name:<{width}}  {stat:<20}  p {p:.2e}  {detectable:<18}  "
               f"{'ok' if passed else 'FAIL'}")
     failed = [r[0] for r in rows if not r[4]]
-    print(f"{COMPARISONS} comparisons, family-wise rate {args.alpha:g}, Bonferroni level "
-          f"{args.alpha / COMPARISONS:.3g}: "
+    print(f"{COMPARISONS} comparisons, family-wise rate {ALPHA:g}, Bonferroni level "
+          f"{ALPHA / COMPARISONS:.3g}: "
           + ("PASS" if not failed else "FAIL: " + ", ".join(failed)))
     return 1 if failed else 0
 
