@@ -25,9 +25,9 @@ from .classifier import Verdict, classify
 from .coefficients import Const, folded, is_plus_zero
 from .errors import ExtensionUndefined, ModelError, NoConvergence
 from .fd import Elimination, boundary_values, level_bands, within_data
-from .fields import ChartModel
+from .fields import ChartModel, Flavor, assemble
 from .geometry import DomainKind, DomainModel, TWO_PI, wrap_angle
-from .halfcyl import HalfCylinderGrid, _conditioned, solve_u
+from .halfcyl import HalfCylinderGrid, _conditioned, conditioned_default_grid, solve_u
 
 
 @dataclass(frozen=True)
@@ -518,13 +518,42 @@ class ConvergenceTable:
 def limit_value(m: ChartModel, f, grid: HalfCylinderGrid | None = None) -> float:
     """The eps-free limit of the solution, per the boundary verdict.
 
-    Only ubar is kept, so the truncation check is skipped, and a repelling
-    model's conditioned solve does not build the h it would carry.
+    The model is classified first, so a model the classifier rejects
+    raises here too, and the data are read on the y-nodes of the grid the
+    sweep would use (``conditioned_default_grid`` for a repelling model,
+    else the default ``HalfCylinderGrid``, unless grid is given).  Two
+    inputs fix ubar on the discrete system without a sweep:
+
+    - data that all equal some c give c.  The limit operator has no
+      zeroth-order term, so every row of the plain system sums to zero,
+      the Neumann top row included, and the constant c solves it; the
+      conditioned system then has v = c h, which its Neumann row on v
+      closes.
+    - otherwise, a rotation-invariant limit operator
+      (``GeneratorCoefficients.rotation_invariant``) gives the mean of the
+      data.  Its system is block-circulant in y, so the mean over y of
+      each level decouples from the other Fourier modes and solves the
+      1D system of the mean mode, whose constant solution carries the
+      data's mean to the top row unchanged (divided by an h that is
+      itself constant in y, when conditioned).
+
+    Data with a NaN or an infinity take neither rule: they sweep and fail
+    there with ``NoConvergence``.  Every other input sweeps; only ubar is kept, so the
+    truncation check is skipped, and a repelling model's conditioned solve
+    does not build the h it would carry.
     """
     verdict = classify(m, grid_size=512).verdict
-    if verdict is Verdict.REPELLING:
-        return _conditioned(m, f, grid, False, verdict)[0].ubar
-    return solve_u(m, f, grid, check_truncation=False, _regime=verdict).ubar
+    repelling = verdict is Verdict.REPELLING
+    grid = grid or (conditioned_default_grid() if repelling else HalfCylinderGrid())
+    data = boundary_values(f, grid.y_nodes())
+    if np.all(np.isfinite(data)):
+        if np.all(data == data[0]):
+            return float(data[0])
+        if assemble(m, None, Flavor.LIMIT).rotation_invariant:
+            return float(np.mean(data))
+    if repelling:
+        return _conditioned(m, data, grid, False, verdict)[0].ubar
+    return solve_u(m, data, grid, check_truncation=False, _regime=verdict).ubar
 
 
 def convergence_experiment(m: ChartModel, psi_d, eps_list, probes,

@@ -243,6 +243,19 @@ class GeneratorCoefficients:
             return False
         return self.flavor not in _PERTURBED or self.eps == 0.0 or m.tilde.z_slope == 0.0
 
+    @property
+    def rotation_invariant(self) -> bool:
+        """Whether no entry depends on y, so a discretization's blocks are circulant.
+
+        True for an eps-free flavor (LIMIT or LOG) whose model has every
+        coefficient that flavor reads, a, b, alpha, beta, d and rho,
+        ``Const``.  The perturbed flavors, which also read the perturbation
+        and the remainder, answer False.
+        """
+        m = self.model
+        return self.flavor not in _PERTURBED and all(
+            isinstance(fn, Const) for fn in (m.a, m.b, m.alpha, m.beta, m.d, m.rho))
+
     def diffusion_vv(self, y, v):
         """Height-height Ito diffusion entry alone (2 Cvv); used by bridge tests."""
         return 2.0 * self._entries(*_as_arrays(y, v), False)[4]

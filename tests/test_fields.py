@@ -219,3 +219,18 @@ def test_time_rescaled_model():
     assert np.asarray(ms.beta(y)) == pytest.approx(7.5 + 0 * y)
     with pytest.raises(ModelError):
         m.scaled(-1.0)
+
+
+def test_rotation_invariance_is_read_from_const_coefficients_only(zoo):
+    for name in ("A", "B", "C"):
+        for flavor in (Flavor.LIMIT, Flavor.LOG):
+            assert assemble(zoo[name], None, flavor).rotation_invariant, name
+        assert not assemble(zoo[name], 0.1, Flavor.RESCALED).rotation_invariant
+    for name in ("D", "B-asym", "tilted"):
+        assert not assemble(zoo[name], None, Flavor.LIMIT).rotation_invariant, name
+    # a constant that is not a Const, and rho, which no zoo model varies
+    flat = ChartModel(a=Const(1.0), b=Const(0.0), alpha=Cosine(1.0, 0.0), beta=Const(0.0))
+    varied_rho = ChartModel(a=Const(1.0), b=Const(0.0), alpha=Const(1.0), beta=Const(0.0),
+                            rho=Cosine(1.0, 0.5))
+    for m in (flat, varied_rho):
+        assert not assemble(m, None, Flavor.LIMIT).rotation_invariant

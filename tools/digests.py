@@ -6,10 +6,11 @@ direct runs of every sampler and of the time-scale sweep (small ones, and
 ones with enough paths to be split over worker processes, the horizon
 samplers also at the edges of their split), direct FD
 solves (cross terms, the annulus, transposed solves, the conditioned
-problem and data with signed zeros), and every operator flavor's
-coefficients.  The first line is ``stream_version`` (``sde.STREAM_VERSION``),
-so a diff between trees of different stream versions says why their Monte
-Carlo lines moved.  A refactor that must keep behaviour is checked with one
+problem and data with signed zeros), the limit value of every zoo model
+on constant and varying data, and every operator flavor's coefficients.
+The first line is ``stream_version`` (``sde.STREAM_VERSION``), so a diff
+between trees of different stream versions says why their Monte Carlo
+lines moved.  A refactor that must keep behaviour is checked with one
 ``diff``:
 
     python tools/digests.py 1 2 > after.txt      # in the changed tree
@@ -89,6 +90,10 @@ HORIZON_EDGES = {"one-block": (600, 8192, sde.NOISE_BLOCK), "chunked": (1300, 60
 # solutions' zero signs (sin is exactly 0.0 at node 0)
 ZERO_DATA = {"zero": Const(0.0), "minus-zero": Const(-0.0),
              "sin": Fourier(0.0, ((1, 0.0, 1.0),))}
+# constant data, which fix the limit value without a sweep, and two kinds of varying data,
+# whose limit value a rotation-invariant model fixes at their mean
+LIMIT_DATA = {"const": Const(0.7), "cos": np.cos,
+              "fourier": Fourier(0.2, ((1, 0.0, 0.5), (2, 1.0, 0.3)))}
 
 
 def _models():
@@ -315,6 +320,16 @@ def fd_digests():
                                                  [sol.truncation_estimate])
 
 
+def limit_digests():
+    """``dirichlet.limit_value`` of every zoo model and of SLOPED on each of LIMIT_DATA."""
+    grid = halfcyl.HalfCylinderGrid(n_y=32, n_z=200)
+    zoo = {name: models.get_model(name) for name in models.model_names()}
+    for mname, m in {**zoo, "sloped": SLOPED}.items():
+        for dname, data in LIMIT_DATA.items():
+            yield (f"fd/limit_value/{mname}/{dname}",
+                   _digest([dirichlet.limit_value(m, data, grid)]))
+
+
 def coefficient_digests():
     """Every entry point of ``GeneratorCoefficients`` in every flavor, for every model here
     and one with a remainder, on a grid of angles and heights that reaches the entries'
@@ -335,7 +350,7 @@ def main(argv=None):
     ap.add_argument("seeds", nargs="*", type=int, default=[1])
     args = ap.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="digests-") as tmp:
-        lines = (list(config_digests(tmp)) + list(fd_digests())
+        lines = (list(config_digests(tmp)) + list(fd_digests()) + list(limit_digests())
                  + list(coefficient_digests()))
         for seed in args.seeds:
             lines += workload_digests(seed, tmp)
