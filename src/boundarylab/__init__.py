@@ -11,16 +11,15 @@ and the vanishing-perturbation limit of the Dirichlet problem.
 __version__ = "0.1.0"
 
 from .classifier import ClassificationReport, InvariantMeasure, Verdict, classify
-from .fields import AmbientModel, ChartModel, Flavor, assemble
+from .fields import ChartModel, Flavor, assemble
 from .geometry import DomainModel, RescaledPoint
 from .halfcyl import HalfCylinderGrid, HalfCylinderSolution, radial_oracle
 from .models import get_model, model_names
 from .sde import ExitSampleBatch, SimulationParams, simulate
 
 __all__ = [
-    "AmbientModel", "ChartModel", "ClassificationReport", "DomainModel",
-    "ExitSampleBatch", "Flavor", "HalfCylinderGrid", "HalfCylinderSolution",
-    "InvariantMeasure", "RescaledPoint", "SimulationParams", "Verdict",
-    "assemble", "classify", "get_model", "model_names", "radial_oracle",
-    "simulate", "__version__",
+    "ChartModel", "ClassificationReport", "DomainModel", "ExitSampleBatch",
+    "Flavor", "HalfCylinderGrid", "HalfCylinderSolution", "InvariantMeasure",
+    "RescaledPoint", "SimulationParams", "Verdict", "assemble", "classify",
+    "get_model", "model_names", "radial_oracle", "simulate", "__version__",
 ]

@@ -18,15 +18,9 @@ from .errors import ConfigError
 
 
 class CoefficientFn:
-    """A periodic scalar function of the angle, with an analytic derivative."""
+    """A periodic scalar function of the angle."""
 
     def __call__(self, y):
-        raise NotImplementedError
-
-    def deriv(self, y):
-        raise NotImplementedError
-
-    def to_config(self) -> dict:
         raise NotImplementedError
 
 
@@ -37,13 +31,6 @@ class Const(CoefficientFn):
     def __call__(self, y):
         y = np.asarray(y, dtype=float)
         return np.full(y.shape, self.c) if y.shape else float(self.c)
-
-    def deriv(self, y):
-        y = np.asarray(y, dtype=float)
-        return np.zeros(y.shape) if y.shape else 0.0
-
-    def to_config(self) -> dict:
-        return {"kind": "const", "c": self.c}
 
 
 def folded(fn: CoefficientFn, y):
@@ -76,12 +63,6 @@ class Cosine(CoefficientFn):
         # at a zero phase, y - phase changes at most the sign of a zero, which cos ignores
         return self.mean + self.amp * np.cos(y if self.phase == 0.0 else y - self.phase)
 
-    def deriv(self, y):
-        return -self.amp * np.sin(np.asarray(y, dtype=float) - self.phase)
-
-    def to_config(self) -> dict:
-        return {"kind": "cosine", "mean": self.mean, "amp": self.amp, "phase": self.phase}
-
 
 @dataclass(frozen=True)
 class Fourier(CoefficientFn):
@@ -110,20 +91,6 @@ class Fourier(CoefficientFn):
             if not (skip_zero and sk == 0.0 and ck != 0.0):
                 out = out + _scaled(sk, np.sin(ky))
         return out
-
-    def deriv(self, y):
-        y = np.asarray(y, dtype=float)
-        out = np.zeros(y.shape) if y.shape else 0.0
-        for k, ck, sk in self.terms:
-            out = out + (-k * ck) * np.sin(k * y) + (k * sk) * np.cos(k * y)
-        return out
-
-    def to_config(self) -> dict:
-        return {
-            "kind": "fourier",
-            "constant": self.constant,
-            "terms": [list(t) for t in self.terms],
-        }
 
 
 def _scaled(c: float, values):

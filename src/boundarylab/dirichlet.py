@@ -537,20 +537,19 @@ def limit_value(m: ChartModel, f, grid: HalfCylinderGrid | None = None) -> float
       data's mean to the top row unchanged (divided by an h that is
       itself constant in y, when conditioned).
 
-    Data with a NaN or an infinity take neither rule: they sweep and fail
-    there with ``NoConvergence``.  Every other input sweeps; only ubar is kept, so the
-    truncation check is skipped, and a repelling model's conditioned solve
-    does not build the h it would carry.
+    Data with a NaN or an infinity raise ``ModelError`` as they are read.
+    Every other input sweeps; only ubar is kept, so the truncation check is
+    skipped, and a repelling model's conditioned solve does not build the h
+    it would carry.
     """
     verdict = classify(m, grid_size=512).verdict
     repelling = verdict is Verdict.REPELLING
     grid = grid or (conditioned_default_grid() if repelling else HalfCylinderGrid())
     data = boundary_values(f, grid.y_nodes())
-    if np.all(np.isfinite(data)):
-        if np.all(data == data[0]):
-            return float(data[0])
-        if assemble(m, None, Flavor.LIMIT).rotation_invariant:
-            return float(np.mean(data))
+    if np.all(data == data[0]):
+        return float(data[0])
+    if assemble(m, None, Flavor.LIMIT).rotation_invariant:
+        return float(np.mean(data))
     if repelling:
         return _conditioned(m, data, grid, False, verdict)[0].ubar
     return solve_u(m, data, grid, check_truncation=False, _regime=verdict).ubar

@@ -25,10 +25,6 @@ class ModelError(BoundaryLabError):
     pass
 
 
-class ExtrapolationUnstable(ModelError):
-    """Coefficient extraction residual above tolerance."""
-
-
 class FlavorRangeError(ModelError):
     """Operator flavor requires data the model does not carry."""
 

@@ -91,10 +91,17 @@ def within_data(u: np.ndarray, *data) -> bool:
 
 
 def boundary_values(f, a: np.ndarray) -> np.ndarray:
-    """Data on the angle nodes a: f(a) for a callable f, else f broadcast to a's shape."""
+    """Data on the angle nodes a: f(a) for a callable f, else f broadcast to a's shape.
+
+    Data with a NaN or an infinity raise ModelError naming the first such node.
+    """
     vals = np.asarray(f(a), dtype=float) if callable(f) else np.asarray(f, dtype=float)
     if vals.shape != a.shape:
         vals = vals + np.zeros_like(a)
+    finite = np.isfinite(vals)
+    if not finite.all():
+        j = int(np.argmin(finite))
+        raise ModelError(f"boundary data at node {j} (angle {a[j]:.6g}) is not finite: {vals[j]}")
     return vals
 
 

@@ -1,19 +1,12 @@
 """Model specification and operator assembly.
 
-Two input modes describe the dynamics near the boundary circle:
+``ChartModel`` states the dynamics near the boundary circle in its normal
+form in chart coordinates (y, z).  The unperturbed generator acts as
 
-* ``ChartModel`` -- the normal form in chart coordinates (y, z).  The
-  unperturbed generator acts as
+    L u = a/2 u_yy + b u_y + z^2 alpha u_zz + z beta u_z + z d u_yz  (+ remainder)
 
-      L u = a/2 u_yy + b u_y + z^2 alpha u_zz + z beta u_z + z d u_yz  (+ remainder)
-
-  and the perturbation adds eps^2 times a uniformly elliptic operator
-  whose u_zz coefficient at z = 0 is rho(y) > 0.
-
-* ``AmbientModel`` -- vector fields v_0..v_2 on the plane (d = 2 only)
-  driving the Stratonovich equation dX = v_0 dt + sum v_i o dW_i, with
-  perturbation fields tv_0..tv_2.  The chart coefficients are recovered
-  numerically from the fields (``extract_alpha_beta`` and friends).
+and the perturbation adds eps^2 times a uniformly elliptic operator whose
+u_zz coefficient at z = 0 is rho(y) > 0.
 
 ``assemble`` turns a ChartModel into concrete drift/diffusion coefficients
 for one of four operator flavors.  Throughout, second-order coefficients
@@ -27,11 +20,10 @@ so the Ito diffusion matrix (sigma sigma^T) is twice the C-matrix.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry
 from .coefficients import (
     CoefficientFn,
     Const,
@@ -40,14 +32,8 @@ from .coefficients import (
     folded,
     is_plus_zero,
 )
-from .errors import (
-    ConfigError,
-    ExtrapolationUnstable,
-    FlavorRangeError,
-    InvalidEpsilon,
-    ModelError,
-)
-from .geometry import DomainModel, TWO_PI
+from .errors import ConfigError, FlavorRangeError, InvalidEpsilon, ModelError
+from .geometry import TWO_PI
 
 _VALIDATION_GRID = 64
 
@@ -67,9 +53,6 @@ class TabulatedPeriodic(CoefficientFn):
         frac = s - np.floor(s)
         out = vals[i0] * (1.0 - frac) + vals[(i0 + 1) % n] * frac
         return out if out.shape else float(out)
-
-    def to_config(self) -> dict:
-        return {"kind": "tabulated", "values": list(self.values)}
 
 
 @dataclass(frozen=True)
@@ -162,12 +145,6 @@ class _ScaledFn(CoefficientFn):
 
     def __call__(self, y):
         return self.factor * self.base(y)
-
-    def deriv(self, y):
-        return self.factor * self.base.deriv(y)
-
-    def to_config(self):
-        raise NotImplementedError
 
 
 class Flavor(enum.Enum):
@@ -339,420 +316,6 @@ def assemble(m: ChartModel, eps: float | None, flavor: Flavor) -> GeneratorCoeff
             raise InvalidEpsilon(f"eps must be > 0 for flavor {flavor.value}, got {eps}")
         return GeneratorCoefficients(model=m, flavor=flavor, eps=float(eps))
     return GeneratorCoefficients(model=m, flavor=flavor, eps=None)
-
-
-# ---------------------------------------------------------------------------
-# Ambient mode: vector fields on the plane.
-# ---------------------------------------------------------------------------
-
-class VectorField:
-    """A smooth field on the plane with an analytic Jacobian.
-
-    value(x) has shape (..., 2) for x of shape (..., 2); jacobian(x) has
-    shape (..., 2, 2) with J[k, l] = d v_k / d x_l.
-    """
-
-    def value(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-
-def _angle(x):
-    return np.arctan2(x[..., 1], x[..., 0])
-
-
-@dataclass(frozen=True)
-class RotationField(VectorField):
-    """c(y(x)) * (-x2, x1): rotation about the origin, angularly modulated."""
-
-    scale: CoefficientFn = Const(1.0)
-
-    def value(self, x):
-        c = np.asarray(self.scale(_angle(x)))
-        return np.stack([-x[..., 1] * c, x[..., 0] * c], axis=-1)
-
-    def jacobian(self, x):
-        y = _angle(x)
-        c = np.asarray(self.scale(y))
-        cp = np.asarray(self.scale.deriv(y))
-        gy = geometry.grad_y(x)
-        rot = np.stack([-x[..., 1], x[..., 0]], axis=-1)
-        jac = rot[..., :, None] * (cp[..., None, None] * gy[..., None, :])
-        jac[..., 0, 1] += -c
-        jac[..., 1, 0] += c
-        return jac
-
-
-@dataclass(frozen=True)
-class RadialDecayField(VectorField):
-    """c(y(x)) * (1 - |x|) * x/|x|: radial, vanishing on the unit circle."""
-
-    scale: CoefficientFn = Const(1.0)
-
-    def value(self, x):
-        c = np.asarray(self.scale(_angle(x)))
-        r = np.linalg.norm(x, axis=-1)
-        return ((1.0 - r) / r * c)[..., None] * x
-
-    def jacobian(self, x):
-        y = _angle(x)
-        c = np.asarray(self.scale(y))
-        cp = np.asarray(self.scale.deriv(y))
-        r = np.linalg.norm(x, axis=-1)
-        gy = geometry.grad_y(x)
-        base = ((1.0 - r) / r)[..., None] * x
-        # d/dx_l [ (1/r - 1) x_k ] = -x_k x_l / r^3 + (1/r - 1) delta_kl
-        outer = -(x[..., :, None] * x[..., None, :]) / (r ** 3)[..., None, None]
-        eye = np.eye(2) * ((1.0 - r) / r)[..., None, None]
-        jac = c[..., None, None] * (outer + eye)
-        jac += base[..., :, None] * (cp[..., None, None] * gy[..., None, :])
-        return jac
-
-
-@dataclass(frozen=True)
-class ConstantFrameField(VectorField):
-    """g(y(x)) * e, for a fixed direction e."""
-
-    direction: tuple
-    scale: CoefficientFn = Const(1.0)
-
-    def value(self, x):
-        g = np.asarray(self.scale(_angle(x)))
-        e = np.asarray(self.direction, dtype=float)
-        return g[..., None] * e
-
-    def jacobian(self, x):
-        y = _angle(x)
-        gp = np.asarray(self.scale.deriv(y))
-        gy = geometry.grad_y(x)
-        e = np.asarray(self.direction, dtype=float)
-        return e[:, None] * (gp[..., None, None] * gy[..., None, :])
-
-
-@dataclass(frozen=True)
-class ZeroField(VectorField):
-    def value(self, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    def jacobian(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1] + (2, 2))
-
-
-@dataclass(frozen=True)
-class AmbientModel:
-    """Driving fields (v0, v1, v2) and perturbation fields (tv0, tv1, tv2)."""
-
-    v: tuple
-    tilde_v: tuple
-    dom: DomainModel = field(default_factory=DomainModel)
-
-    def __post_init__(self):
-        if len(self.v) != 3 or len(self.tilde_v) != 3:
-            raise ModelError("ambient mode needs exactly 3 driving and 3 perturbation fields")
-
-
-def apply_operator(v0: VectorField, diffusion_fields, x, grad_fn, hess_fn):
-    """Evaluate (v0 . grad + 1/2 sum_i (v_i . grad)^2) phi at points x.
-
-    grad_fn/hess_fn supply the analytic gradient and Hessian of phi.  The
-    squared directional derivatives expand to
-    v^T (hess phi) v + ((Dv) v) . grad phi.
-    """
-    g = grad_fn(x)
-    h = hess_fn(x)
-    out = np.einsum("...k,...k->...", v0.value(x), g)
-    for vf in diffusion_fields:
-        val = vf.value(x)
-        jac = vf.jacobian(x)
-        quad = np.einsum("...k,...kl,...l->...", val, h, val)
-        drift = np.einsum("...kl,...l,...k->...", jac, val, g)
-        out = out + 0.5 * (quad + drift)
-    return out
-
-
-def second_order_form(diffusion_fields, x, grad_u_fn, grad_w_fn):
-    """Pure second-order pairing C(grad u, grad w) = 1/2 sum_i (v_i.grad u)(v_i.grad w)."""
-    gu = grad_u_fn(x)
-    gw = grad_w_fn(x)
-    out = 0.0
-    for vf in diffusion_fields:
-        val = vf.value(x)
-        out = out + 0.5 * np.einsum("...k,...k->...", val, gu) * np.einsum(
-            "...k,...k->...", val, gw
-        )
-    return out
-
-
-def _chart_probe_points(y_grid, z):
-    r = 1.0 - z
-    return np.stack([r * np.cos(y_grid), r * np.sin(y_grid)], axis=-1)
-
-
-def extract_alpha_beta(m: AmbientModel, probe_z: float, n_grid: int = 64,
-                       tol: float = 1e-6):
-    """Recover the normal-form degeneration coefficients from ambient fields.
-
-    beta(y) is the limit of (L z)/z as z drops to 0; alpha(y) is the limit
-    of the pure second-order part (1/2 L z^2 - z L z)/z^2.  Both limits are
-    computed by evaluating at heights probe_z, probe_z/2, probe_z/4 and
-    Richardson-extrapolating; the residual is the sup difference between
-    the two extrapolations and must stay below tol.
-    """
-    if not 0.0 < probe_z < m.dom.chart_radius:
-        raise ModelError(f"probe_z must be in (0, {m.dom.chart_radius}), got {probe_z}")
-    y_grid = np.linspace(0.0, TWO_PI, n_grid, endpoint=False)
-    v0, v1, v2 = m.v
-    diff = (v1, v2)
-
-    gz, hz = geometry.grad_z, geometry.hess_z
-
-    def ratios(z):
-        x = _chart_probe_points(y_grid, z)
-        h1 = apply_operator(v0, diff, x, gz, hz)
-        czz = second_order_form(diff, x, gz, gz)
-        return h1 / z, czz / (z * z)
-
-    b_r, a_r = {}, {}
-    for k, z in enumerate((probe_z, probe_z / 2.0, probe_z / 4.0)):
-        b_r[k], a_r[k] = ratios(z)
-
-    beta_1 = 2.0 * b_r[1] - b_r[0]
-    beta_2 = 2.0 * b_r[2] - b_r[1]
-    alpha_1 = 2.0 * a_r[1] - a_r[0]
-    alpha_2 = 2.0 * a_r[2] - a_r[1]
-    residual = float(max(np.max(np.abs(beta_2 - beta_1)), np.max(np.abs(alpha_2 - alpha_1))))
-    if residual > tol:
-        raise ExtrapolationUnstable(
-            f"extraction residual {residual:.3e} exceeds tolerance {tol:.3e}"
-        )
-    alpha_fn = TabulatedPeriodic(tuple(alpha_2))
-    beta_fn = TabulatedPeriodic(tuple(beta_2))
-    return alpha_fn, beta_fn, residual
-
-
-def tangential_restriction(m: AmbientModel, n_grid: int = 64):
-    """Coefficients (a, b) of the generator restricted to the boundary circle."""
-    y_grid = np.linspace(0.0, TWO_PI, n_grid, endpoint=False)
-    x = geometry.boundary_point(y_grid)
-    v0, v1, v2 = m.v
-    gy, hy = geometry.grad_y, geometry.hess_y
-    a_vals = 2.0 * second_order_form((v1, v2), x, gy, gy)
-    b_vals = apply_operator(v0, (v1, v2), x, gy, hy)
-    return TabulatedPeriodic(tuple(a_vals)), TabulatedPeriodic(tuple(b_vals))
-
-
-def perturbation_profile(m: AmbientModel, n_grid: int = 64) -> TabulatedPeriodic:
-    """rho(y): the normal-normal perturbation diffusion on the boundary."""
-    y_grid = np.linspace(0.0, TWO_PI, n_grid, endpoint=False)
-    x = geometry.boundary_point(y_grid)
-    _, tv1, tv2 = m.tilde_v
-    gz = geometry.grad_z
-    vals = second_order_form((tv1, tv2), x, gz, gz)
-    return TabulatedPeriodic(tuple(vals))
-
-
-def mixed_profile(m: AmbientModel, probe_z: float, n_grid: int = 64) -> TabulatedPeriodic:
-    """d(y): the mixed-derivative coefficient, from Cyz(y, z) = z d / 2 + O(z^2)."""
-    y_grid = np.linspace(0.0, TWO_PI, n_grid, endpoint=False)
-    _, v1, v2 = m.v
-    gy, gz = geometry.grad_y, geometry.grad_z
-
-    def ratio(z):
-        x = _chart_probe_points(y_grid, z)
-        return 2.0 * second_order_form((v1, v2), x, gy, gz) / z
-
-    d1 = ratio(probe_z)
-    d2 = ratio(probe_z / 2.0)
-    return TabulatedPeriodic(tuple(2.0 * d2 - d1))
-
-
-def chart_from_ambient(m: AmbientModel, probe_z: float = 0.05, n_grid: int = 64,
-                       tol: float = 1e-6, name: str = "") -> ChartModel:
-    """Assemble the full chart normal form from an ambient model."""
-    alpha_fn, beta_fn, _ = extract_alpha_beta(m, probe_z, n_grid, tol)
-    a_fn, b_fn = tangential_restriction(m, n_grid)
-    rho_fn = perturbation_profile(m, n_grid)
-    d_fn = mixed_profile(m, probe_z, n_grid)
-    return ChartModel(a=a_fn, b=b_fn, alpha=alpha_fn, beta=beta_fn, d=d_fn,
-                      rho=rho_fn, name=name)
-
-
-def ambient_from_chart(chart: ChartModel, dom: DomainModel | None = None) -> AmbientModel:
-    """Realize a chart normal form (with d = 0) by explicit planar fields.
-
-    v1 = sqrt(a) * rotation contributes the tangential diffusion; the
-    radially decaying field sqrt(2 alpha) contributes both alpha and an
-    equal share of beta, so the drift field (alpha - beta) * radial tops
-    beta up to its target; a rotation drift supplies b, corrected for the
-    drift the y-dependent sqrt(a) scaling itself generates.
-    """
-    dom = dom or DomainModel()
-    y = np.linspace(0.0, TWO_PI, 256, endpoint=False)
-    if np.max(np.abs(np.asarray(chart.d(y)))) > 0:
-        raise ModelError("ambient realization only covers models with d = 0")
-
-    sqrt_a = _SqrtFn(chart.a)
-    sqrt_2alpha = _SqrtFn(_ScaledFn(chart.alpha, 2.0))
-    sqrt_2rho = _SqrtFn(_ScaledFn(chart.rho, 2.0))
-
-    # b-target correction: the modulated rotation field generates drift a'/4.
-    b_eff = _SumFn(chart.b, _ScaledFn(_DerivFn(chart.a), -0.25))
-    alpha_minus_beta = _SumFn(chart.alpha, _ScaledFn(chart.beta, -1.0))
-
-    v0 = _SumField(
-        RadialDecayField(scale=alpha_minus_beta),
-        RotationField(scale=b_eff),
-    )
-    v1 = RotationField(scale=sqrt_a)
-    v2 = RadialDecayField(scale=sqrt_2alpha)
-    tv0 = ZeroField()
-    tv1 = ConstantFrameField(direction=(1.0, 0.0), scale=sqrt_2rho)
-    tv2 = ConstantFrameField(direction=(0.0, 1.0), scale=sqrt_2rho)
-    return AmbientModel(v=(v0, v1, v2), tilde_v=(tv0, tv1, tv2), dom=dom)
-
-
-@dataclass(frozen=True)
-class _SqrtFn(CoefficientFn):
-    base: CoefficientFn
-
-    def __call__(self, y):
-        return np.sqrt(self.base(y))
-
-    def deriv(self, y):
-        return 0.5 * self.base.deriv(y) / np.sqrt(self.base(y))
-
-    def to_config(self):
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class _DerivFn(CoefficientFn):
-    base: CoefficientFn
-
-    def __call__(self, y):
-        return self.base.deriv(y)
-
-    def to_config(self):
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class _SumFn(CoefficientFn):
-    left: CoefficientFn
-    right: CoefficientFn
-
-    def __call__(self, y):
-        return self.left(y) + self.right(y)
-
-    def deriv(self, y):
-        return self.left.deriv(y) + self.right.deriv(y)
-
-    def to_config(self):
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class _SumField(VectorField):
-    first: VectorField
-    second: VectorField
-
-    def value(self, x):
-        return self.first.value(x) + self.second.value(x)
-
-    def jacobian(self, x):
-        return self.first.jacobian(x) + self.second.jacobian(x)
-
-
-# ---------------------------------------------------------------------------
-# Validation
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Violation:
-    kind: str
-    location: str
-    value: float
-    message: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple
-
-    def __str__(self):
-        if self.ok:
-            return "all checks passed"
-        return "\n".join(f"[{v.kind}] at {v.location}: {v.message}" for v in self.violations)
-
-
-def validate(m) -> ValidationReport:
-    """Check the standing assumptions at a deterministic sample grid.
-
-    Chart mode: periodicity of all coefficients (``ChartModel`` itself
-    rejects a non-finite coefficient and a non-positive a, rho or alpha).
-    Ambient mode: tangency of the driving fields on the
-    circle, span of (v1, v2) in the interior, span of the perturbation
-    fields everywhere sampled.
-    """
-    if isinstance(m, ChartModel):
-        return _validate_chart(m)
-    if isinstance(m, AmbientModel):
-        return _validate_ambient(m)
-    raise ModelError(f"cannot validate object of type {type(m).__name__}")
-
-
-def _validate_chart(m: ChartModel) -> ValidationReport:
-    y = np.linspace(0.0, TWO_PI, _VALIDATION_GRID, endpoint=False)
-    bad = []
-    # positivity and finiteness are ChartModel's own checks, on this grid
-    for label, fn in (("a", m.a), ("b", m.b), ("alpha", m.alpha), ("beta", m.beta),
-                      ("d", m.d), ("rho", m.rho)):
-        vals = np.asarray(fn(y), dtype=float) + np.zeros_like(y)
-        per = np.asarray(fn(y + TWO_PI), dtype=float) + np.zeros_like(y)
-        gap = float(np.max(np.abs(per - vals)))
-        if gap > 1e-10:
-            bad.append(Violation("PeriodicityViolation", label, gap,
-                                 f"{label} not 2*pi periodic (gap {gap:.2e})"))
-    return ValidationReport(ok=not bad, violations=tuple(bad))
-
-
-def _validate_ambient(m: AmbientModel, n_y: int = _VALIDATION_GRID,
-                      n_r: int = 16) -> ValidationReport:
-    bad = []
-    y = np.linspace(0.0, TWO_PI, n_y, endpoint=False)
-    xb = geometry.boundary_point(y)
-    normal = -geometry.unit_radial(xb)
-    for idx, vf in enumerate(m.v):
-        comp = np.einsum("...k,...k->...", vf.value(xb), normal)
-        worst = int(np.argmax(np.abs(comp)))
-        if np.abs(comp[worst]) > 1e-10:
-            bad.append(Violation("TangencyViolation", f"y={y[worst]:.4f}",
-                                 float(comp[worst]),
-                                 f"v{idx} has normal component {comp[worst]:.2e} on S"))
-    lo = 0.05 if m.dom.kind is geometry.DomainKind.DISK else m.dom.inner_radius + 0.02
-    radii = np.linspace(lo, 0.98, n_r)
-    pts = np.stack([radii[:, None] * np.cos(y)[None, :],
-                    radii[:, None] * np.sin(y)[None, :]], axis=-1).reshape(-1, 2)
-    for label, pair, kind in (("v", (m.v[1], m.v[2]), "SpanViolation"),
-                              ("tilde_v", (m.tilde_v[1], m.tilde_v[2]), "SpanViolation")):
-        a_vals = pair[0].value(pts)
-        b_vals = pair[1].value(pts)
-        det = a_vals[:, 0] * b_vals[:, 1] - a_vals[:, 1] * b_vals[:, 0]
-        scale = np.linalg.norm(a_vals, axis=-1) * np.linalg.norm(b_vals, axis=-1)
-        # Boundary rows are excluded: the unperturbed fields may legitimately
-        # degenerate there.
-        interior = np.abs(1.0 - np.linalg.norm(pts, axis=-1)) > 1e-9
-        weak = interior & (np.abs(det) <= 1e-10 * np.maximum(scale, 1e-30))
-        if np.any(weak):
-            i = int(np.argmax(weak))
-            bad.append(Violation(kind, f"x=({pts[i,0]:.3f},{pts[i,1]:.3f})",
-                                 float(det[i]),
-                                 f"{label}1, {label}2 do not span the plane"))
-    return ValidationReport(ok=not bad, violations=tuple(bad))
 
 
 def chart_model_from_config(spec: dict, field_prefix: str = "model.chart") -> ChartModel:

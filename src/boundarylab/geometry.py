@@ -8,9 +8,8 @@ measured into the domain; the chart is valid for z below the chart
 radius delta.  The solvers never convert single points between these
 coordinates: ``fields.Flavor`` carries the chart, the boundary-layer
 rescaling zz = z/eps and the log height w = ln zz into the coefficients
-it assembles.  This module holds the domain model, the half-cylinder
-start point ``RescaledPoint``, and the closed-form gradients and
-Hessians of y(x) and of the outer circle's z(x) = 1 - |x|.
+it assembles.  This module holds the domain model and the half-cylinder
+start point ``RescaledPoint``.
 """
 
 from __future__ import annotations
@@ -75,54 +74,3 @@ class RescaledPoint:
         if self.zz < 0.0:
             raise ChartRangeError(f"rescaled height must be >= 0, got {self.zz}")
         object.__setattr__(self, "y", float(wrap_angle(self.y)))
-
-
-# -- analytic circle geometry used by the ambient operator machinery ---------
-#
-# For the coordinate functions y(x) (angle) and z(x) = 1 - |x| (distance to the
-# outer circle) the gradients and Hessians are known in closed form; the
-# ambient-field module uses them to evaluate operators on z, z^2 and functions
-# of y without any numerical differentiation.  All functions broadcast over
-# trailing point axes: x has shape (..., 2).
-
-def unit_radial(x: np.ndarray) -> np.ndarray:
-    r = np.linalg.norm(x, axis=-1, keepdims=True)
-    return x / r
-
-
-def grad_z(x: np.ndarray) -> np.ndarray:
-    return -unit_radial(x)
-
-
-def hess_z(x: np.ndarray) -> np.ndarray:
-    """Hessian of z(x) = 1 - |x|."""
-    r = np.linalg.norm(x, axis=-1)
-    e = unit_radial(x)
-    proj = np.eye(2) - e[..., :, None] * e[..., None, :]
-    return -proj / r[..., None, None]
-
-
-def grad_y(x: np.ndarray) -> np.ndarray:
-    """Gradient of the angle function y(x) = atan2(x2, x1)."""
-    r2 = np.sum(x * x, axis=-1, keepdims=True)
-    return np.stack([-x[..., 1], x[..., 0]], axis=-1) / r2
-
-
-def hess_y(x: np.ndarray) -> np.ndarray:
-    x1 = x[..., 0]
-    x2 = x[..., 1]
-    r4 = (x1 * x1 + x2 * x2) ** 2
-    h11 = 2.0 * x1 * x2 / r4
-    h12 = (x2 * x2 - x1 * x1) / r4
-    h22 = -2.0 * x1 * x2 / r4
-    out = np.empty(x.shape[:-1] + (2, 2))
-    out[..., 0, 0] = h11
-    out[..., 0, 1] = h12
-    out[..., 1, 0] = h12
-    out[..., 1, 1] = h22
-    return out
-
-
-def boundary_point(y) -> np.ndarray:
-    """Ambient coordinates of the outer boundary point at angle y (array-friendly)."""
-    return np.stack([np.cos(y), np.sin(y)], axis=-1)

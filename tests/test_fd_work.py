@@ -11,7 +11,7 @@ import pytest
 
 from boundarylab import classifier, config, dirichlet, fd, halfcyl, runner
 from boundarylab.coefficients import Const, Fourier
-from boundarylab.errors import NoConvergence
+from boundarylab.errors import ModelError
 from boundarylab.fields import ChartModel
 from boundarylab.geometry import RescaledPoint
 
@@ -145,11 +145,21 @@ def test_a_constant_data_timescale_run_solves_no_system(calls, tmp_path):
         assert json.load(fh)["boundary_ref"] == 0.7
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("model", ["A", "D", "B-asym"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_non_finite_data_still_fail_in_the_sweep(calls, zoo, model, bad):
-    # constant, and one bad node in otherwise constant data: neither rule may take them
-    for data in (np.full(GRID.n_y, bad), np.where(np.arange(GRID.n_y) == 5, bad, 0.7)):
-        with np.errstate(invalid="ignore"), pytest.raises(NoConvergence):
+def test_non_finite_data_are_named_before_any_sweep(calls, zoo, model, bad):
+    # constant, and one bad node in otherwise constant data: the error names the first
+    for data, node in ((np.full(GRID.n_y, bad), 0),
+                       (np.where(np.arange(GRID.n_y) == 5, bad, 0.7), 5)):
+        with pytest.raises(ModelError, match=f"node {node} .* not finite: {bad}$"):
             dirichlet.limit_value(zoo[model], data, GRID)
-    assert calls["elimination"] == 2
+    assert calls["elimination"] == 0
+
+
+def test_non_finite_polar_data_are_named_before_the_sweep(calls, zoo):
+    op = dirichlet.DiskOperator(model=zoo["D"], eps=0.1,
+                                completion=dirichlet.default_completions(zoo["D"])[0])
+    with pytest.raises(ModelError, match="node 3 .* not finite: nan$"):
+        dirichlet.solve_fd(op, np.where(np.arange(32) == 3, np.nan, 0.7), n_theta=32)
+    assert calls["elimination"] == 0

@@ -4,96 +4,9 @@ import pytest
 from boundarylab import fields
 from boundarylab.coefficients import Const, Cosine
 from boundarylab.errors import FlavorRangeError, InvalidEpsilon, ModelError
-from boundarylab.fields import (
-    AmbientModel,
-    ChartModel,
-    ConstantFrameField,
-    Flavor,
-    PerturbationSpec,
-    RadialDecayField,
-    RotationField,
-    ZeroField,
-    ambient_from_chart,
-    assemble,
-    chart_from_ambient,
-    extract_alpha_beta,
-    validate,
-)
+from boundarylab.fields import ChartModel, Flavor, PerturbationSpec, assemble
 
 TWO_PI = 2 * np.pi
-
-
-def rotation_radial_model(radial_scale=1.0):
-    return AmbientModel(
-        v=(ZeroField(), RotationField(), RadialDecayField(Const(radial_scale))),
-        tilde_v=(ZeroField(),
-                 ConstantFrameField((1.0, 0.0), Const(np.sqrt(2.0))),
-                 ConstantFrameField((0.0, 1.0), Const(np.sqrt(2.0)))),
-    )
-
-
-def sympy_normal_form(radial_scale):
-    """Independent symbolic oracle for the degeneration coefficients.
-
-    Applies the operator (expanded from the squared directional
-    derivatives) to the distance function and its square symbolically,
-    then takes boundary limits of h1/z and (h2 - z h1)/z^2.
-    """
-    import sympy as sy
-
-    x1, x2 = sy.symbols("x1 x2", real=True, positive=True)
-    r = sy.sqrt(x1 ** 2 + x2 ** 2)
-    z = 1 - r
-    v1 = sy.Matrix([-x2, x1])
-    v2 = radial_scale * (1 - r) / r * sy.Matrix([x1, x2])
-
-    def apply(phi, v):
-        return v[0] * sy.diff(phi, x1) + v[1] * sy.diff(phi, x2)
-
-    def L(phi):
-        return sum(sy.Rational(1, 2) * apply(apply(phi, v), v) for v in (v1, v2))
-
-    h1 = sy.simplify(L(z))
-    h2 = sy.simplify(L(z ** 2) / 2)
-    beta = sy.limit(sy.simplify(h1 / z), r, 1)
-    alpha = sy.limit(sy.simplify((h2 - z * h1) / z ** 2), r, 1)
-    return float(alpha), float(beta)
-
-
-def test_extraction_matches_symbolic_oracle():
-    # frozen oracle values: alpha = beta = scale^2 / 2
-    assert sympy_normal_form(1.0) == pytest.approx((0.5, 0.5))
-    assert sympy_normal_form(2.0) == pytest.approx((2.0, 2.0))
-    for scale, expected in ((1.0, 0.5), (2.0, 2.0)):
-        m = rotation_radial_model(scale)
-        alpha, beta, residual = extract_alpha_beta(m, probe_z=0.05)
-        y = np.linspace(0, TWO_PI, 16, endpoint=False)
-        assert np.asarray(alpha(y)) == pytest.approx(expected, abs=1e-8)
-        assert np.asarray(beta(y)) == pytest.approx(expected, abs=1e-8)
-        assert residual < 1e-6
-
-
-def test_pure_tangential_model_rejected():
-    # radial field absent: degeneration coefficient vanishes identically
-    m = AmbientModel(
-        v=(ZeroField(), RotationField(), ZeroField()),
-        tilde_v=rotation_radial_model().tilde_v,
-    )
-    with pytest.raises(ModelError):
-        chart_from_ambient(m)
-
-
-def test_chart_ambient_roundtrip_within_tolerance():
-    chart = ChartModel(a=Const(1.0), b=Cosine(0.0, 0.3), alpha=Cosine(1.0, 0.5),
-                       beta=Const(0.25), rho=Cosine(1.0, 0.2))
-    amb = ambient_from_chart(chart)
-    assert validate(amb).ok
-    back = chart_from_ambient(amb, probe_z=0.02)
-    y = np.linspace(0, TWO_PI, 64, endpoint=False)
-    for f1, f2 in ((chart.a, back.a), (chart.b, back.b), (chart.alpha, back.alpha),
-                   (chart.beta, back.beta), (chart.rho, back.rho)):
-        lhs = np.asarray(f1(y)) + np.zeros_like(y)
-        assert np.max(np.abs(lhs - np.asarray(f2(y)))) < 1e-6
 
 
 def test_assemble_limit_flavor_values():
@@ -170,23 +83,7 @@ def test_assembled_diffusion_positive_semidefinite():
         assert np.min(det) > -1e-12
 
 
-def test_validate_constructed_violations():
-    good = rotation_radial_model()
-    assert validate(good).ok
-    # normal component on the circle
-    bad = AmbientModel(
-        v=(ZeroField(), RotationField(),
-           ConstantFrameField((1.0, 0.0), Const(1.0))),
-        tilde_v=good.tilde_v,
-    )
-    rep = validate(bad)
-    assert not rep.ok
-    assert any(v.kind == "TangencyViolation" for v in rep.violations)
-    # degenerate perturbation frame
-    bad2 = AmbientModel(v=good.v, tilde_v=(ZeroField(), ZeroField(), ZeroField()))
-    rep2 = validate(bad2)
-    assert any(v.kind == "SpanViolation" for v in rep2.violations)
-    # rho must be strictly positive at construction
+def test_chart_model_rejects_a_zero_rho():
     with pytest.raises(ModelError):
         ChartModel(a=Const(1.0), b=Const(0.0), alpha=Const(1.0), beta=Const(0.0),
                    rho=Const(0.0))

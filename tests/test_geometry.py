@@ -18,26 +18,3 @@ def test_annulus_chart_overlap_rejected():
     with pytest.raises(ChartRangeError):
         geo.DomainModel(kind=geo.DomainKind.ANNULUS, inner_radius=0.4,
                         chart_radius=0.4)
-
-
-def test_circle_calculus_identities():
-    # grad/hess of the coordinate functions against finite differences
-    rng = np.random.default_rng(10)
-    x = rng.uniform(0.3, 0.9, size=(50, 2))
-    eh = 1e-6
-    for fn, grad, hess in ((lambda p: 1 - np.linalg.norm(p, axis=-1),
-                            geo.grad_z, geo.hess_z),
-                           (lambda p: np.arctan2(p[..., 1], p[..., 0]),
-                            geo.grad_y, geo.hess_y)):
-        g = grad(x)
-        for k in range(2):
-            dp = np.zeros(2)
-            dp[k] = eh
-            num = (fn(x + dp) - fn(x - dp)) / (2 * eh)
-            assert np.max(np.abs(num - g[:, k])) < 1e-6
-        h = hess(x)
-        for k in range(2):
-            dp = np.zeros(2)
-            dp[k] = eh
-            num = (grad(x + dp) - grad(x - dp)) / (2 * eh)
-            assert np.max(np.abs(num - h[:, :, k])) < 1e-5

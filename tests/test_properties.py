@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from boundarylab.classifier import Verdict, classify
 from boundarylab.coefficients import Cosine, Fourier
 from boundarylab.dirichlet import DiskOperator, default_completions, solve_fd
-from boundarylab.fields import ChartModel, ambient_from_chart, chart_from_ambient
+from boundarylab.fields import ChartModel
 from boundarylab.geometry import RescaledPoint
 from boundarylab.halfcyl import HalfCylinderGrid, exit_measure, solve_conditioned, solve_u
 
@@ -104,17 +104,3 @@ def test_verdict_is_invariant_under_rotation(a, b, alpha, beta, phi):
     assert rep_turned.verdict is rep.verdict
     assert abs(rep_turned.alpha_bar - rep.alpha_bar) <= TOL
     assert abs(rep_turned.beta_bar - rep.beta_bar) <= TOL
-
-
-EXTRACTION_TOL = 1e-6   # chart_from_ambient's default residual bound
-
-
-@settings(max_examples=50, deadline=None)
-@given(m=models(), rho=fourier(1.0, 2.0, 0.3))
-def test_chart_ambient_chart_round_trip(m, rho):
-    chart = ChartModel(a=m.a, b=m.b, alpha=m.alpha, beta=m.beta, rho=rho)
-    back = chart_from_ambient(ambient_from_chart(chart), probe_z=0.02, tol=EXTRACTION_TOL)
-    y = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
-    for name in ("a", "b", "alpha", "beta", "d", "rho"):
-        want = np.asarray(getattr(chart, name)(y)) + np.zeros_like(y)
-        assert np.max(np.abs(np.asarray(getattr(back, name)(y)) - want)) <= EXTRACTION_TOL
