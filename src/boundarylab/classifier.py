@@ -31,6 +31,8 @@ from .errors import IncompatibleRHS, SingularSystem
 from .fields import ChartModel, TabulatedPeriodic
 from .geometry import TWO_PI
 
+TOL_COMPAT = 1e-8   # largest pi-mean of the corrector's right-hand side
+
 
 class Verdict(enum.Enum):
     ATTRACTING = "attracting"
@@ -134,8 +136,7 @@ def invariant_measure(m: ChartModel, grid_size: int = 1024) -> InvariantMeasure:
     return InvariantMeasure(density=density, grid_size=n)
 
 
-def corrector(m: ChartModel, measure: InvariantMeasure,
-              tol_compat: float = 1e-8) -> tuple[np.ndarray, float]:
+def corrector(m: ChartModel, measure: InvariantMeasure) -> tuple[np.ndarray, float]:
     """Mean-zero solution of the corrector equation; returns (psi, residual).
 
     The right-hand side alpha - beta - (alpha_bar - beta_bar) is built with
@@ -151,9 +152,9 @@ def corrector(m: ChartModel, measure: InvariantMeasure,
     bbar = measure.integrate(beta)
     rhs_core = alpha - beta - (abar - bbar)
     compat = measure.integrate(rhs_core)
-    if abs(compat) > tol_compat:
+    if abs(compat) > TOL_COMPAT:
         raise IncompatibleRHS(
-            f"corrector right-hand side has pi-mean {compat:.3e} > {tol_compat:.1e}"
+            f"corrector right-hand side has pi-mean {compat:.3e} > {TOL_COMPAT:.1e}"
         )
     mat = _tangential_matrix(m, n)
     pi = measure.density

@@ -1,10 +1,9 @@
 """Coefficient functions on the boundary circle.
 
 Model coefficients (tangential diffusion, drifts, degeneration profiles)
-are 2*pi-periodic functions of the angle y.  Configs name them either as
-built-ins ("const", "cosine") or as finite Fourier series; the evaluation
-order of a Fourier series is the listed term order, accumulated left to
-right, so results are bit-reproducible across runs.
+are 2*pi-periodic functions of the angle y: constants, cosines and finite
+Fourier series.  A Fourier series is evaluated in its listed term order,
+accumulated left to right, so results are bit-reproducible across runs.
 """
 
 from __future__ import annotations
@@ -13,8 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import ConfigError
 
 
 class CoefficientFn:
@@ -95,79 +92,3 @@ class Fourier(CoefficientFn):
 
 def _scaled(c: float, values):
     return values if c == 1.0 else c * values
-
-
-def coefficient_from_config(spec, field: str) -> CoefficientFn:
-    """Build a coefficient function from its config form.
-
-    Accepts a bare number (shorthand for a constant) or a dict with a
-    "kind" key as documented in the README.
-    """
-    if finite_number(spec):
-        return Const(float(spec))
-    if not isinstance(spec, dict):
-        raise ConfigError(field, f"expected a finite number or an object, got {spec!r}")
-    kind = spec.get("kind")
-    if kind == "const":
-        _require_keys(spec, field, {"kind", "c"})
-        return Const(_number(spec, field, "c"))
-    if kind == "cosine":
-        _require_keys(spec, field, {"kind", "mean", "amp", "phase"}, optional={"phase"})
-        return Cosine(
-            mean=_number(spec, field, "mean"),
-            amp=_number(spec, field, "amp"),
-            phase=_number(spec, field, "phase", default=0.0),
-        )
-    if kind == "fourier":
-        _require_keys(spec, field, {"kind", "constant", "terms"})
-        terms = spec["terms"]
-        if not isinstance(terms, list):
-            raise ConfigError(f"{field}.terms", "expected a list of [k, cos, sin] triples")
-        parsed = []
-        for i, t in enumerate(terms):
-            if not (isinstance(t, list) and len(t) == 3):
-                raise ConfigError(f"{field}.terms[{i}]", "expected [k, cos, sin]")
-            k = t[0]
-            if not (isinstance(k, int) and finite_number(k) and k >= 1):
-                raise ConfigError(f"{field}.terms[{i}]", f"mode k must be int >= 1, got {k!r}")
-            for j in (1, 2):
-                if not finite_number(t[j]):
-                    raise ConfigError(f"{field}.terms[{i}][{j}]",
-                                      f"expected a finite number, got {t[j]!r}")
-            parsed.append((k, float(t[1]), float(t[2])))
-        return Fourier(constant=_number(spec, field, "constant"), terms=tuple(parsed))
-    raise ConfigError(field, f"unknown coefficient kind {kind!r}")
-
-
-def _number(spec: dict, field: str, key: str, default=None) -> float:
-    if key not in spec:
-        if default is not None:
-            return default
-        raise ConfigError(f"{field}.{key}", "missing required value")
-    v = spec[key]
-    if not finite_number(v):
-        raise ConfigError(f"{field}.{key}", f"expected a finite number, got {v!r}")
-    return float(v)
-
-
-def finite_number(v) -> bool:
-    """Whether a parsed JSON value is a number (a bool is not one) with a finite float value.
-
-    ``json.load`` reads the literals NaN and Infinity, and an integer too
-    large for a float, as numbers; none of them is one here.
-    """
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        return False
-    try:
-        return math.isfinite(v)
-    except OverflowError:
-        return False
-
-
-def _require_keys(spec: dict, field: str, allowed: set, optional: set = frozenset()):
-    extra = set(spec) - allowed
-    if extra:
-        raise ConfigError(field, f"unknown keys {sorted(extra)}")
-    missing = allowed - set(spec) - {"kind"} - set(optional)
-    if missing:
-        raise ConfigError(field, f"missing keys {sorted(missing)}")

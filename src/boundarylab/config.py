@@ -3,6 +3,10 @@
 Configs are JSON objects with a version, an experiment kind, a model
 block (built-in name or chart coefficients), an optional domain block,
 a mandatory seed, and a numerics block whose schema depends on the kind.
+This module is the one reader of the format: every block, the model's
+coefficient functions among them, is parsed here, and a failed check of
+the library's own (a chart model, a domain, a grid, a martingale band or
+checkpoints) is reported as a ``ConfigError`` naming its field.
 Serialization is canonical (sorted keys, compact separators), and the
 sha256 of the canonical form identifies a run in its manifest.
 """
@@ -11,15 +15,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import models
-from .coefficients import coefficient_from_config, finite_number
-from .errors import ConfigError, ModelError
-from .fields import ChartModel, chart_model_from_config
+from . import models, sde
+from .coefficients import CoefficientFn, Const, Cosine, Fourier
+from .errors import ChartRangeError, ConfigError, ModelError
+from .fields import ChartModel, PerturbationSpec
 from .geometry import DomainKind, DomainModel
 from .halfcyl import HalfCylinderGrid
 
@@ -52,9 +58,32 @@ def config_hash(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
 
 
+def finite_number(v) -> bool:
+    """Whether a parsed JSON value is a number (a bool is not one) with a finite float value.
+
+    ``json.load`` reads the literals NaN and Infinity, and an integer too
+    large for a float, as numbers; none of them is one here.
+    """
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 def _expect(cond: bool, field: str, message: str):
     if not cond:
         raise ConfigError(field, message)
+
+
+@contextmanager
+def _reported_at(field: str, error=ModelError):
+    """A library check that fails inside the block, as a ConfigError naming field."""
+    try:
+        yield
+    except error as exc:
+        raise ConfigError(field, str(exc)) from exc
 
 
 def _only(block: dict, field: str, keys):
@@ -119,6 +148,59 @@ def _parse_model(block, field: str = "model") -> ChartModel:
     raise ConfigError(field, "needs a 'name' or a 'chart' block")
 
 
+def chart_model_from_config(spec, field: str = "model.chart") -> ChartModel:
+    """A chart model from its config block: coefficients a, b, alpha and beta, optional
+    d and rho, an optional perturbation slope ``tilde_z_slope`` and an optional name."""
+    _expect(isinstance(spec, dict), field, f"expected object, got {type(spec).__name__}")
+    _only(spec, field, ("a", "b", "alpha", "beta", "d", "rho", "tilde_z_slope", "name"))
+    name = spec.get("name", "")
+    _expect(isinstance(name, str), f"{field}.name", f"expected a string, got {name!r}")
+    fns = {"d": Const(0.0), "rho": Const(1.0)}
+    for key in ("a", "b", "alpha", "beta", "d", "rho"):
+        if key in spec:
+            fns[key] = coefficient_from_config(spec[key], f"{field}.{key}")
+        _expect(key in fns, f"{field}.{key}", "missing required coefficient")
+    tilde = None
+    if "tilde_z_slope" in spec:
+        tilde = PerturbationSpec(rho=fns["rho"],
+                                 z_slope=_get_number(spec, field, "tilde_z_slope"))
+    with _reported_at(field):
+        return ChartModel(**fns, tilde=tilde, name=name)
+
+
+def coefficient_from_config(spec, field: str) -> CoefficientFn:
+    """A coefficient function of the angle from its config form: a bare number (a
+    constant) or an object whose "kind" is "const", "cosine" or "fourier"."""
+    if finite_number(spec):
+        return Const(float(spec))
+    _expect(isinstance(spec, dict), field,
+            f"expected a finite number or an object, got {spec!r}")
+    kind = spec.get("kind")
+    if kind == "const":
+        _only(spec, field, ("kind", "c"))
+        return Const(_get_number(spec, field, "c"))
+    if kind == "cosine":
+        _only(spec, field, ("kind", "mean", "amp", "phase"))
+        return Cosine(mean=_get_number(spec, field, "mean"),
+                      amp=_get_number(spec, field, "amp"),
+                      phase=_get_number(spec, field, "phase", default=0.0))
+    if kind == "fourier":
+        _only(spec, field, ("kind", "constant", "terms"))
+        terms = spec.get("terms")
+        _expect(isinstance(terms, list), f"{field}.terms",
+                "expected a list of [k, cos, sin] triples")
+        parsed = []
+        for i, t in enumerate(terms):
+            _expect(isinstance(t, list) and len(t) == 3, f"{field}.terms[{i}]",
+                    "expected [k, cos, sin]")
+            k = t[0]
+            _expect(isinstance(k, int) and finite_number(k) and k >= 1, f"{field}.terms[{i}]",
+                    f"mode k must be int >= 1, got {k!r}")
+            parsed.append((k, *_numbers(t, f"{field}.terms[{i}]", "[k, cos, sin]")[1:]))
+        return Fourier(constant=_get_number(spec, field, "constant"), terms=tuple(parsed))
+    raise ConfigError(field, f"unknown coefficient kind {kind!r}")
+
+
 def _parse_domain(block, field: str = "domain") -> DomainModel:
     if block is None:
         return DomainModel()
@@ -128,11 +210,9 @@ def _parse_domain(block, field: str = "domain") -> DomainModel:
     _expect(kind in ("disk", "annulus"), f"{field}.kind", f"unknown kind {kind!r}")
     chart_radius = _get_number(block, field, "chart_radius", default=0.5, positive=True)
     inner = _get_number(block, field, "inner_radius", default=0.0, nonnegative=True)
-    try:
+    with _reported_at(field, ChartRangeError):
         return DomainModel(kind=DomainKind(kind), inner_radius=inner,
                            chart_radius=chart_radius)
-    except Exception as exc:
-        raise ConfigError(field, str(exc)) from exc
 
 
 def _parse_mc(block, field: str) -> dict:
@@ -146,15 +226,6 @@ def _parse_mc(block, field: str) -> dict:
     _expect(out["dt"] <= 1e-2, f"{field}.dt",
             f"must be <= 0.01 to resolve the height dynamics, got {out['dt']}")
     return out
-
-
-def _coeff(block, field: str):
-    try:
-        return coefficient_from_config(block, field)
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(field, str(exc)) from exc
 
 
 # experiment kind -> (the numerics keys its validator reads, the validator)
@@ -178,21 +249,18 @@ def _validate_classify(num: dict) -> dict:
 
 
 def _grid_block(num: dict) -> dict:
-    g = num.get("grid", {})
-    _expect(isinstance(g, dict), "numerics.grid", "expected object")
-    _only(g, "numerics.grid", ("n_y", "n_z", "height", "stretching", "dz0"))
+    g, field, default = num.get("grid", {}), "numerics.grid", HalfCylinderGrid
+    _expect(isinstance(g, dict), field, "expected object")
+    _only(g, field, ("n_y", "n_z", "height", "stretching", "dz0"))
     out = {
-        "n_y": _get_int(g, "numerics.grid", "n_y", default=64, minimum=32,
-                        power_of_two=True),
-        "n_z": _get_int(g, "numerics.grid", "n_z", default=640, minimum=100),
-        "height": _get_number(g, "numerics.grid", "height", default=1.0e13),
-        "stretching": g.get("stretching", "geometric"),
-        "dz0": _get_number(g, "numerics.grid", "dz0", default=0.02, positive=True),
+        "n_y": _get_int(g, field, "n_y", default=default.n_y, minimum=32, power_of_two=True),
+        "n_z": _get_int(g, field, "n_z", default=default.n_z, minimum=100),
+        "height": _get_number(g, field, "height", default=default.height),
+        "stretching": g.get("stretching", default.stretching),
+        "dz0": _get_number(g, field, "dz0", default=default.dz0, positive=True),
     }
-    try:
+    with _reported_at(field):
         HalfCylinderGrid(**out)
-    except ModelError as exc:
-        raise ConfigError("numerics.grid", str(exc)) from exc
     return out
 
 
@@ -265,12 +333,18 @@ def _validate_martingale(num: dict) -> dict:
     cps = num.get("checkpoints")
     _expect(isinstance(cps, list) and len(cps) >= 2, "numerics.checkpoints",
             "expected a list of at least two times")
-    return {
+    out = {
         "band": (lo, hi),
         "start": tuple(_numbers(num.get("start"), "numerics.start", "[y, zz]", 2)),
         "checkpoints": _numbers(cps, "numerics.checkpoints", "a list", positive=True),
         "mc": _parse_mc(num.get("mc"), "numerics.mc"),
     }
+    # the sampler's own checks, so that validate rejects what martingale_trace would
+    with _reported_at("numerics.start"):
+        sde._check_band(out["band"], out["start"][1])
+    with _reported_at("numerics.checkpoints"):
+        sde._checkpoint_steps(out["checkpoints"], out["mc"]["dt"])
+    return out
 
 
 @_kind("timescale", ("eps_list", "rules", "start", "data", "g", "mc"))
@@ -367,14 +441,11 @@ def _domain_points(experiment: str, num: dict):
 def _boundary_data(num: dict):
     """Boundary data as a callable of the angle, from its coefficient spec."""
     _expect("data" in num, "numerics.data", "missing boundary data spec")
-    return _coeff(num["data"], "numerics.data")
+    return coefficient_from_config(num["data"], "numerics.data")
 
 
 def _initial_data(spec):
     """Initial data on the domain from a config spec (constants only)."""
-    if isinstance(spec, dict) and spec.get("kind") == "const":
-        _only(spec, "numerics.g", ("kind", "c"))
-        spec = _get_number(spec, "numerics.g", "c")
-    _expect(finite_number(spec), "numerics.g", "initial data supports finite constants only")
-    c = float(spec)
-    return lambda x: np.full(len(x), c)
+    g = coefficient_from_config(spec, "numerics.g")
+    _expect(isinstance(g, Const), "numerics.g", "initial data supports finite constants only")
+    return lambda x: np.full(len(x), g.c)

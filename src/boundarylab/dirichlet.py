@@ -260,8 +260,8 @@ def solve_fd(op: DiskOperator, psi_d, n_theta: int = 64,
         raise ModelError("annulus solve needs inner boundary data")
     r_nodes = radial_nodes(op.eps, op.dom)
     theta = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
-    f_outer = boundary_values(psi_d, theta)
-    f_inner = None if disk else boundary_values(psi_inner, theta)
+    f_outer = boundary_values(psi_d, theta, "outer data")
+    f_inner = None if disk else boundary_values(psi_inner, theta, "inner data")
 
     # unknowns: rings j = 1..n_r-1, one level each
     coeffs = op.polar_coefficients(*np.meshgrid(theta, r_nodes[1:-1]))

@@ -90,10 +90,11 @@ def within_data(u: np.ndarray, *data) -> bool:
     return bool(np.all(u >= lo - tol) and np.all(u <= hi + tol))
 
 
-def boundary_values(f, a: np.ndarray) -> np.ndarray:
+def boundary_values(f, a: np.ndarray, what: str = "boundary data") -> np.ndarray:
     """Data on the angle nodes a: f(a) for a callable f, else f broadcast to a's shape.
 
-    Data with a NaN or an infinity raise ModelError naming the first such node.
+    Data with a NaN or an infinity raise ModelError naming them (``what``) and the
+    first such node.
     """
     vals = np.asarray(f(a), dtype=float) if callable(f) else np.asarray(f, dtype=float)
     if vals.shape != a.shape:
@@ -101,7 +102,7 @@ def boundary_values(f, a: np.ndarray) -> np.ndarray:
     finite = np.isfinite(vals)
     if not finite.all():
         j = int(np.argmin(finite))
-        raise ModelError(f"boundary data at node {j} (angle {a[j]:.6g}) is not finite: {vals[j]}")
+        raise ModelError(f"{what} at node {j} (angle {a[j]:.6g}) is not finite: {vals[j]}")
     return vals
 
 

@@ -24,15 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import (
-    CoefficientFn,
-    Const,
-    coefficient_from_config,
-    finite_number,
-    folded,
-    is_plus_zero,
-)
-from .errors import ConfigError, FlavorRangeError, InvalidEpsilon, ModelError
+from .coefficients import CoefficientFn, Const, folded, is_plus_zero
+from .errors import FlavorRangeError, InvalidEpsilon, ModelError
 from .geometry import TWO_PI
 
 _VALIDATION_GRID = 64
@@ -126,25 +119,6 @@ class ChartModel:
                 )
         if self.tilde is None:
             object.__setattr__(self, "tilde", PerturbationSpec(rho=self.rho))
-
-    def scaled(self, c: float) -> "ChartModel":
-        """Time-rescaled model: a, b, alpha, beta, d all multiplied by c > 0."""
-        if c <= 0:
-            raise ModelError("time rescaling must be positive")
-        mul = lambda fn: _ScaledFn(fn, c)
-        return ChartModel(a=mul(self.a), b=mul(self.b), alpha=mul(self.alpha),
-                          beta=mul(self.beta), d=mul(self.d), rho=self.rho,
-                          tilde=self.tilde, remainder=self.remainder,
-                          name=f"{self.name}*{c}" if self.name else "")
-
-
-@dataclass(frozen=True)
-class _ScaledFn(CoefficientFn):
-    base: CoefficientFn
-    factor: float
-
-    def __call__(self, y):
-        return self.factor * self.base(y)
 
 
 class Flavor(enum.Enum):
@@ -316,32 +290,3 @@ def assemble(m: ChartModel, eps: float | None, flavor: Flavor) -> GeneratorCoeff
             raise InvalidEpsilon(f"eps must be > 0 for flavor {flavor.value}, got {eps}")
         return GeneratorCoefficients(model=m, flavor=flavor, eps=float(eps))
     return GeneratorCoefficients(model=m, flavor=flavor, eps=None)
-
-
-def chart_model_from_config(spec: dict, field_prefix: str = "model.chart") -> ChartModel:
-    """Parse a chart model block from config."""
-    if not isinstance(spec, dict):
-        raise ConfigError(field_prefix, f"expected object, got {type(spec).__name__}")
-    required = ("a", "b", "alpha", "beta")
-    for key in sorted(set(spec) - {*required, "d", "rho", "tilde_z_slope", "name"}, key=str):
-        raise ConfigError(f"{field_prefix}.{key}", "unknown key")
-    name = spec.get("name", "")
-    if not isinstance(name, str):
-        raise ConfigError(f"{field_prefix}.name", f"expected a string, got {name!r}")
-    fns = {}
-    for key in ("a", "b", "alpha", "beta", "d", "rho"):
-        if key in spec:
-            fns[key] = coefficient_from_config(spec[key], f"{field_prefix}.{key}")
-        elif key in required:
-            raise ConfigError(f"{field_prefix}.{key}", "missing required coefficient")
-    fns.setdefault("d", Const(0.0))
-    fns.setdefault("rho", Const(1.0))
-    tilde = None
-    if "tilde_z_slope" in spec:
-        slope = spec["tilde_z_slope"]
-        if not finite_number(slope):
-            raise ConfigError(f"{field_prefix}.tilde_z_slope", "expected a finite number")
-        tilde = PerturbationSpec(rho=fns["rho"], z_slope=float(slope))
-    return ChartModel(a=fns["a"], b=fns["b"], alpha=fns["alpha"], beta=fns["beta"],
-                      d=fns["d"], rho=fns["rho"], tilde=tilde,
-                      name=name)

@@ -28,6 +28,8 @@ from .errors import ModelError
 from .fields import ChartModel
 from .geometry import DomainModel
 
+PLATEAU_MARGIN = 0.05   # a row is on a plateau within 3 sigma plus this of its value
+
 
 @dataclass(frozen=True)
 class StoppedProcessSpec:
@@ -147,18 +149,15 @@ def _evolve(spec: StoppedProcessSpec, runs, start, params: sde.SimulationParams)
 
 
 def timescale_sweep(spec: StoppedProcessSpec, eps_list, rules, start,
-                    params: sde.SimulationParams, boundary_ref: float,
-                    interior_ref: float | None = None,
-                    plateau_margin: float = 0.05) -> TimescaleSweep:
+                    params: sde.SimulationParams, boundary_ref: float) -> TimescaleSweep:
     """Estimate the stopped functional under each (eps, rule) pair.
 
     boundary_ref is the Dirichlet-limit value the long-time plateau should
-    approach; interior_ref defaults to g(start).  Each row is tagged with
-    the plateau it sits on (within 3 sigma + plateau_margin) or
-    "crossover".
+    approach; the short-time plateau's value, interior_ref, is g(start).
+    Each row is tagged with the plateau it sits on (within 3 sigma +
+    PLATEAU_MARGIN) or "crossover".
     """
-    if interior_ref is None:
-        interior_ref = float(np.asarray(spec.g(np.asarray([start], dtype=float)))[0])
+    interior_ref = float(np.asarray(spec.g(np.asarray([start], dtype=float)))[0])
     eps_list = list(eps_list)
     runs = _evolve(spec, [(eps, [r.time(eps) for r in rules]) for eps in eps_list], start,
                    params)
@@ -168,7 +167,7 @@ def timescale_sweep(spec: StoppedProcessSpec, eps_list, rules, start,
         for r in rules:
             t = r.time(eps)
             est, se = by_time[round(float(t), 12)]
-            tol = 3.0 * se + plateau_margin
+            tol = 3.0 * se + PLATEAU_MARGIN
             if abs(est - interior_ref) <= tol:
                 tag = "interior"
             elif abs(est - boundary_ref) <= tol:

@@ -434,6 +434,15 @@ def _checkpoint_steps(checkpoint_times, dt: float):
     return times, steps_at, at_step
 
 
+def _check_band(band, zz0: float):
+    """Raise ModelError unless band = (lo, hi) has 0 < lo < hi and zz0 lies inside it."""
+    lo, hi = band
+    if not 0.0 < lo < hi:
+        raise ModelError("band must satisfy 0 < lo < hi")
+    if not lo < zz0 < hi:
+        raise ModelError("start height must lie inside the band")
+
+
 def _resolve_start(start):
     if isinstance(start, RescaledPoint):
         return start.y, start.zz
@@ -641,15 +650,11 @@ def martingale_trace(m: ChartModel, report: ClassificationReport, start,
     Monte Carlo mean and standard error.  rho_weight scales the integrand
     (0 reduces the functional to psi + ln Z + gap*t, a bookkeeping check).
     """
-    lo, hi = band
-    if not 0.0 < lo < hi:
-        raise ModelError("band must satisfy 0 < lo < hi")
     y0, zz0 = _resolve_start(start)
-    if not lo < zz0 < hi:
-        raise ModelError("start height must lie inside the band")
+    _check_band(band, zz0)
     gc = assemble(m, None, Flavor.LOG)
     cross = not gc.cross_free
-    w_lo, w_hi = math.log(lo), math.log(hi)
+    w_lo, w_hi = map(math.log, band)
     psi = report.corrector_fn()
     gap = report.alpha_bar - report.beta_bar
     dt = params.dt

@@ -58,11 +58,14 @@ def test_cosine_alpha_is_neutral_against_uniform_measure():
 
 
 def test_verdict_invariant_under_time_rescaling():
-    m = ChartModel(a=Const(1.0), b=SIN, alpha=Cosine(1.0, 0.5),
-                   beta=Fourier(constant=0.5, terms=((1, 0.0, 0.25),)))
-    base = classify(m).verdict
+    # time rescaled by c: a, b, alpha and beta (and d = 0) all multiplied by c
+    def model(c):
+        return ChartModel(a=Const(c), b=Fourier(constant=0.0, terms=((1, 0.0, c),)),
+                          alpha=Cosine(c, 0.5 * c),
+                          beta=Fourier(constant=0.5 * c, terms=((1, 0.0, 0.25 * c),)))
+    base = classify(model(1.0)).verdict
     for c in (0.5, 3.0):
-        assert classify(m.scaled(c)).verdict is base
+        assert classify(model(c)).verdict is base
 
 
 def test_corrector_zero_when_alpha_equals_beta():

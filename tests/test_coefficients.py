@@ -1,12 +1,8 @@
 import numpy as np
 import pytest
 
-from boundarylab.coefficients import (
-    Const,
-    Cosine,
-    Fourier,
-    coefficient_from_config,
-)
+from boundarylab.coefficients import Const, Cosine, Fourier
+from boundarylab.config import coefficient_from_config
 from boundarylab.errors import ConfigError
 
 

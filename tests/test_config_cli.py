@@ -195,6 +195,14 @@ MALFORMED = [
     ("classify_tilted.json", "output_dir", "../../elsewhere", "output_dir"),
     ("classify_tilted.json", "output_dir", "runs/../../elsewhere", "output_dir"),
     ("classify_tilted.json", "output_dir", "runs\\..\\..", "output_dir"),
+    # what ChartModel and the martingale sampler reject, named where the config says it
+    ("classify_tilted.json", "model", {"chart": {
+        "a": -1.0, "b": 0.0, "beta": 0.0, "alpha": 1.0}}, "model.chart"),
+    ("classify_tilted.json", "model", {"chart": {
+        "a": 1.0, "b": 0.0, "beta": 0.0, "alpha": {"kind": "cosine", "mean": 0.2, "amp": 0.5}}},
+     "model.chart"),
+    ("martingale_a.json", "start", [0.0, 30.0], "numerics.start"),
+    ("martingale_a.json", "checkpoints", [0.15, 0.3005], "numerics.checkpoints"),
 ]
 
 

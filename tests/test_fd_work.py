@@ -13,7 +13,7 @@ from boundarylab import classifier, config, dirichlet, fd, halfcyl, runner
 from boundarylab.coefficients import Const, Fourier
 from boundarylab.errors import ModelError
 from boundarylab.fields import ChartModel
-from boundarylab.geometry import RescaledPoint
+from boundarylab.geometry import DomainKind, DomainModel, RescaledPoint
 
 COS = {"kind": "cosine", "mean": 0.0, "amp": 1.0, "phase": 0.0}
 GRID = halfcyl.HalfCylinderGrid(n_y=32, n_z=200, height=1e13, dz0=0.02)
@@ -162,4 +162,16 @@ def test_non_finite_polar_data_are_named_before_the_sweep(calls, zoo):
                                 completion=dirichlet.default_completions(zoo["D"])[0])
     with pytest.raises(ModelError, match="node 3 .* not finite: nan$"):
         dirichlet.solve_fd(op, np.where(np.arange(32) == 3, np.nan, 0.7), n_theta=32)
+    assert calls["elimination"] == 0
+
+
+@pytest.mark.parametrize("circle", ["outer", "inner"])
+def test_non_finite_annulus_data_name_their_circle(calls, zoo, circle):
+    dom = DomainModel(kind=DomainKind.ANNULUS, inner_radius=0.3, chart_radius=0.3)
+    op = dirichlet.DiskOperator(model=zoo["D"], eps=0.1, dom=dom,
+                                completion=dirichlet.default_completions(zoo["D"])[0])
+    data = {"outer": 0.7, "inner": 0.2}
+    data[circle] = np.where(np.arange(32) == 3, np.nan, 0.7)
+    with pytest.raises(ModelError, match=f"^{circle} data at node 3 .* not finite: nan$"):
+        dirichlet.solve_fd(op, data["outer"], n_theta=32, psi_inner=data["inner"])
     assert calls["elimination"] == 0

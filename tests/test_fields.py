@@ -107,17 +107,6 @@ def test_flavor_eps_requirements():
         assemble(m, 0.0, Flavor.RESCALED)
 
 
-def test_time_rescaled_model():
-    m = ChartModel(a=Const(1.0), b=Cosine(0.0, 0.2), alpha=Const(1.0),
-                   beta=Const(3.0))
-    ms = m.scaled(2.5)
-    y = np.linspace(0, TWO_PI, 8)
-    assert np.asarray(ms.a(y)) == pytest.approx(2.5 * np.asarray(m.a(y)) + 0 * y)
-    assert np.asarray(ms.beta(y)) == pytest.approx(7.5 + 0 * y)
-    with pytest.raises(ModelError):
-        m.scaled(-1.0)
-
-
 def test_rotation_invariance_is_read_from_const_coefficients_only(zoo):
     for name in ("A", "B", "C"):
         for flavor in (Flavor.LIMIT, Flavor.LOG):

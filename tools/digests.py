@@ -7,7 +7,9 @@ ones with enough paths to be split over worker processes, the horizon
 samplers also at the edges of their split), direct FD
 solves (cross terms, the annulus, transposed solves, the conditioned
 problem and data with signed zeros), the limit value of every zoo model
-on constant and varying data, and every operator flavor's coefficients.
+on constant and varying data, every operator flavor's coefficients, and
+the coefficients and data of inline configs that reach every form of the
+config's coefficient and chart-model parsers.
 The first line is ``stream_version`` (``sde.STREAM_VERSION``), so a diff
 between trees of different stream versions says why their Monte Carlo
 lines moved.  A refactor that must keep behaviour is checked with one
@@ -94,6 +96,30 @@ ZERO_DATA = {"zero": Const(0.0), "minus-zero": Const(-0.0),
 # whose limit value a rotation-invariant model fixes at their mean
 LIMIT_DATA = {"const": Const(0.7), "cos": np.cos,
               "fourier": Fourier(0.2, ((1, 0.0, 0.5), (2, 1.0, 0.3)))}
+
+# inline configs, as (experiment, model block, numerics), that reach every form the config
+# parsers read, which no bundled config or benchmark operation does: a chart block with
+# every key (bare numbers, an integer one among them, a phased cosine, Fourier series with
+# signed zeros, tilde_z_slope and a name), one with only the required keys, Fourier,
+# cosine and bare-number data, and constant initial data as an object and as a number
+_MC = {"dt": 0.01, "n_paths": 4, "max_time": 1.0}
+INLINE_CONFIGS = {
+    "chart-full": ("classify", {"chart": {
+        "a": 1.5, "rho": 2, "tilde_z_slope": -0.5, "name": "inline",
+        "b": {"kind": "fourier", "constant": -0.0, "terms": [[1, 0.0, 0.5], [3, 1.0, -0.0]]},
+        "alpha": {"kind": "cosine", "mean": 1.0, "amp": 0.5, "phase": 0.7},
+        "beta": {"kind": "const", "c": 0.25},
+        "d": {"kind": "fourier", "constant": 0.1, "terms": [[2, 0.2, 0.1]]}}}, {}),
+    "chart-required": ("halfcyl", {"chart": {
+        "a": 1, "b": 0.0, "alpha": {"kind": "cosine", "mean": 1.0, "amp": 0.25}, "beta": 3}},
+        {"data": {"kind": "fourier", "constant": 0.2, "terms": [[1, 0.0, 0.5], [2, 1.0, 0.3]]}}),
+    "g-object": ("timescale", {"name": "D"}, {
+        "eps_list": [0.1], "rules": [{"kind": "const", "c": 0.5}], "data": -0.5,
+        "g": {"kind": "const", "c": 0.25}, "mc": _MC}),
+    "g-number": ("timescale", {"name": "D"}, {
+        "eps_list": [0.1], "rules": [{"kind": "log", "c": 0.5}], "g": 1, "mc": _MC,
+        "data": {"kind": "cosine", "mean": 0.0, "amp": 1.0}}),
+}
 
 
 def _models():
@@ -345,13 +371,35 @@ def coefficient_digests():
                            _digest(*(out if isinstance(out, tuple) else (out,))))
 
 
+def inline_config_digests():
+    """Each of INLINE_CONFIGS through ``config.parse_config``: its model's coefficients,
+    perturbation profile, data and initial data on COEFF_Y and COEFF_V, and its model
+    name and other numerics as canonical JSON."""
+    y, v = (a.ravel() for a in np.meshgrid(COEFF_Y, COEFF_V, indexing="ij"))
+    for cname, (experiment, model, numerics) in INLINE_CONFIGS.items():
+        cfg = config.parse_config({"version": 1, "experiment": experiment, "seed": 1,
+                                   "model": model, "numerics": numerics})
+        m, num = cfg.model, cfg.numerics
+        with np.errstate(all="ignore"):
+            values = [fn(y) for fn in (m.a, m.b, m.alpha, m.beta, m.d, m.rho)]
+            values += [m.tilde.cyy(y, v), m.tilde.czz(y, v)]
+            if "data" in num:
+                values.append(num["data"](y))
+            if "g" in num:
+                values.append(num["g"](np.zeros((3, 2))))
+        yield f"config/{cname}/values", _digest(*values)
+        rest = {k: val for k, val in num.items() if not callable(val)}
+        yield (f"config/{cname}/fields", hashlib.sha256(json.dumps(
+            {"name": m.name, "numerics": rest}, sort_keys=True).encode()).hexdigest())
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("seeds", nargs="*", type=int, default=[1])
     args = ap.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="digests-") as tmp:
         lines = (list(config_digests(tmp)) + list(fd_digests()) + list(limit_digests())
-                 + list(coefficient_digests()))
+                 + list(coefficient_digests()) + list(inline_config_digests()))
         for seed in args.seeds:
             lines += workload_digests(seed, tmp)
             lines += direct_digests(seed)
