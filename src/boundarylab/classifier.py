@@ -99,6 +99,21 @@ def _tangential_matrix(m: ChartModel, n: int) -> sp.csr_matrix:
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
+def _bordered_solve(mat, column, row, rhs, what: str) -> np.ndarray:
+    """The first n entries of the solution of [[mat, column], [row, 0]] x = rhs;
+    ``SingularSystem`` naming the system ``what`` when that system is singular."""
+    n = mat.shape[0]
+    top = sp.hstack([mat, sp.csr_matrix(column.reshape(n, 1))])
+    bottom = sp.hstack([sp.csr_matrix(row.reshape(1, n)), sp.csr_matrix((1, 1))])
+    try:
+        sol = spla.spsolve(sp.vstack([top, bottom]).tocsc(), rhs)
+    except RuntimeError as exc:  # pragma: no cover - scipy signals singularity
+        raise SingularSystem(f"bordered {what} system: {exc}") from exc
+    if not np.all(np.isfinite(sol)):
+        raise SingularSystem(f"bordered {what} system is singular")
+    return sol[:n]
+
+
 def invariant_measure(m: ChartModel, grid_size: int = 1024) -> InvariantMeasure:
     """Stationary density of the boundary diffusion.
 
@@ -111,18 +126,9 @@ def invariant_measure(m: ChartModel, grid_size: int = 1024) -> InvariantMeasure:
     n = grid_size
     h = TWO_PI / n
     at = _tangential_matrix(m, n).T.tocsr()
-    top = sp.hstack([at, sp.csr_matrix(np.ones((n, 1)))])
-    bottom = sp.hstack([sp.csr_matrix(np.full((1, n), h)), sp.csr_matrix((1, 1))])
-    system = sp.vstack([top, bottom]).tocsc()
     rhs = np.zeros(n + 1)
     rhs[-1] = 1.0
-    try:
-        sol = spla.spsolve(system, rhs)
-    except RuntimeError as exc:  # pragma: no cover - scipy signals singularity
-        raise SingularSystem(str(exc)) from exc
-    if not np.all(np.isfinite(sol)):
-        raise SingularSystem("bordered stationarity system is singular")
-    density = sol[:n]
+    density = _bordered_solve(at, np.ones(n), np.full(n, h), rhs, "stationarity")
     defect = float(np.max(np.abs(at @ density)))
     scale = float(np.max(np.abs(at.data))) * float(np.max(np.abs(density)))
     if defect > 1e-9 * max(scale, 1.0):
@@ -158,15 +164,8 @@ def corrector(m: ChartModel, measure: InvariantMeasure) -> tuple[np.ndarray, flo
         )
     mat = _tangential_matrix(m, n)
     pi = measure.density
-    top = sp.hstack([mat, sp.csr_matrix(pi.reshape(n, 1))])
-    bottom = sp.hstack([sp.csr_matrix((pi * measure.spacing).reshape(1, n)),
-                        sp.csr_matrix((1, 1))])
-    system = sp.vstack([top, bottom]).tocsc()
-    rhs = np.concatenate([rhs_core, [0.0]])
-    sol = spla.spsolve(system, rhs)
-    if not np.all(np.isfinite(sol)):
-        raise SingularSystem("bordered corrector system is singular")
-    psi = sol[:n]
+    psi = _bordered_solve(mat, pi, pi * measure.spacing, np.concatenate([rhs_core, [0.0]]),
+                          "corrector")
     residual = float(np.max(np.abs(mat @ psi - rhs_core)))
     return psi, residual
 

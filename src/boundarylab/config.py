@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import models, sde
+from . import models, parabolic, sde
 from .coefficients import CoefficientFn, Const, Cosine, Fourier
 from .errors import ChartRangeError, ConfigError, ModelError
-from .fields import ChartModel, PerturbationSpec
+from .fields import ChartModel
 from .geometry import DomainKind, DomainModel
 from .halfcyl import HalfCylinderGrid
 
@@ -160,12 +160,9 @@ def chart_model_from_config(spec, field: str = "model.chart") -> ChartModel:
         if key in spec:
             fns[key] = coefficient_from_config(spec[key], f"{field}.{key}")
         _expect(key in fns, f"{field}.{key}", "missing required coefficient")
-    tilde = None
-    if "tilde_z_slope" in spec:
-        tilde = PerturbationSpec(rho=fns["rho"],
-                                 z_slope=_get_number(spec, field, "tilde_z_slope"))
+    z_slope = _get_number(spec, field, "tilde_z_slope", default=0.0)
     with _reported_at(field):
-        return ChartModel(**fns, tilde=tilde, name=name)
+        return ChartModel(**fns, z_slope=z_slope, name=name)
 
 
 def coefficient_from_config(spec, field: str) -> CoefficientFn:
@@ -320,6 +317,8 @@ def _validate_attraction(num: dict) -> dict:
                                 positive=True),
         "mc": _parse_mc(num.get("mc"), "numerics.mc"),
     }
+    with _reported_at("numerics.horizon"):
+        sde._checkpoint_steps([out["horizon"]], out["mc"]["dt"], "horizon")
     for i, (_, z) in enumerate(out["starts"]):
         _expect(0.0 <= z <= out["far_wall"], f"numerics.starts[{i}]",
                 f"start height {z} must lie in [0, far_wall = {out['far_wall']}]")
@@ -372,7 +371,7 @@ def _validate_timescale(num: dict) -> dict:
             "p": _get_number(r, f"numerics.rules[{i}]", "p", default=1.0,
                              positive=True),
         })
-    return {
+    out = {
         "eps_list": _numbers(eps_list, "numerics.eps_list", "a list", positive=True),
         "rules": parsed_rules,
         "start": tuple(_numbers(num.get("start", [0.0, 0.0]), "numerics.start",
@@ -381,6 +380,13 @@ def _validate_timescale(num: dict) -> dict:
         "g": _initial_data(num.get("g", 0.0)),
         "mc": _parse_mc(num.get("mc"), "numerics.mc"),
     }
+    # every rule time at every eps as the sampler runs it: finite, on the step grid
+    dt = out["mc"]["dt"]
+    for i, rule in enumerate(parsed_rules):
+        with _reported_at(f"numerics.rules[{i}]"):
+            times = [parabolic.TimescaleRule(**rule).time(eps) for eps in out["eps_list"]]
+            sde._checkpoint_steps([parabolic.on_step_grid(t, dt) for t in times if t > 0], dt)
+    return out
 
 
 def parse_config(obj) -> ExperimentConfig:

@@ -100,7 +100,7 @@ class DiskOperator:
         b = folded(m.b, theta) + 0.0 * r
         dmix = folded(m.d, theta) + 0.0 * r
         s = self.completion.scale
-        pert = self.eps ** 2 * (m.tilde.czz(theta, z) + 0.0 * r)
+        pert = self.eps ** 2 * (m.profile(theta, z) + 0.0 * r)
         ctt = chi * 0.5 * a + ((1.0 - chi) * s + pert) / r ** 2
         crr = chi * z * z * alpha + (1.0 - chi) * s + pert
         ctr = chi * (-0.5 * z * dmix)
@@ -126,7 +126,7 @@ class DiskOperator:
         m = self.model
         chi = self.chart_weight(z)
         s = self.completion.scale
-        pert = (self.eps ** 2 if eps2 is None else eps2) * m.tilde.czz(theta, z)
+        pert = (self.eps ** 2 if eps2 is None else eps2) * m.profile(theta, z)
         iso = 2.0 * ((1.0 - chi) * s + pert)  # Ito diffusion of (scale*Laplacian)
 
         cos_t = x1 / r_safe

@@ -3,14 +3,17 @@
 ``ChartModel`` states the dynamics near the boundary circle in its normal
 form in chart coordinates (y, z).  The unperturbed generator acts as
 
-    L u = a/2 u_yy + b u_y + z^2 alpha u_zz + z beta u_z + z d u_yz  (+ remainder)
+    L u = a/2 u_yy + b u_y + z^2 alpha u_zz + z beta u_z + z d u_yz
 
-and the perturbation adds eps^2 times a uniformly elliptic operator whose
-u_zz coefficient at z = 0 is rho(y) > 0.
+and the perturbation adds eps^2 times the isotropic operator
+rho(y)(1 + z_slope z)(u_yy + u_zz), whose u_zz coefficient at z = 0 is
+rho(y) > 0.
 
 ``assemble`` turns a ChartModel into concrete drift/diffusion coefficients
-for one of four operator flavors.  Throughout, second-order coefficients
-are stored in operator form: the generator is
+for one of four operator flavors, all of them the one chart operator: as
+it is (CHART), seen through z = eps zz (RESCALED), in its eps -> 0 limit
+(LIMIT) and that limit seen through w = ln zz (LOG).  Throughout,
+second-order coefficients are stored in operator form: the generator is
 
     A u = Cyy u_yy + 2 Cyv u_yv + Cvv u_vv + by u_y + bv u_v
 
@@ -20,6 +23,8 @@ so the Ito diffusion matrix (sigma sigma^T) is twice the C-matrix.
 from __future__ import annotations
 
 import enum
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,48 +54,6 @@ class TabulatedPeriodic(CoefficientFn):
 
 
 @dataclass(frozen=True)
-class Remainder:
-    """Higher-order correction terms of the chart normal form.
-
-    Adds  z*(k2 u_yy + k1 u_y) + z^2*(n1 u_yz + n0 u_z) + z^3 * sigma u_zz,
-    all coefficients periodic functions of y.
-    """
-
-    k2: CoefficientFn = Const(0.0)
-    k1: CoefficientFn = Const(0.0)
-    n1: CoefficientFn = Const(0.0)
-    n0: CoefficientFn = Const(0.0)
-    sigma: CoefficientFn = Const(0.0)
-
-
-@dataclass(frozen=True)
-class PerturbationSpec:
-    """Full diffusion of the perturbing operator in chart coordinates.
-
-    The three entries are operator-form coefficients (Cyy, Cyz, Czz) as
-    functions of (y, z); Czz(y, 0) must equal the model's rho(y).  The
-    default is the isotropic profile rho(y) * (1 + z_slope * z) on the
-    diagonal, which satisfies that constraint for any slope.
-    """
-
-    rho: CoefficientFn
-    z_slope: float = 0.0
-
-    def profile(self, y, z):
-        return folded(self.rho, y) * (1.0 + self.z_slope * np.asarray(z, dtype=float))
-
-    def cyy(self, y, z):
-        return self.profile(y, z)
-
-    def cyz(self, y, z):
-        y = np.asarray(y, dtype=float)
-        return np.zeros(np.broadcast(y, np.asarray(z)).shape)
-
-    def czz(self, y, z):
-        return self.profile(y, z)
-
-
-@dataclass(frozen=True)
 class ChartModel:
     """Normal-form coefficients of the boundary dynamics."""
 
@@ -100,8 +63,7 @@ class ChartModel:
     beta: CoefficientFn
     d: CoefficientFn = Const(0.0)
     rho: CoefficientFn = Const(1.0)
-    tilde: PerturbationSpec | None = None
-    remainder: Remainder | None = None
+    z_slope: float = 0.0
     name: str = ""
 
     def __post_init__(self):
@@ -117,8 +79,12 @@ class ChartModel:
                     f"coefficient {label} must be strictly positive; "
                     f"min sampled value {vals.min():.6g}"
                 )
-        if self.tilde is None:
-            object.__setattr__(self, "tilde", PerturbationSpec(rho=self.rho))
+        if not np.isfinite(self.z_slope):
+            raise ModelError(f"perturbation slope z_slope is not finite: {self.z_slope}")
+
+    def profile(self, y, z):
+        """rho(y)(1 + z_slope z): the perturbation's diffusion, Cyy = Czz, with Cyz = 0."""
+        return folded(self.rho, y) * (1.0 + self.z_slope * np.asarray(z, dtype=float))
 
 
 class Flavor(enum.Enum):
@@ -178,21 +144,21 @@ class GeneratorCoefficients:
     def cross_free(self) -> bool:
         """Whether a path step may take Ayv as zero and skip it.
 
-        True when d and the remainder's n1 (if any) are ``Const(0.0)``, so
-        Ayv is zero at every finite height, and when a non-finite height
-        makes Ayy NaN as it makes Ayv NaN, so the step's noise keeps the
-        bits of the general Cholesky form.  Ayy carries that NaN through
-        its ``0.0 * v`` term, or, in a perturbed flavor at eps > 0, through
-        the profile 1 + 0·z; a sloped profile is finite at an infinite
-        height, so those flavors then keep the general form.  LIMIT gives
+        True when d is ``Const(0.0)``, so Ayv is zero at every finite
+        height, and when a non-finite height makes Ayy NaN as it makes Ayv
+        NaN, so the step's noise keeps the bits of the general Cholesky
+        form.  Ayy carries that NaN through its ``0.0 * v`` term, or, in a
+        perturbed flavor at eps > 0, through the profile 1 + 0·z; a sloped
+        profile is finite at an infinite height, so those flavors then keep
+        the general form.  LIMIT gives
         Ayv = -0.0 at heights <= -0.0, which the samplers, clipping heights
         at zero, reach only on rows that have stopped.  A zero detected
         from ``Const(0.0)`` alone: any other function keeps the general form.
         """
         m = self.model
-        if not (is_plus_zero(m.d) and (m.remainder is None or is_plus_zero(m.remainder.n1))):
+        if not is_plus_zero(m.d):
             return False
-        return self.flavor not in _PERTURBED or self.eps == 0.0 or m.tilde.z_slope == 0.0
+        return self.flavor not in _PERTURBED or self.eps == 0.0 or m.z_slope == 0.0
 
     @property
     def rotation_invariant(self) -> bool:
@@ -200,8 +166,8 @@ class GeneratorCoefficients:
 
         True for an eps-free flavor (LIMIT or LOG) whose model has every
         coefficient that flavor reads, a, b, alpha, beta, d and rho,
-        ``Const``.  The perturbed flavors, which also read the perturbation
-        and the remainder, answer False.
+        ``Const``.  The perturbed flavors, which also read the perturbation,
+        answer False.
         """
         m = self.model
         return self.flavor not in _PERTURBED and all(
@@ -215,8 +181,15 @@ class GeneratorCoefficients:
         """(by, bv, Cyy, Cyv, Cvv) on float arrays; Cyv is None unless ``cross``.
 
         ``e2w``, when given, is e^(-2v), which a LOG caller has already made.
+        RESCALED is the CHART evaluation at z = eps v, with bv = bz / eps,
+        Cyv = Cyz / eps and Cvv = Czz / eps^2.
         """
-        m, flavor = self.model, self.flavor
+        m, flavor, eps = self.model, self.flavor, self.eps
+        if flavor in _PERTURBED:
+            if eps is None:
+                raise FlavorRangeError(f"flavor {flavor.value} requires eps")
+            if flavor is Flavor.RESCALED:
+                v = eps * v
         zero = 0.0 * v
         a, alpha = folded(m.a, y), folded(m.alpha, y)
         d = folded(m.d, y) if cross else None
@@ -232,43 +205,21 @@ class GeneratorCoefficients:
             if cross:
                 cyv = 0.5 * v * d
             return by, bv, 0.5 * a + zero, cyv, v * v * alpha + folded(m.rho, y)
-        eps, r, tilde = self.eps, m.remainder, m.tilde
-        if eps is None:
-            raise FlavorRangeError(f"flavor {flavor.value} requires eps")
-        if flavor is Flavor.RESCALED:
-            z = eps * v
-            cyy = 0.5 * a + eps * eps * tilde.cyy(y, z)
-            cvv = v * v * alpha + tilde.czz(y, z)
-            if cross:
-                cyv = 0.5 * v * d + eps * tilde.cyz(y, z)
-            if r is not None:
-                by = by + eps * v * folded(r.k1, y)
-                bv = bv + eps * v * v * folded(r.n0, y)
-                cyy = cyy + eps * v * folded(r.k2, y)
-                cvv = cvv + eps * v ** 3 * folded(r.sigma, y)
-                if cross:
-                    cyv = cyv + 0.5 * eps * v * v * folded(r.n1, y)
-            return by, bv, cyy, cyv, cvv
-        # CHART: v is z
+        # CHART, or RESCALED at its chart height: v is z
         if eps == 0.0:
-            # the eps^2 terms are zeros: 0.0 * z still carries NaN from z, and
-            # + 0.0 still turns -0.0 into +0.0, as adding them did
+            # the eps^2 terms are zeros: 0.0 * z in their place carries NaN from z,
+            # which gives the bits of adding them
             cyy = 0.5 * a + zero
             cvv = v * v * alpha + zero
-            if cross:
-                cyv = 0.5 * v * d + 0.0
         else:
-            cyy = 0.5 * a + eps * eps * tilde.cyy(y, v)
-            cvv = v * v * alpha + eps * eps * tilde.czz(y, v)
-            if cross:
-                cyv = 0.5 * v * d + eps * eps * tilde.cyz(y, v)
-        if r is not None:
-            by = by + v * folded(r.k1, y)
-            bv = bv + v * v * folded(r.n0, y)
-            cyy = cyy + v * folded(r.k2, y)
-            cvv = cvv + v ** 3 * folded(r.sigma, y)
-            if cross:
-                cyv = cyv + 0.5 * v * v * folded(r.n1, y)
+            pert = eps * eps * m.profile(y, v)
+            cyy = 0.5 * a + pert
+            cvv = v * v * alpha + pert
+        if cross:
+            # + the perturbation's Cyz, which is +0.0: a -0.0 becomes +0.0
+            cyv = 0.5 * v * d + 0.0
+        if flavor is Flavor.RESCALED:
+            return by, bv / eps, cyy, None if cyv is None else cyv / eps, cvv / (eps * eps)
         return by, bv, cyy, cyv, cvv
 
 
@@ -281,12 +232,17 @@ def assemble(m: ChartModel, eps: float | None, flavor: Flavor) -> GeneratorCoeff
 
     eps is required (and must be > 0) for the CHART and RESCALED flavors;
     LIMIT and LOG ignore it.  CHART with eps = 0 is allowed and gives the
-    unperturbed chart dynamics.
+    unperturbed chart dynamics.  RESCALED divides its chart evaluation by
+    eps^2, so it also needs eps^2 to be a normal, finite float: about
+    1.5e-154 <= eps <= 1.3e154.
     """
     if flavor in _PERTURBED:
         if eps is None:
             raise FlavorRangeError(f"flavor {flavor.value} requires eps")
         if eps < 0 or (flavor is Flavor.RESCALED and eps == 0):
             raise InvalidEpsilon(f"eps must be > 0 for flavor {flavor.value}, got {eps}")
+        if flavor is Flavor.RESCALED and not sys.float_info.min <= eps * eps < math.inf:
+            raise InvalidEpsilon(f"eps^2 must be a normal, finite float for flavor "
+                                 f"{flavor.value}, got eps = {eps}")
         return GeneratorCoefficients(model=m, flavor=flavor, eps=float(eps))
     return GeneratorCoefficients(model=m, flavor=flavor, eps=None)

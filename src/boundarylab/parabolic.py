@@ -56,13 +56,21 @@ class TimescaleRule:
     p: float = 1.0
 
     def time(self, eps: float) -> float:
-        if self.kind == "const":
-            return self.c
-        if self.kind == "log":
-            return self.c * abs(math.log(eps))
-        if self.kind == "power":
-            return self.c * eps ** (-self.p)
-        raise ModelError(f"unknown time-scale rule kind {self.kind!r}")
+        """t(eps); ModelError when it is not a finite number."""
+        try:
+            if self.kind == "const":
+                t = self.c
+            elif self.kind == "log":
+                t = self.c * abs(math.log(eps))
+            elif self.kind == "power":
+                t = self.c * eps ** (-self.p)
+            else:
+                raise ModelError(f"unknown time-scale rule kind {self.kind!r}")
+        except OverflowError:
+            t = math.inf
+        if not math.isfinite(t):
+            raise ModelError(f"rule {self.name!r} at eps = {eps} gives no finite time ({t})")
+        return t
 
 
 @dataclass(frozen=True)
@@ -89,9 +97,17 @@ def evolve_mc(spec: StoppedProcessSpec, eps: float, times, start,
     Returns a list of (t, estimate, stderr); the same paths underlie every
     t, so estimates are coupled across times.  t = 0 returns g(start)
     exactly.  A start outside the closed domain raises ``ModelError``,
-    whatever the times.
+    whatever the times, and so does a time past 2**53 steps of dt.
     """
     return _evolve(spec, [(eps, times)], start, params)[0]
+
+
+def on_step_grid(t: float, dt: float) -> float:
+    """A positive time on the step grid, at least one step, as ``evolve_mc`` samples it;
+    ``ModelError`` when t is not finite or lies past ``sde.MAX_STEPS`` steps of dt."""
+    if not t / dt <= sde.MAX_STEPS:
+        raise ModelError(f"time {t} is not finite or lies past 2**53 steps of dt = {dt}")
+    return max(dt, round(t / dt) * dt)
 
 
 def _evolve(spec: StoppedProcessSpec, runs, start, params: sde.SimulationParams):
@@ -104,8 +120,7 @@ def _evolve(spec: StoppedProcessSpec, runs, start, params: sde.SimulationParams)
     check_start(spec.dom, start)
     dt = params.dt
     runs = [(eps, sorted(set(float(t) for t in np.atleast_1d(times)))) for eps, times in runs]
-    # each positive time on the step grid, at least one step
-    rounded = [{t: max(dt, round(t / dt) * dt) for t in times if t > 0} for _, times in runs]
+    rounded = [{t: on_step_grid(t, dt) for t in times if t > 0} for _, times in runs]
     sampled = [(eps, sorted(set(r.values()))) for (eps, _), r in zip(runs, rounded) if r]
     if sampled:
         cps = [cp for _, cp in sampled]

@@ -58,6 +58,7 @@ from .fields import ChartModel, Flavor, GeneratorCoefficients, assemble
 from .geometry import RescaledPoint, TWO_PI, wrap_angle
 
 STREAM_VERSION = 2  # what a stream draws (``_draw_block``); every run manifest records it
+MAX_STEPS = 2 ** 53  # the longest run, in steps: past it a step count is not exact in a float
 NOISE_BLOCK = 256  # steps drawn per path per block; part of the bits of a stream with uniforms
 DROP_SHARE = 8     # stopped rows are dropped inside a block once 1/DROP_SHARE have stopped
 MIN_ROWS = 256     # fewest live streams a worker process is given; fewer stay in one process
@@ -419,15 +420,21 @@ def _increments(sqdt: float, a11, a12, a22, noise):
     return sqdt * s1 * n1, sqdt * (s2 * n1 + s3 * n2)
 
 
-def _checkpoint_steps(checkpoint_times, dt: float):
+def _checkpoint_steps(checkpoint_times, dt: float, what: str = "checkpoint times"):
     """Sorted checkpoint times, their step numbers, and a map from a step number to the
-    indices of the checkpoints at that step; each time must be a positive multiple of dt."""
+    indices of the checkpoints at that step; each time must be a positive multiple of dt,
+    at most MAX_STEPS steps.  ``what`` names the times in the ModelError."""
     times = np.asarray(sorted(checkpoint_times), dtype=float)
+    past = ~(times / dt <= MAX_STEPS)
+    if np.any(past):
+        raise ModelError(f"{what}: {times[past][0]} is not finite or lies past 2**53 steps "
+                         f"of dt = {dt}")
     steps_at = np.round(times / dt).astype(int)
-    if np.any(np.abs(steps_at * dt - times) > 1e-9):
-        raise ModelError("checkpoint times must be multiples of dt")
+    off = np.abs(steps_at * dt - times) > 1e-9
+    if np.any(off):
+        raise ModelError(f"{what}: {times[off][0]} is not a multiple of dt = {dt}")
     if np.any(steps_at <= 0):
-        raise ModelError(f"checkpoint times must be at least dt = {dt}, got {times[0]}")
+        raise ModelError(f"{what}: {times[0]} is below dt = {dt}")
     at_step = {}
     for c, k in enumerate(steps_at.tolist()):
         at_step.setdefault(k, []).append(c)
@@ -582,23 +589,23 @@ def simulate_boundary(m: ChartModel, start_y: float, params: SimulationParams,
 
 
 def attraction_stats(m: ChartModel, starts, horizon: float, params: SimulationParams,
-                     near_threshold: float = 0.01, far_wall: float = 50.0,
-                     eps: float = 0.0) -> list:
+                     near_threshold: float = 0.01, far_wall: float = 50.0) -> list:
     """Long-run distance-to-boundary statistics of the unperturbed chart flow.
 
-    Paths run the CHART flavor (eps = 0 unless overridden) for the horizon;
-    a path that reaches far_wall stops there, is recorded at it, and is
-    counted as not near.  Every start height must lie in [0, far_wall]
-    (``ModelError`` otherwise).  Returns one row per start with the near
-    fraction and the recorded min/max distances.
+    Paths run the CHART flavor at eps = 0 for the horizon, which must be a
+    positive multiple of dt; a path that reaches far_wall stops there, is
+    recorded at it, and is counted as not near.  Every start height must
+    lie in [0, far_wall] (``ModelError`` otherwise, as for the horizon).
+    Returns one row per start with the near fraction and the recorded
+    min/max distances.
     """
     starts = [_resolve_start(start) for start in starts]
     for _, z0 in starts:
         if not 0.0 <= z0 <= far_wall:
             raise ModelError(f"start height {z0} must lie in [0, far_wall = {far_wall}]")
-    gc = assemble(m, eps, Flavor.CHART)
+    n_steps = int(_checkpoint_steps([horizon], params.dt, "horizon")[1][0])
+    gc = assemble(m, 0.0, Flavor.CHART)
     cross = not gc.cross_free
-    n_steps = int(round(horizon / params.dt))
     dt = params.dt
     sqdt = math.sqrt(dt)
     n = params.n_paths

@@ -203,6 +203,13 @@ MALFORMED = [
      "model.chart"),
     ("martingale_a.json", "start", [0.0, 30.0], "numerics.start"),
     ("martingale_a.json", "checkpoints", [0.15, 0.3005], "numerics.checkpoints"),
+    # an attraction horizon off the step grid of dt = 0.005, and rule times whose step
+    # count overflows: 0.05^-40 steps past 2**53, 0.05^-400 past a float
+    ("attraction_a.json", "horizon", 0.002, "numerics.horizon"),
+    ("attraction_a.json", "horizon", 0.0123, "numerics.horizon"),
+    ("timescale_a.json", "rules", [{"kind": "power", "c": 1, "p": 40}], "numerics.rules[0]"),
+    ("timescale_a.json", "rules", [{"kind": "const", "c": 0.5},
+                                   {"kind": "power", "c": 1, "p": 400}], "numerics.rules[1]"),
 ]
 
 
@@ -216,6 +223,19 @@ def test_validate_rejects_what_run_would_reject(tmp_path, capsys, name, key, val
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"]["type"] == "ConfigError"
     assert err["error"]["field"] == field
+
+
+@pytest.mark.parametrize("p", [40, 400])
+def test_run_names_a_rule_time_whose_step_count_overflows(tmp_path, capsys, p):
+    raw = load("timescale_a.json")
+    raw["numerics"]["rules"] = [{"kind": "power", "c": 1, "p": p}]
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["run", str(path), "--output-root", str(tmp_path / "runs")]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"]["type"] == "ConfigError"
+    assert err["error"]["field"] == "numerics.rules[0]"
+    assert not (tmp_path / "runs").exists()
 
 
 def test_a_start_in_the_annulus_hole_names_the_field():

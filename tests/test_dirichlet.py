@@ -18,7 +18,7 @@ from boundarylab.dirichlet import (
     solve_mc,
 )
 from boundarylab.errors import ModelError
-from boundarylab.fields import ChartModel, PerturbationSpec
+from boundarylab.fields import ChartModel
 from boundarylab.geometry import DomainKind, DomainModel
 
 # the benchmark's path-step count, which the stacked sampler must keep exact
@@ -28,7 +28,7 @@ sys.path.append(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__f
 # a mixed term and a sloped, angle-dependent perturbation: terms the zoo leaves at zero
 MIXED = ChartModel(a=Cosine(1.5, 0.25), b=Fourier(0.1, ((1, 0.0, 0.3),)), alpha=Const(0.75),
                    beta=Cosine(0.5, 0.5, 1.0), d=Cosine(0.3, 0.2, 0.5), rho=Cosine(1.25, 0.25),
-                   tilde=PerturbationSpec(Cosine(1.25, 0.25), z_slope=2.0), name="mixed")
+                   z_slope=2.0, name="mixed")
 
 
 def test_radial_nodes_resolve_the_layer():
@@ -164,11 +164,11 @@ def test_ubar_robust_to_small_eps_rederivation(zoo):
     # re-deriving the limit constant from the rescaled operator at small eps
     # (full height-dependent perturbation profile) converges to the eps-free one
     from boundarylab.coefficients import Cosine
-    from boundarylab.fields import ChartModel, PerturbationSpec
+    from boundarylab.fields import ChartModel
     from boundarylab.halfcyl import solve_u
 
     m = ChartModel(a=Const(1.0), b=Const(0.0), alpha=Cosine(1.0, 0.5),
-                   beta=Const(0.0), tilde=PerturbationSpec(Const(1.0), z_slope=2.0))
+                   beta=Const(0.0), z_slope=2.0)
     base = solve_u(m, np.cos, check_truncation=False).ubar
     gaps = []
     for eps in (0.2, 0.1, 0.05):

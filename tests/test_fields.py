@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from boundarylab import fields
 from boundarylab.coefficients import Const, Cosine
 from boundarylab.errors import FlavorRangeError, InvalidEpsilon, ModelError
-from boundarylab.fields import ChartModel, Flavor, PerturbationSpec, assemble
+from boundarylab.fields import ChartModel, Flavor, assemble
 
 TWO_PI = 2 * np.pi
 
@@ -37,7 +36,7 @@ def test_assemble_log_flavor_values():
 def test_rescaled_tends_to_limit_uniformly():
     # z-dependent perturbation makes the gap visible; sup over zz <= 4
     m = ChartModel(a=Const(1.0), b=Const(0.0), alpha=Const(1.0), beta=Const(1.0),
-                   d=Cosine(0.0, 0.5), tilde=PerturbationSpec(Const(1.0), z_slope=2.0))
+                   d=Cosine(0.0, 0.5), z_slope=2.0)
     lim = assemble(m, None, Flavor.LIMIT)
     y = np.linspace(0, TWO_PI, 32, endpoint=False)
     zz = np.linspace(0.0, 4.0, 33)
@@ -54,17 +53,22 @@ def test_rescaled_tends_to_limit_uniformly():
     assert gaps[0] / gaps[1] == pytest.approx(2.0, rel=0.2)
 
 
-def test_chart_flavor_with_remainder_and_eps_zero():
-    rem = fields.Remainder(k1=Const(0.5), n0=Const(0.2), sigma=Const(0.1))
-    m = ChartModel(a=Const(1.0), b=Const(0.0), alpha=Const(1.0), beta=Const(1.0),
-                   remainder=rem)
-    gc = assemble(m, 0.0, Flavor.CHART)
-    z = np.array([0.2])
-    cyy, cyv, cvv = gc.second_order(np.zeros(1), z)
-    assert cvv[0] == pytest.approx(0.04 + 0.1 * 0.008)
-    by, bv = gc.first_order(np.zeros(1), z)
-    assert by[0] == pytest.approx(0.5 * 0.2)
-    assert bv[0] == pytest.approx(0.2 + 0.2 * 0.04)
+def test_rescaled_is_the_chart_operator_seen_through_eps_zz():
+    # the closed forms at z = eps zz, with the perturbation rho(y)(1 + z_slope z) on the
+    # diagonal, so that its boundary diffusion Czz(y, 0) is rho(y)
+    m = ChartModel(a=Cosine(1.0, 0.3), b=Cosine(0.1, 0.2), alpha=Cosine(1.0, 0.5),
+                   beta=Const(0.5), d=Cosine(0.0, 0.4), rho=Cosine(1.0, 0.5), z_slope=-0.5)
+    y, zz = (a.ravel() for a in np.meshgrid(np.linspace(0, TWO_PI, 16, endpoint=False),
+                                            np.linspace(0.0, 4.0, 17)))
+    a, b, alpha, d, rho = m.a(y), m.b(y), m.alpha(y), m.d(y), m.rho(y)
+    for eps in (0.3, 0.05):
+        tilde = rho * (1.0 - 0.5 * eps * zz)
+        gc = assemble(m, eps, Flavor.RESCALED)
+        want = (b, 0.5 * zz, 0.5 * a + eps ** 2 * tilde, 0.5 * zz * d, zz * zz * alpha + tilde)
+        for got, ref in zip(gc.first_order(y, zz) + gc.second_order(y, zz), want):
+            np.testing.assert_allclose(got, ref, rtol=1e-14, atol=1e-15)
+        _, _, czz = assemble(m, eps, Flavor.CHART).second_order(y, np.zeros_like(y))
+        np.testing.assert_allclose(czz, eps ** 2 * rho, rtol=1e-15)
 
 
 def test_assembled_diffusion_positive_semidefinite():
@@ -105,6 +109,15 @@ def test_flavor_eps_requirements():
         assemble(m, -0.1, Flavor.CHART)
     with pytest.raises(InvalidEpsilon):
         assemble(m, 0.0, Flavor.RESCALED)
+
+
+@pytest.mark.parametrize("eps", [1e-155, 1e-170, 1e155, np.inf, np.nan])
+def test_rescaled_rejects_an_eps_whose_square_is_not_a_normal_finite_float(eps):
+    # RESCALED divides the chart evaluation at z = eps zz by eps^2
+    m = ChartModel(a=Const(1.0), b=Const(0.0), alpha=Const(1.0), beta=Const(0.0))
+    with pytest.raises(InvalidEpsilon, match="eps\\^2 must be a normal, finite float"):
+        assemble(m, eps, Flavor.RESCALED)
+    assert assemble(m, 1e-150, Flavor.RESCALED).second_order(0.0, 1.0)[2] == 1.0 + 1.0
 
 
 def test_rotation_invariance_is_read_from_const_coefficients_only(zoo):

@@ -13,19 +13,15 @@ import pytest
 
 from boundarylab import dirichlet, sde
 from boundarylab.coefficients import CoefficientFn, Const, Fourier
-from boundarylab.fields import ChartModel, Flavor, PerturbationSpec, Remainder, assemble
+from boundarylab.fields import ChartModel, Flavor, assemble
 from boundarylab.sde import SimulationParams
 
 FLAVORS = ((Flavor.LOG, None), (Flavor.LIMIT, None), (Flavor.RESCALED, 0.1),
            (Flavor.CHART, 0.0), (Flavor.CHART, 0.1))
 
-# every model coefficient and remainder term constant, nonzero, with a sloped perturbation
-REMAINDER_MODEL = ChartModel(
-    a=Const(1.5), b=Const(-0.25), alpha=Const(0.75), beta=Const(0.5), d=Const(0.3),
-    rho=Const(1.25), tilde=PerturbationSpec(Const(1.25), z_slope=2.0),
-    remainder=Remainder(k2=Const(0.1), k1=Const(-0.2), n1=Const(0.3), n0=Const(0.4),
-                        sigma=Const(0.05)),
-    name="remainder")
+# every model coefficient constant and nonzero, with a sloped perturbation
+SLOPED_MODEL = ChartModel(a=Const(1.5), b=Const(-0.25), alpha=Const(0.75), beta=Const(0.5),
+                          d=Const(0.3), rho=Const(1.25), z_slope=2.0, name="sloped")
 
 # a = Const(1.0), whose multiplies the disk operator skips, and b, beta and d Const(-0.0):
 # unlike a +0.0, a -0.0 keeps the terms it multiplies
@@ -35,23 +31,18 @@ SIGNED_ZERO_MODEL = ChartModel(a=Const(1.0), b=Const(-0.0), alpha=Const(0.75),
 
 @pytest.fixture(scope="module")
 def models(zoo):
-    return {**zoo, "remainder": REMAINDER_MODEL, "signed-zero": SIGNED_ZERO_MODEL}
+    return {**zoo, "sloped": SLOPED_MODEL, "signed-zero": SIGNED_ZERO_MODEL}
 
 
 def _unfolded(fn):
     return Fourier(fn.c, ()) if isinstance(fn, Const) else fn
 
 
-def _swap(obj):
-    return dataclasses.replace(obj, **{
-        f.name: _unfolded(getattr(obj, f.name)) for f in dataclasses.fields(obj)
-        if isinstance(getattr(obj, f.name), CoefficientFn)})
-
-
 def twin(m: ChartModel) -> ChartModel:
-    """The same model with no Const left anywhere, perturbation and remainder included."""
-    out = dataclasses.replace(_swap(m), tilde=_swap(m.tilde))
-    return out if m.remainder is None else dataclasses.replace(out, remainder=_swap(m.remainder))
+    """The same model with no Const left anywhere, the perturbation's rho included."""
+    return dataclasses.replace(m, **{
+        f.name: _unfolded(getattr(m, f.name)) for f in dataclasses.fields(m)
+        if isinstance(getattr(m, f.name), CoefficientFn)})
 
 
 def assert_same_bits(left, right):
@@ -69,9 +60,7 @@ def _grid_inputs():
 def test_twin_has_no_const(models):
     for m in models.values():
         t = twin(m)
-        fns = [getattr(t, f.name) for f in dataclasses.fields(t)] + [t.tilde.rho]
-        if t.remainder is not None:
-            fns += [getattr(t.remainder, f.name) for f in dataclasses.fields(t.remainder)]
+        fns = [getattr(t, f.name) for f in dataclasses.fields(t)]
         assert not any(isinstance(fn, Const) for fn in fns)
 
 
@@ -97,9 +86,10 @@ def test_chart_at_zero_eps_keeps_the_bits_of_the_zero_perturbation(zoo):
     with np.errstate(all="ignore"):
         for m in zoo.values():
             t, zero = twin(m), 0.0 * 0.0
-            want = (0.5 * t.a(y) + zero * t.tilde.cyy(y, z),
-                    0.5 * z * t.d(y) + zero * t.tilde.cyz(y, z),
-                    z * z * t.alpha(y) + zero * t.tilde.czz(y, z))
+            # the perturbation has no Cyz, and adds to Cyy and Czz the same profile
+            want = (0.5 * t.a(y) + zero * t.profile(y, z),
+                    0.5 * z * t.d(y) + zero,
+                    z * z * t.alpha(y) + zero * t.profile(y, z))
             for got, ref in zip(assemble(m, 0.0, Flavor.CHART).second_order(y, z), want):
                 assert_same_bits(got, ref)
 

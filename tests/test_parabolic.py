@@ -71,6 +71,19 @@ def test_timescale_rules():
         TimescaleRule("d", "exp", 1.0).time(0.1)
 
 
+def test_rule_times_past_the_step_count_are_named(zoo):
+    # 0.05^-400 overflows a float; 0.05^-40 does not, but is past 2**53 steps of any dt here
+    with pytest.raises(ModelError, match="rule 'huge' at eps = 0.05"):
+        TimescaleRule("huge", "power", 1.0, p=400.0).time(0.05)
+    t = TimescaleRule("long", "power", 1.0, p=40.0).time(0.05)
+    spec = spec_for(zoo["A"], 0.0, np.cos)
+    p = sde.SimulationParams(dt=2e-3, seed=1, n_paths=4, max_time=1.0)
+    with pytest.raises(ModelError, match="past 2\\*\\*53 steps"):
+        parabolic.evolve_mc(spec, 0.05, [0.5, t], (0.0, 0.0), p)
+    with pytest.raises(ModelError, match="past 2\\*\\*53 steps"):
+        sde._checkpoint_steps([0.5, t], p.dt)
+
+
 def test_sweep_plateau_dichotomy_small(zoo):
     spec = spec_for(zoo["A"], 0.0, lambda th: np.ones_like(th))
     rules = [TimescaleRule("sublog", "const", 0.5),

@@ -1,5 +1,6 @@
 import collections
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,8 +8,7 @@ import pytest
 from boundarylab import dirichlet, sde
 from boundarylab.coefficients import Const, Cosine, Fourier
 from boundarylab.errors import ModelError
-from boundarylab.fields import (ChartModel, Flavor, GeneratorCoefficients, PerturbationSpec,
-                                assemble)
+from boundarylab.fields import ChartModel, Flavor, GeneratorCoefficients, assemble
 from boundarylab.geometry import DomainKind, DomainModel
 from boundarylab.halfcyl import radial_oracle
 from boundarylab.sde import SimulationParams
@@ -341,6 +341,14 @@ def test_attraction_rejects_a_start_outside_its_walls(zoo):
     assert rows[0].min_distance == 0.0 and rows[1].max_distance == 2.0
 
 
+@pytest.mark.parametrize("horizon", [0.002, 0.0123, 1e60, math.inf])
+def test_attraction_rejects_a_horizon_off_the_step_grid(zoo, horizon):
+    # below dt/2 no step would run, and 0.0123 would run 2 steps of 0.005, not 0.0123
+    p = SimulationParams(dt=5e-3, seed=1, n_paths=8, max_time=1.0)
+    with pytest.raises(ModelError, match=re.escape(f"horizon: {horizon}")):
+        sde.attraction_stats(zoo["A"], [(0.0, 0.3)], horizon, p)
+
+
 def test_attraction_stops_a_path_at_the_far_wall(zoo, monkeypatch):
     # fewer than 2 MIN_ROWS paths: no worker process is forked, so every ito call is counted
     n_paths, n_steps, rows = sde.MIN_ROWS, 400, []
@@ -614,7 +622,7 @@ def test_rescaled_exit_histograms_converge_to_limit(zoo):
     # total-variation gap between the rescaled flavor and the limit flavor
     # decreases with eps (z-dependent perturbation makes the gap visible)
     m = ChartModel(a=Const(1.0), b=Const(0.0), alpha=Cosine(1.0, 0.5),
-                   beta=Const(0.0), tilde=PerturbationSpec(Const(1.0), z_slope=3.0))
+                   beta=Const(0.0), z_slope=3.0)
     bins = np.linspace(0, 2 * np.pi, 17)
 
     def hist(flavor_gc, seed):

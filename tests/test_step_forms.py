@@ -13,7 +13,7 @@ import pytest
 
 from boundarylab import sde
 from boundarylab.coefficients import Const, Cosine, Fourier
-from boundarylab.fields import ChartModel, Flavor, PerturbationSpec, Remainder, assemble
+from boundarylab.fields import ChartModel, Flavor, assemble
 
 FLAVORS = ((Flavor.LOG, None), (Flavor.LIMIT, None), (Flavor.RESCALED, 0.1),
            (Flavor.CHART, 0.0), (Flavor.CHART, 0.1))
@@ -24,12 +24,7 @@ SQDT = 0.1
 
 # d = 0 with a sloped perturbation: Ayv is zero, yet Ayy stays finite at an infinite height
 SLOPED_CROSS_FREE = ChartModel(a=Const(1.0), b=Const(0.0), alpha=Const(1.0), beta=Const(0.5),
-                               tilde=PerturbationSpec(Const(1.0), z_slope=2.0), name="sloped0")
-REMAINDER_CROSS_FREE = ChartModel(
-    a=Const(1.5), b=Const(-0.25), alpha=Const(0.75), beta=Const(0.5),
-    remainder=Remainder(k2=Const(0.1), k1=Const(-0.2), n1=Const(0.0), n0=Const(0.4),
-                        sigma=Const(0.05)),
-    name="remainder0")
+                               z_slope=2.0, name="sloped0")
 
 
 def same_bits(left, right):
@@ -65,7 +60,7 @@ def test_diagonal_increments_match_the_general_form(a12):
 
 
 def _models(zoo):
-    return {**zoo, "sloped0": SLOPED_CROSS_FREE, "remainder0": REMAINDER_CROSS_FREE}
+    return {**zoo, "sloped0": SLOPED_CROSS_FREE}
 
 
 @pytest.mark.parametrize("flavor, eps", FLAVORS)
@@ -103,9 +98,6 @@ def test_cross_free_is_read_from_const_zero_only(zoo):
     for d in (Fourier(0.0, ()), Const(-0.0), Const(0.3)):
         m = ChartModel(a=Const(1.0), b=Const(0.0), alpha=Const(1.0), beta=Const(0.0), d=d)
         assert not assemble(m, None, Flavor.LIMIT).cross_free
-    m = ChartModel(a=Const(1.0), b=Const(0.0), alpha=Const(1.0), beta=Const(0.0),
-                   remainder=Remainder(n1=Const(0.3)))
-    assert not assemble(m, 0.1, Flavor.CHART).cross_free
     assert assemble(SLOPED_CROSS_FREE, 0.0, Flavor.CHART).cross_free
     assert not assemble(SLOPED_CROSS_FREE, 0.1, Flavor.RESCALED).cross_free
 

@@ -28,6 +28,7 @@ temporary directory.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -42,14 +43,30 @@ import numpy as np  # noqa: E402
 from boundarylab import config, dirichlet, halfcyl, models, parabolic, runner, sde  # noqa: E402
 from boundarylab.classifier import classify  # noqa: E402
 from boundarylab.coefficients import Const, Cosine, Fourier  # noqa: E402
-from boundarylab.fields import (  # noqa: E402
-    ChartModel, Flavor, PerturbationSpec, Remainder, assemble)
+from boundarylab.fields import ChartModel, Flavor, assemble  # noqa: E402
 from boundarylab.geometry import DomainKind, DomainModel, RescaledPoint  # noqa: E402
 
+
+# a tree older than ``ChartModel.z_slope`` states the perturbation as a ``PerturbationSpec``
+_HAS_SLOPE = "z_slope" in {f.name for f in dataclasses.fields(ChartModel)}
+
+
+def _sloped(z_slope: float, **coefficients) -> ChartModel:
+    """A chart model whose perturbation profile is rho(y)(1 + z_slope z)."""
+    if _HAS_SLOPE:
+        return ChartModel(**coefficients, z_slope=z_slope)
+    from boundarylab.fields import PerturbationSpec
+    return ChartModel(**coefficients, tilde=PerturbationSpec(coefficients["rho"], z_slope=z_slope))
+
+
+def _profile(m: ChartModel):
+    """The perturbation profile of m as a function of (y, z)."""
+    return m.profile if _HAS_SLOPE else m.tilde.czz
+
+
 # d != 0 and a sloped perturbation with rho != 1: terms the zoo leaves at zero
-SLOPED = ChartModel(a=Const(1.5), b=Const(-0.25), alpha=Const(0.75), beta=Const(0.5),
-                    d=Const(0.3), rho=Const(1.25),
-                    tilde=PerturbationSpec(Const(1.25), z_slope=2.0), name="sloped")
+SLOPED = _sloped(2.0, a=Const(1.5), b=Const(-0.25), alpha=Const(0.75), beta=Const(0.5),
+                 d=Const(0.3), rho=Const(1.25), name="sloped")
 # a phased Cosine and a two-term Fourier series whose zero and unit coefficients and k = 1
 # term the evaluation skips
 PHASED = ChartModel(a=Const(1.0), b=Fourier(0.1, ((1, 0.0, 0.5), (2, 1.0, 0.0))),
@@ -58,14 +75,10 @@ PHASED = ChartModel(a=Const(1.0), b=Fourier(0.1, ((1, 0.0, 0.5), (2, 1.0, 0.0)))
 # keeps the terms it multiplies, which a +0.0 would not
 SIGNED_ZERO = ChartModel(a=Const(1.0), b=Const(-0.0), alpha=Const(0.75), beta=Const(-0.0),
                          d=Const(-0.0), name="signed-zero")
-# every remainder term, Cosine ones among them, d != 0 and a sloped perturbation: no model
-# that a sampler or solve here runs carries a remainder
-REMAINDER = ChartModel(a=Cosine(1.5, 0.5), b=Const(-0.25), alpha=Const(0.75), beta=Const(0.5),
-                       d=Cosine(0.2, 0.1), rho=Const(1.25),
-                       tilde=PerturbationSpec(Const(1.25), z_slope=-0.5),
-                       remainder=Remainder(k2=Const(0.1), k1=Cosine(-0.2, 0.1), n1=Const(0.2),
-                                           n0=Const(0.4), sigma=Cosine(0.05, 0.02)),
-                       name="remainder")
+# Cosine a and d with a perturbation that falls off in z, for the coefficients alone: no
+# sampler or solve here runs it
+VARIED = _sloped(-0.5, a=Cosine(1.5, 0.5), b=Const(-0.25), alpha=Const(0.75), beta=Const(0.5),
+                 d=Cosine(0.2, 0.1), rho=Const(1.25), name="varied")
 # every operator flavor, the perturbed ones at two eps each
 FLAVORS = ((Flavor.LOG, None), (Flavor.LIMIT, None), (Flavor.RESCALED, 0.05),
            (Flavor.RESCALED, 0.3), (Flavor.CHART, 0.0), (Flavor.CHART, 0.1))
@@ -358,10 +371,10 @@ def limit_digests():
 
 def coefficient_digests():
     """Every entry point of ``GeneratorCoefficients`` in every flavor, for every model here
-    and one with a remainder, on a grid of angles and heights that reaches the entries'
-    signed zeros and NaN."""
+    and VARIED, on a grid of angles and heights that reaches the entries' signed zeros and
+    NaN."""
     y, v = (a.ravel() for a in np.meshgrid(COEFF_Y, COEFF_V, indexing="ij"))
-    for mname, m in {**_models(), "remainder": REMAINDER}.items():
+    for mname, m in {**_models(), "varied": VARIED}.items():
         for flavor, eps in FLAVORS:
             gc = assemble(m, eps, flavor)
             with np.errstate(all="ignore"):
@@ -382,7 +395,7 @@ def inline_config_digests():
         m, num = cfg.model, cfg.numerics
         with np.errstate(all="ignore"):
             values = [fn(y) for fn in (m.a, m.b, m.alpha, m.beta, m.d, m.rho)]
-            values += [m.tilde.cyy(y, v), m.tilde.czz(y, v)]
+            values.append(_profile(m)(y, v))
             if "data" in num:
                 values.append(num["data"](y))
             if "g" in num:
