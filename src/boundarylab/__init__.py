@@ -1,6 +1,6 @@
 """Numerical laboratory for diffusions degenerating on a domain boundary.
 
-The package studies second-order operators on the disk/annulus whose
+The package studies second-order operators on the unit disk whose
 normal diffusion vanishes quadratically on the boundary circle, under a
 small uniformly elliptic perturbation: boundary classification through
 the stationary measure of the tangential diffusion, the auxiliary

@@ -26,7 +26,7 @@ from . import models, parabolic, sde
 from .coefficients import CoefficientFn, Const, Cosine, Fourier
 from .errors import ChartRangeError, ConfigError, ModelError
 from .fields import ChartModel
-from .geometry import DomainKind, DomainModel
+from .geometry import DomainModel
 from .halfcyl import HalfCylinderGrid
 
 EXPERIMENT_KINDS = ("classify", "halfcyl", "dirichlet-convergence",
@@ -93,8 +93,7 @@ def _only(block: dict, field: str, keys):
         raise ConfigError(f"{field}.{key}", f"unknown key; expected one of {sorted(keys)}")
 
 
-def _get_number(block: dict, field: str, key: str, *, default=None, positive=False,
-                nonnegative=False):
+def _get_number(block: dict, field: str, key: str, *, default=None, positive=False):
     if key not in block:
         _expect(default is not None, f"{field}.{key}", "missing required value")
         return default
@@ -103,8 +102,6 @@ def _get_number(block: dict, field: str, key: str, *, default=None, positive=Fal
     v = float(v)
     if positive:
         _expect(v > 0, f"{field}.{key}", f"must be > 0, got {v}")
-    if nonnegative:
-        _expect(v >= 0, f"{field}.{key}", f"must be >= 0, got {v}")
     return v
 
 
@@ -202,14 +199,10 @@ def _parse_domain(block, field: str = "domain") -> DomainModel:
     if block is None:
         return DomainModel()
     _expect(isinstance(block, dict), field, "expected object")
-    _only(block, field, ("kind", "chart_radius", "inner_radius"))
-    kind = block.get("kind", "disk")
-    _expect(kind in ("disk", "annulus"), f"{field}.kind", f"unknown kind {kind!r}")
+    _only(block, field, ("chart_radius",))
     chart_radius = _get_number(block, field, "chart_radius", default=0.5, positive=True)
-    inner = _get_number(block, field, "inner_radius", default=0.0, nonnegative=True)
     with _reported_at(field, ChartRangeError):
-        return DomainModel(kind=DomainKind(kind), inner_radius=inner,
-                           chart_radius=chart_radius)
+        return DomainModel(chart_radius=chart_radius)
 
 
 def _parse_mc(block, field: str) -> dict:
@@ -245,8 +238,12 @@ def _validate_classify(num: dict) -> dict:
     }
 
 
-def _grid_block(num: dict) -> dict:
-    g, field, default = num.get("grid", {}), "numerics.grid", HalfCylinderGrid
+def _grid_block(num: dict) -> HalfCylinderGrid | None:
+    """The grid block, an absent field at its ``HalfCylinderGrid`` default; None for an
+    absent block, which leaves the solves their default grid for the model's verdict."""
+    if "grid" not in num:
+        return None
+    g, field, default = num["grid"], "numerics.grid", HalfCylinderGrid
     _expect(isinstance(g, dict), field, "expected object")
     _only(g, field, ("n_y", "n_z", "height", "stretching", "dz0"))
     out = {
@@ -257,8 +254,7 @@ def _grid_block(num: dict) -> dict:
         "dz0": _get_number(g, field, "dz0", default=default.dz0, positive=True),
     }
     with _reported_at(field):
-        HalfCylinderGrid(**out)
-    return out
+        return HalfCylinderGrid(**out)
 
 
 @_kind("halfcyl", ("data", "grid", "levels"))
@@ -425,7 +421,7 @@ def parse_config(obj) -> ExperimentConfig:
     validated = validate(numerics)
     for field, point in _domain_points(experiment, validated):
         _expect(dom.contains(*point), field,
-                f"point {list(point)} lies outside the closed {dom.kind.value}")
+                f"point {list(point)} lies outside the closed disk")
     known = {"version", "experiment", "seed", "output_dir", "model", "domain",
              "numerics"}
     extra = sorted(set(obj) - known)

@@ -1,7 +1,7 @@
-"""The perturbed Dirichlet problem on the disk (and annulus).
+"""The perturbed Dirichlet problem on the unit disk.
 
 A chart model only defines the operator near the boundary, so the disk
-operator is completed inward: inside the chart strip the normal-form
+operator is completed toward the pole: inside the chart strip the normal-form
 coefficients apply verbatim (in (theta, 1-r) coordinates); past the strip
 they are blended, through a C^1 ramp in the distance variable, into a
 fixed non-degenerate reference operator (a scalar multiple of the
@@ -26,7 +26,7 @@ from .coefficients import Const, folded, is_plus_zero
 from .errors import ExtensionUndefined, ModelError, NoConvergence
 from .fd import Elimination, boundary_values, level_bands, within_data
 from .fields import ChartModel, Flavor, assemble
-from .geometry import DomainKind, DomainModel, TWO_PI, wrap_angle
+from .geometry import DomainModel, TWO_PI, wrap_angle
 from .halfcyl import HalfCylinderGrid, _conditioned, conditioned_default_grid, solve_u
 
 
@@ -62,13 +62,11 @@ class DiskOperator:
     model: ChartModel
     eps: float
     completion: InteriorCompletion
-    dom: DomainModel = None
+    dom: DomainModel = DomainModel()
 
     def __post_init__(self):
         if self.eps < 0:
             raise ModelError("eps must be >= 0")
-        if self.dom is None:
-            object.__setattr__(self, "dom", DomainModel())
         # cartesian_ito's terms, decided once: a multiply by a Const(1.0) a goes, and so do
         # the terms of A that a Const(+0.0) d makes zeros.  The drift's terms of b, beta and
         # d go only together, all three Const(+0.0), and one + 0.0 then gives the full
@@ -179,28 +177,25 @@ class DiskOperator:
 # ---------------------------------------------------------------------------
 
 LAYER_CELLS = 22     # radial cells within the boundary layer 1 - r < eps
-GROWTH = 1.1         # ratio of neighbouring radial steps, from the boundary inwards
+GROWTH = 1.1         # ratio of neighbouring radial steps, from the boundary to the pole
 STEP_CAP = 0.02      # the longest radial step
 
 
-def radial_nodes(eps: float, dom: DomainModel) -> np.ndarray:
-    """Boundary-clustered radial nodes; >= LAYER_CELLS cells within 1 - r < eps."""
+def radial_nodes(eps: float) -> np.ndarray:
+    """Boundary-clustered radial nodes from the pole; >= LAYER_CELLS cells within 1 - r < eps."""
     if eps <= 0:
         raise ModelError("eps must be > 0")
     dz_min = eps * (GROWTH - 1.0) / (GROWTH ** LAYER_CELLS - 1.0)
-    inner_limit = dom.inner_radius if dom.kind is DomainKind.ANNULUS else 0.0
     steps = []
     total = 0.0
     k = 0
-    span = 1.0 - inner_limit
-    while total < span - 1e-12:
-        h = min(dz_min * GROWTH ** k, STEP_CAP, span - total)
+    while total < 1.0 - 1e-12:
+        h = min(dz_min * GROWTH ** k, STEP_CAP, 1.0 - total)
         steps.append(h)
         total += h
         k += 1
-    nodes = 1.0 - np.concatenate([[0.0], np.cumsum(steps)])
-    nodes = nodes[::-1]
-    nodes[0] = inner_limit
+    nodes = (1.0 - np.concatenate([[0.0], np.cumsum(steps)]))[::-1]
+    nodes[0] = 0.0
     return nodes
 
 
@@ -211,7 +206,7 @@ class DirichletSolution:
     theta_nodes: np.ndarray
     r_nodes: np.ndarray
     u: np.ndarray
-    pole_value: float | None
+    pole_value: float
     eps: float
     max_principle_ok: bool
 
@@ -224,7 +219,7 @@ class DirichletSolution:
                              f"radii [{self.r_nodes[0]}, {self.r_nodes[-1]}]")
         theta = wrap_angle(math.atan2(x2, x1))
         rn = self.r_nodes
-        if self.pole_value is not None and r <= rn[1]:
+        if r <= rn[1]:
             ring = _periodic_interp(self.u[1], self.theta_nodes, theta)
             t = r / rn[1]
             return float((1.0 - t) * self.pole_value + t * ring)
@@ -244,24 +239,18 @@ def _periodic_interp(row: np.ndarray, theta_nodes: np.ndarray, theta: float) -> 
     return float(row[i0] * (1.0 - f) + row[(i0 + 1) % n] * f)
 
 
-def solve_fd(op: DiskOperator, psi_d, n_theta: int = 64,
-             psi_inner=None) -> DirichletSolution:
+def solve_fd(op: DiskOperator, psi_d, n_theta: int = 64) -> DirichletSolution:
     """Second-order polar finite-difference solve of the blended operator.
 
-    psi_d is the Dirichlet data on the outer circle (callable of theta or
-    array on the theta grid); the annulus also needs psi_inner.  The disk
-    pole is a single value closed by the zero-Laplacian average stencil,
-    the mean of the first ring, and eliminated into that ring's rows, so
-    disk and annulus are both one block sweep over the rings, solved
-    against their data.
+    psi_d is the Dirichlet data on the unit circle (callable of theta or
+    array on the theta grid).  The pole is a single value closed by the
+    zero-Laplacian average stencil, the mean of the first ring, and
+    eliminated into that ring's rows, so the solve is one block sweep over
+    the rings, solved against the data.
     """
-    disk = op.dom.kind is DomainKind.DISK
-    if not disk and psi_inner is None:
-        raise ModelError("annulus solve needs inner boundary data")
-    r_nodes = radial_nodes(op.eps, op.dom)
+    r_nodes = radial_nodes(op.eps)
     theta = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
-    f_outer = boundary_values(psi_d, theta, "outer data")
-    f_inner = None if disk else boundary_values(psi_inner, theta, "inner data")
+    f_outer = boundary_values(psi_d, theta)
 
     # unknowns: rings j = 1..n_r-1, one level each
     coeffs = op.polar_coefficients(*np.meshgrid(theta, r_nodes[1:-1]))
@@ -269,18 +258,15 @@ def solve_fd(op: DiskOperator, psi_d, n_theta: int = 64,
         if np.any(~np.isfinite(arr)):
             raise NoConvergence(f"non-finite coefficient {arr_name}")
     bands = level_bands(coeffs, r_nodes)
-    first = None
-    if disk:
-        # the pole value is the mean of ring 1 (a vanishing Laplacian average),
-        # which puts every inward coupling of ring 1 on all of ring 1
-        first = np.outer(bands[0, 0].sum(axis=0), np.full(n_theta, 1.0 / n_theta))
-    rings = Elimination(bands, first).solve_data(f_inner, f_outer)
-    pole_value = float(np.mean(rings[0])) if disk else None
-    u = np.vstack([np.full(n_theta, pole_value) if disk else f_inner, rings, f_outer])
-    data = (f_outer,) if disk else (f_outer, f_inner)
+    # the pole value is the mean of ring 1 (a vanishing Laplacian average), which puts
+    # ring 1's every coupling toward the pole on all of ring 1
+    first = np.outer(bands[0, 0].sum(axis=0), np.full(n_theta, 1.0 / n_theta))
+    rings = Elimination(bands, first).solve_data(None, f_outer)
+    pole_value = float(np.mean(rings[0]))
+    u = np.vstack([np.full(n_theta, pole_value), rings, f_outer])
     return DirichletSolution(theta_nodes=theta, r_nodes=r_nodes, u=u,
                              pole_value=pole_value, eps=op.eps,
-                             max_principle_ok=within_data(u, *data))
+                             max_principle_ok=within_data(u, f_outer))
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +278,6 @@ class AmbientExitBatch:
     exit_theta: np.ndarray
     exit_time: np.ndarray
     exited_mask: np.ndarray
-    exit_inner: np.ndarray      # annulus: exited through the inner circle
     checkpoints: np.ndarray | None
     positions: np.ndarray | None   # (n_checkpoints, n_paths, 2), NaN after exit
     n_paths: int
@@ -303,12 +288,11 @@ def sample_exit(op: DiskOperator | list[DiskOperator], start, params: sde.Simula
                 checkpoint_times=None) -> AmbientExitBatch:
     """Euler-Maruyama exit sampling of the ambient process from one start.
 
-    The start must lie in the closed domain (``ModelError`` otherwise; the
-    annulus hole is outside).  Absorption on the outer circle, and on the
-    annulus inner circle, uses the endpoint crossing with linear
-    interpolation; the outer circle alone adds the distance-to-circle
-    Brownian-bridge test.  Optional checkpoints record path positions at
-    fixed times (NaN once a path has exited).  The step works on the two
+    The start must lie in the closed disk (``ModelError`` otherwise).
+    Absorption on the unit circle uses the endpoint crossing with linear
+    interpolation, plus the distance-to-circle Brownian-bridge test.
+    Optional checkpoints record path positions at fixed times (NaN once a
+    path has exited).  The step works on the two
     coordinates as separate arrays: each step makes one ``cartesian_ito``
     call at the endpoint, which also gives the bridge test its radial
     entry, and takes the endpoint's norm as sqrt(x1^2 + x2^2).
@@ -331,9 +315,7 @@ def sample_exit(op: DiskOperator | list[DiskOperator], start, params: sde.Simula
     else:
         ops, horizons, checkpoint_times = _stack(list(op), checkpoint_times, dt, n_steps)
         op = ops[0]
-    dom = op.dom
-    x0 = check_start(dom, start)
-    inner_r = dom.inner_radius if dom.kind is DomainKind.ANNULUS else None
+    x0 = check_start(op.dom, start)
     rows = n * len(ops)
     cp = None
     positions = None
@@ -350,7 +332,6 @@ def sample_exit(op: DiskOperator | list[DiskOperator], start, params: sde.Simula
     exit_theta = sde.shared(rows, np.nan)
     exit_time = sde.shared(rows, np.repeat(horizons, n))
     exited = sde.shared(rows, False, bool)
-    exit_inner = sde.shared(rows, False, bool)
     if len(ops) == 1:
         streams = None
 
@@ -378,21 +359,16 @@ def sample_exit(op: DiskOperator | list[DiskOperator], start, params: sde.Simula
         x2_new = x2 + (b2 * dt + noise2)
         t_now = k * dt
         r_new = np.sqrt(x1_new * x1_new + x2_new * x2_new)
-        walls = [(1.0, False, r_new >= 1.0)]
-        if inner_r is not None:
-            walls.append((inner_r, True, r_new <= inner_r))
-        for radius, inward, beyond in walls:
-            crossed = live & beyond
-            if np.count_nonzero(crossed):
-                c1, c2 = x1[crossed], x2[crossed]
-                d1, d2 = x1_new[crossed] - c1, x2_new[crossed] - c2
-                frac = _circle_crossing(c1, c2, d1, d2, radius, inward=inward)
-                g = pids[crossed]
-                exited[g] = True
-                exit_inner[g] = inward
-                exit_time[g] = t_now + frac * dt
-                exit_theta[g] = wrap_angle(np.arctan2(c2 + frac * d2, c1 + frac * d1))
-                live = live & ~crossed
+        crossed = live & (r_new >= 1.0)
+        if np.count_nonzero(crossed):
+            c1, c2 = x1[crossed], x2[crossed]
+            d1, d2 = x1_new[crossed] - c1, x2_new[crossed] - c2
+            frac = _circle_crossing(c1, c2, d1, d2)
+            g = pids[crossed]
+            exited[g] = True
+            exit_time[g] = t_now + frac * dt
+            exit_theta[g] = wrap_angle(np.arctan2(c2 + frac * d2, c1 + frac * d1))
+            live = live & ~crossed
         coeffs = ito(x1_new, x2_new, r_new, pids)
         zc_new = zc
         if params.bridge_absorption:
@@ -419,17 +395,15 @@ def sample_exit(op: DiskOperator | list[DiskOperator], start, params: sde.Simula
 
     sde._run_paths(params, n_steps, start_state, advance, streams, probe=True,
                    reads=(2, params.bridge_absorption))
-    return AmbientExitBatch(exit_theta=exit_theta, exit_time=exit_time,
-                            exited_mask=exited, exit_inner=exit_inner,
-                            checkpoints=cp, positions=positions,
-                            n_paths=rows, seed=params.seed)
+    return AmbientExitBatch(exit_theta=exit_theta, exit_time=exit_time, exited_mask=exited,
+                            checkpoints=cp, positions=positions, n_paths=rows, seed=params.seed)
 
 
 def check_start(dom: DomainModel, start) -> np.ndarray:
-    """The start point as an array; ``ModelError`` unless it lies in the closed domain."""
+    """The start point as an array; ``ModelError`` unless it lies in the closed disk."""
     x0 = np.asarray(start, dtype=float)
     if not dom.contains(*x0):
-        raise ModelError(f"start {tuple(x0.tolist())} lies outside the closed {dom.kind.value}")
+        raise ModelError(f"start {tuple(x0.tolist())} lies outside the closed disk")
     return x0
 
 
@@ -447,38 +421,29 @@ def _stack(ops, checkpoint_times, dt: float, n_steps: int):
     return ops, horizons, sorted({float(t) for ts in checkpoint_times for t in ts})
 
 
-def _circle_crossing(x1, x2, dx1, dx2, radius, inward=False):
-    """Fraction s in [0, 1] with |x + s dx| = radius, x and dx given by their coordinates."""
+def _circle_crossing(x1, x2, dx1, dx2):
+    """Fraction s in [0, 1] with |x + s dx| = 1, x and dx given by their coordinates."""
     a = dx1 * dx1 + dx2 * dx2
     b = x1 * dx1 + x2 * dx2
-    c = (x1 * x1 + x2 * x2) - radius * radius
+    c = (x1 * x1 + x2 * x2) - 1.0
     disc = np.maximum(b * b - a * c, 0.0)
-    root = np.sqrt(disc)
-    if inward:
-        s = (-b - root) / np.maximum(a, 1e-300)
-    else:
-        s = (-b + root) / np.maximum(a, 1e-300)
+    s = (-b + np.sqrt(disc)) / np.maximum(a, 1e-300)
     return np.clip(s, 0.0, 1.0)
 
 
-def solve_mc(op: DiskOperator, psi_d, start, params: sde.SimulationParams,
-             psi_inner=None) -> tuple[float, float, float]:
+def solve_mc(op: DiskOperator, psi_d, start, params: sde.SimulationParams
+             ) -> tuple[float, float, float]:
     """Exit-functional estimate of the solution at one point.
 
     Returns (estimate, stderr, censored_fraction); censored paths are
     excluded from the average, so the estimate is conditional on exit and
     the caller should keep the censored fraction negligible.
     """
-    if op.dom.kind is DomainKind.ANNULUS and psi_inner is None:
-        raise ModelError("annulus solve needs inner boundary data")
     batch = sample_exit(op, start, params)
     mask = batch.exited_mask
     if not np.any(mask):
         raise NoConvergence("no path exited within max_time")
-    vals = np.where(batch.exit_inner[mask],
-                    np.asarray(psi_inner(batch.exit_theta[mask]))
-                    if psi_inner is not None else np.nan,
-                    np.asarray(psi_d(batch.exit_theta[mask])))
+    vals = np.asarray(psi_d(batch.exit_theta[mask]), dtype=float)
     est = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
     return est, se, 1.0 - float(np.mean(mask))

@@ -1,20 +1,18 @@
-"""Domain and boundary-chart geometry for the disk and annulus.
+"""Domain and boundary-chart geometry for the unit disk.
 
-The boundary of the domain is one or two concentric circles.  Near a
-circle, a point is described by the chart pair (y, z): y is the
-counterclockwise angle of the nearest boundary point (our fixed
-orientation convention) and z >= 0 is the distance to that circle,
-measured into the domain; the chart is valid for z below the chart
-radius delta.  The solvers never convert single points between these
-coordinates: ``fields.Flavor`` carries the chart, the boundary-layer
-rescaling zz = z/eps and the log height w = ln zz into the coefficients
-it assembles.  This module holds the domain model and the half-cylinder
-start point ``RescaledPoint``.
+The boundary of the domain is the unit circle.  Near it, a point is
+described by the chart pair (y, z): y is the counterclockwise angle of the
+nearest boundary point (our fixed orientation convention) and z >= 0 is
+the distance to the circle, measured into the domain; the chart is valid
+for z below the chart radius delta.  The solvers never convert single
+points between these coordinates: ``fields.Flavor`` carries the chart,
+the boundary-layer rescaling zz = z/eps and the log height w = ln zz into
+the coefficients it assembles.  This module holds the domain model and
+the half-cylinder start point ``RescaledPoint``.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -30,37 +28,19 @@ def wrap_angle(y):
     return np.mod(y, TWO_PI)
 
 
-class DomainKind(enum.Enum):
-    DISK = "disk"
-    ANNULUS = "annulus"
-
-
 @dataclass(frozen=True)
 class DomainModel:
-    """Unit disk, or annulus with inner radius, with a chart of radius delta."""
+    """The unit disk, with a boundary chart of radius delta."""
 
-    kind: DomainKind = DomainKind.DISK
-    inner_radius: float = 0.0
     chart_radius: float = 0.5
 
     def __post_init__(self):
         if not 0.0 < self.chart_radius < 1.0:
             raise ChartRangeError(f"chart_radius must be in (0, 1), got {self.chart_radius}")
-        if self.kind is DomainKind.ANNULUS:
-            if not 0.0 < self.inner_radius < 1.0:
-                raise ChartRangeError(
-                    f"annulus inner_radius must be in (0, 1), got {self.inner_radius}"
-                )
-            # Charts of the two components must not touch.
-            if self.chart_radius > 0.5 * (1.0 - self.inner_radius):
-                raise ChartRangeError(
-                    "chart_radius too large: charts of the two boundary circles overlap"
-                )
 
     def contains(self, x1: float, x2: float) -> bool:
-        """Whether (x1, x2) lies in the closed domain; the annulus hole is outside it."""
-        r = math.hypot(x1, x2)
-        return self.inner_radius <= r <= 1.0 if self.kind is DomainKind.ANNULUS else r <= 1.0
+        """Whether (x1, x2) lies in the closed disk."""
+        return math.hypot(x1, x2) <= 1.0
 
 
 @dataclass(frozen=True)

@@ -96,8 +96,9 @@ def evolve_mc(spec: StoppedProcessSpec, eps: float, times, start,
 
     Returns a list of (t, estimate, stderr); the same paths underlie every
     t, so estimates are coupled across times.  t = 0 returns g(start)
-    exactly.  A start outside the closed domain raises ``ModelError``,
-    whatever the times, and so does a time past 2**53 steps of dt.
+    exactly.  A start outside the closed disk raises ``ModelError``,
+    whatever the times, and so does a time that is negative, not finite or
+    past 2**53 steps of dt.
     """
     return _evolve(spec, [(eps, times)], start, params)[0]
 
@@ -120,6 +121,9 @@ def _evolve(spec: StoppedProcessSpec, runs, start, params: sde.SimulationParams)
     check_start(spec.dom, start)
     dt = params.dt
     runs = [(eps, sorted(set(float(t) for t in np.atleast_1d(times)))) for eps, times in runs]
+    bad = [t for _, times in runs for t in times if not 0.0 <= t < math.inf]
+    if bad:
+        raise ModelError(f"time {bad[0]} is not a finite time >= 0")
     rounded = [{t: on_step_grid(t, dt) for t in times if t > 0} for _, times in runs]
     sampled = [(eps, sorted(set(r.values()))) for (eps, _), r in zip(runs, rounded) if r]
     if sampled:
@@ -141,7 +145,7 @@ def _evolve(spec: StoppedProcessSpec, runs, start, params: sde.SimulationParams)
                                  0.0)
         out = []
         for t in times:
-            if t <= 0.0:
+            if t == 0.0:
                 g0 = float(np.asarray(spec.g(np.asarray([start], dtype=float)))[0])
                 out.append((0.0, g0, 0.0))
                 continue

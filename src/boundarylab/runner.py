@@ -22,7 +22,6 @@ from . import __version__, dirichlet, halfcyl, parabolic, sde
 from .classifier import Verdict, classify
 from .config import ExperimentConfig
 from .errors import BoundaryLabError
-from .halfcyl import HalfCylinderGrid
 
 OUTPUT_ROOT_ENV = "BOUNDARYLAB_OUTPUT_ROOT"
 
@@ -124,8 +123,7 @@ def _run_classify(cfg: ExperimentConfig, out_dir: str) -> list:
 
 def _run_halfcyl(cfg: ExperimentConfig, out_dir: str) -> list:
     num = cfg.numerics
-    f = num["data"]
-    grid = HalfCylinderGrid(**num["grid"])
+    f, grid = num["data"], num["grid"]
     rep = classify(cfg.model, grid_size=512)
     files = []
     summary = {"verdict": rep.verdict.value, "alpha_bar": rep.alpha_bar,
@@ -163,13 +161,12 @@ def _run_halfcyl(cfg: ExperimentConfig, out_dir: str) -> list:
 def _run_convergence(cfg: ExperimentConfig, out_dir: str) -> list:
     num = cfg.numerics
     psi_d = num["data"]
-    grid = HalfCylinderGrid(**num["grid"])
     comps = dirichlet.default_completions(cfg.model)
     use = comps if num["both_completions"] else comps[:1]
     mc_params = None
     if "mc" in num:
         mc_params = _mc_params(cfg, num["mc"])
-    ubar = dirichlet.limit_value(cfg.model, psi_d, grid)
+    ubar = dirichlet.limit_value(cfg.model, psi_d, num["grid"])
     tables = [dirichlet.convergence_experiment(
         cfg.model, psi_d, num["eps_list"], num["probes"], completion=comp,
         dom=cfg.dom, n_theta=num["n_theta"], mc_params=mc_params, ubar=ubar)

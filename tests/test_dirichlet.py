@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from boundarylab import dirichlet, parabolic, sde
+from boundarylab import parabolic, sde
 from boundarylab.coefficients import Const, Cosine, Fourier
 from boundarylab.dirichlet import (
     DiskOperator,
@@ -19,7 +19,7 @@ from boundarylab.dirichlet import (
 )
 from boundarylab.errors import ModelError
 from boundarylab.fields import ChartModel
-from boundarylab.geometry import DomainKind, DomainModel
+from boundarylab.geometry import DomainModel
 
 # the benchmark's path-step count, which the stacked sampler must keep exact
 sys.path.append(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -33,13 +33,10 @@ MIXED = ChartModel(a=Cosine(1.5, 0.25), b=Fourier(0.1, ((1, 0.0, 0.3),)), alpha=
 
 def test_radial_nodes_resolve_the_layer():
     for eps in (0.4, 0.1, 0.05):
-        nodes = radial_nodes(eps, DomainModel())
+        nodes = radial_nodes(eps)
         assert nodes[0] == 0.0 and nodes[-1] == 1.0
         in_layer = np.count_nonzero(nodes > 1.0 - eps) - 1
         assert in_layer >= 20
-    ann = radial_nodes(0.1, DomainModel(kind=DomainKind.ANNULUS, inner_radius=0.4,
-                                        chart_radius=0.25))
-    assert ann[0] == pytest.approx(0.4)
 
 
 def test_solve_fd_resolves_layers_below_one_percent(zoo):
@@ -179,60 +176,20 @@ def test_ubar_robust_to_small_eps_rederivation(zoo):
     assert gaps[2] < 5e-3
 
 
-def test_annulus_constant_data(zoo):
-    dom = DomainModel(kind=DomainKind.ANNULUS, inner_radius=0.4, chart_radius=0.25)
-    comp = default_completions(zoo["A"])[0]
-    op = DiskOperator(model=zoo["A"], eps=0.2, completion=comp, dom=dom)
-    sol = solve_fd(op, lambda th: np.full_like(th, 2.0),
-                   psi_inner=lambda th: np.full_like(th, 2.0))
-    assert np.max(np.abs(sol.u - 2.0)) < 1e-9
-    with pytest.raises(ModelError):
-        solve_fd(op, np.cos)  # inner data missing
-
-
-def test_annulus_exit_sampling(zoo):
-    dom = DomainModel(kind=DomainKind.ANNULUS, inner_radius=0.4, chart_radius=0.25)
-    comp = default_completions(zoo["A"])[0]
-    op = DiskOperator(model=zoo["A"], eps=0.3, completion=comp, dom=dom)
-    p = sde.SimulationParams(dt=1e-3, seed=8, n_paths=800, max_time=300.0)
-    batch = sample_exit(op, (0.6, 0.0), p)
-    assert batch.exited_mask.mean() > 0.99
-    assert 0.05 < batch.exit_inner[batch.exited_mask].mean() < 0.95
-
-
-def test_annulus_mc_needs_inner_data(zoo, monkeypatch):
-    dom = DomainModel(kind=DomainKind.ANNULUS, inner_radius=0.3, chart_radius=0.3)
-    comp = default_completions(zoo["D"])[0]
-    op = DiskOperator(model=zoo["D"], eps=0.2, completion=comp, dom=dom)
-    p = sde.SimulationParams(dt=5e-3, seed=1, n_paths=256, max_time=50.0)
-
-    def no_sampling(*args, **kwargs):
-        raise AssertionError("sampled before the inner data was checked")
-
-    monkeypatch.setattr(dirichlet, "sample_exit", no_sampling)
-    with pytest.raises(ModelError, match="inner boundary data"):
-        solve_mc(op, np.cos, (0.5, 0.0), p)
-
-
-ANNULUS = DomainModel(kind=DomainKind.ANNULUS, inner_radius=0.4, chart_radius=0.25)
-
-
 @pytest.mark.parametrize("dom, point", [
     (DomainModel(), (1.5, 0.0)), (DomainModel(), (0.0, -1.0 - 1e-9)),
-    (DomainModel(), (math.nan, 0.0)), (ANNULUS, (1.2, 0.0)),
-    (ANNULUS, (0.1, 0.1)), (ANNULUS, (0.0, 0.0))])   # the annulus hole is outside
+    (DomainModel(), (math.nan, 0.0))])
 def test_points_outside_the_closed_domain_are_rejected(zoo, dom, point):
     comp = default_completions(zoo["D"])[0]
     op = DiskOperator(model=zoo["D"], eps=0.2, completion=comp, dom=dom)
     p = sde.SimulationParams(dt=5e-3, seed=1, n_paths=8, max_time=1.0)
-    inner = None if dom.kind is DomainKind.DISK else np.sin
     spec = parabolic.StoppedProcessSpec(model=zoo["D"], g=lambda x: x[:, 0], psi_d=np.cos,
                                         dom=dom)
-    sol = solve_fd(op, np.cos, n_theta=32, psi_inner=inner)
+    sol = solve_fd(op, np.cos, n_theta=32)
     for run in (lambda: sample_exit(op, point, p),
                 lambda: sample_exit([op, dataclasses.replace(op, eps=0.1)], point, p,
                                     checkpoint_times=[[0.5], [0.5]]),
-                lambda: solve_mc(op, np.cos, point, p, psi_inner=inner),
+                lambda: solve_mc(op, np.cos, point, p),
                 lambda: parabolic.timescale_sweep(
                     spec, [0.2], [parabolic.TimescaleRule("c", "const", 0.5)], point, p,
                     boundary_ref=0.0),
@@ -241,13 +198,11 @@ def test_points_outside_the_closed_domain_are_rejected(zoo, dom, point):
             run()
 
 
-@pytest.mark.parametrize("dom, point", [(DomainModel(), (1.0, 0.0)), (DomainModel(), (0.0, 0.0)),
-                                        (ANNULUS, (0.0, -0.4)), (ANNULUS, (-1.0, 0.0))])
+@pytest.mark.parametrize("dom, point", [(DomainModel(), (1.0, 0.0)), (DomainModel(), (0.0, 0.0))])
 def test_points_on_the_boundary_are_inside_the_closed_domain(zoo, dom, point):
     comp = default_completions(zoo["D"])[0]
     op = DiskOperator(model=zoo["D"], eps=0.2, completion=comp, dom=dom)
-    inner = None if dom.kind is DomainKind.DISK else np.sin
-    sol = solve_fd(op, np.cos, n_theta=32, psi_inner=inner)
+    sol = solve_fd(op, np.cos, n_theta=32)
     assert -1.0 <= sol.probe(*point) <= 1.0
     sample_exit(op, point, sde.SimulationParams(dt=5e-3, seed=1, n_paths=8, max_time=0.1))
 
@@ -317,21 +272,19 @@ STACK_EPS = (0.3, 0.1, 0.05)
 STACK_CHECKPOINTS = ([0.05, 0.3], [0.1, 0.3, 0.6], [0.05, 0.9])
 
 
-def _stacked_run(model, dom, chunk, n_paths=40):
+def _stacked_run(model, chunk, n_paths=40):
     comp = default_completions(model)[0]
-    ops = [DiskOperator(model=model, eps=eps, completion=comp, dom=dom) for eps in STACK_EPS]
+    ops = [DiskOperator(model=model, eps=eps, completion=comp) for eps in STACK_EPS]
     p = sde.SimulationParams(dt=0.002, seed=41, n_paths=n_paths, max_time=0.902,
                              chunk_size=chunk)
     return ops, p, sample_exit(ops, (0.55, 0.25), p, checkpoint_times=STACK_CHECKPOINTS)
 
 
 @pytest.mark.parametrize("chunk", [8192, 7])
-@pytest.mark.parametrize("dom", [DomainModel(), DomainModel(
-    kind=DomainKind.ANNULUS, inner_radius=0.3, chart_radius=0.3)], ids=["disk", "annulus"])
 @pytest.mark.parametrize("model", ["D", "mixed"])
-def test_stacked_sample_exit_is_the_per_eps_runs_bit_for_bit(zoo, model, dom, chunk):
+def test_stacked_sample_exit_is_the_per_eps_runs_bit_for_bit(zoo, model, chunk):
     m = MIXED if model == "mixed" else zoo[model]
-    ops, p, batch = _stacked_run(m, dom, chunk)
+    ops, p, batch = _stacked_run(m, chunk)
     n = p.n_paths
     assert batch.exit_time.size == len(ops) * n
     for e, (op, cps) in enumerate(zip(ops, STACK_CHECKPOINTS)):
@@ -343,7 +296,6 @@ def test_stacked_sample_exit_is_the_per_eps_runs_bit_for_bit(zoo, model, dom, ch
         for got, want in ((batch.exit_theta[rows], alone.exit_theta),
                           (batch.exit_time[rows], alone.exit_time),
                           (batch.exited_mask[rows], alone.exited_mask),
-                          (batch.exit_inner[rows], alone.exit_inner),
                           (batch.positions[at, rows], alone.positions)):
             np.testing.assert_array_equal(np.asarray(got, dtype=float).view(np.int64),
                                           np.asarray(want, dtype=float).view(np.int64))
@@ -378,7 +330,7 @@ def test_stacked_rows_censored_at_their_own_horizon_count_the_steps_they_took(
 
     events = []
     _counting_run_paths(monkeypatch, events)
-    ops, p, batch = _stacked_run(zoo["D"], DomainModel(), 8192, n_paths=200)
+    ops, p, batch = _stacked_run(zoo["D"], 8192, n_paths=200)
     n = p.n_paths
     for e, cps in enumerate(STACK_CHECKPOINTS):
         rows = slice(e * n, (e + 1) * n)
@@ -395,7 +347,7 @@ def test_a_stacked_block_draws_each_live_stream_once(zoo, monkeypatch, chunk):
     _counting_run_paths(monkeypatch, events)
     # 451 steps: a chunk draws a second block after rows have exited and the shortest
     # horizon has passed
-    ops, p, batch = _stacked_run(zoo["D"], DomainModel(), chunk)
+    ops, p, batch = _stacked_run(zoo["D"], chunk)
     blocks = [v for kind, v in events if kind != "steps"]
     assert len(blocks) % 2 == 0 and len(blocks) > 2 * math.ceil(len(ops) * p.n_paths / chunk)
     for drawn, live in zip(blocks[::2], blocks[1::2]):

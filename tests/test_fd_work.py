@@ -13,7 +13,7 @@ from boundarylab import classifier, config, dirichlet, fd, halfcyl, runner
 from boundarylab.coefficients import Const, Fourier
 from boundarylab.errors import ModelError
 from boundarylab.fields import ChartModel
-from boundarylab.geometry import DomainKind, DomainModel, RescaledPoint
+from boundarylab.geometry import RescaledPoint
 
 COS = {"kind": "cosine", "mean": 0.0, "amp": 1.0, "phase": 0.0}
 GRID = halfcyl.HalfCylinderGrid(n_y=32, n_z=200, height=1e13, dz0=0.02)
@@ -134,6 +134,31 @@ def test_a_rotation_invariant_limit_is_the_mean_of_the_data(calls, zoo, model):
     assert abs(ubar - _sweep_ubar(m, TWO_TERMS, GRID)) <= 1e-12
 
 
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("block, grid", [
+    (None, None),   # the limit solve's default grid for the verdict: 128 x 2560 for B-asym
+    ({"n_y": 32}, halfcyl.HalfCylinderGrid(n_y=32)),    # a given block: field defaults
+], ids=["absent", "given"])
+def test_a_convergence_run_passes_its_grid_block_to_the_limit(monkeypatch, tmp_path, block,
+                                                              grid):
+    seen = []
+
+    def limit_value(m, f, grid=None):
+        seen.append(grid)
+        raise _Stop
+
+    monkeypatch.setattr(dirichlet, "limit_value", limit_value)
+    numerics = {"eps_list": [0.2, 0.1], "probes": [[0.0, 0.0]], "data": COS}
+    if block is not None:
+        numerics["grid"] = block
+    with pytest.raises(_Stop):
+        _run(tmp_path, "dirichlet-convergence", "B-asym", numerics)
+    assert seen == [grid]
+
+
 def test_a_constant_data_timescale_run_solves_no_system(calls, tmp_path):
     out_dir = _run(tmp_path, "timescale", "D", {
         "eps_list": [0.2], "rules": [{"name": "short", "kind": "const", "c": 0.5}],
@@ -164,14 +189,3 @@ def test_non_finite_polar_data_are_named_before_the_sweep(calls, zoo):
         dirichlet.solve_fd(op, np.where(np.arange(32) == 3, np.nan, 0.7), n_theta=32)
     assert calls["elimination"] == 0
 
-
-@pytest.mark.parametrize("circle", ["outer", "inner"])
-def test_non_finite_annulus_data_name_their_circle(calls, zoo, circle):
-    dom = DomainModel(kind=DomainKind.ANNULUS, inner_radius=0.3, chart_radius=0.3)
-    op = dirichlet.DiskOperator(model=zoo["D"], eps=0.1, dom=dom,
-                                completion=dirichlet.default_completions(zoo["D"])[0])
-    data = {"outer": 0.7, "inner": 0.2}
-    data[circle] = np.where(np.arange(32) == 3, np.nan, 0.7)
-    with pytest.raises(ModelError, match=f"^{circle} data at node 3 .* not finite: nan$"):
-        dirichlet.solve_fd(op, data["outer"], n_theta=32, psi_inner=data["inner"])
-    assert calls["elimination"] == 0

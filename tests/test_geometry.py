@@ -14,7 +14,8 @@ def test_wrap_angle_canonical():
     assert np.all((arr >= 0) & (arr < 2 * math.pi))
 
 
-def test_annulus_chart_overlap_rejected():
+@pytest.mark.parametrize("delta", [0.0, 1.0, -0.2])
+def test_a_chart_radius_outside_the_unit_interval_is_rejected(delta):
     with pytest.raises(ChartRangeError):
-        geo.DomainModel(kind=geo.DomainKind.ANNULUS, inner_radius=0.4,
-                        chart_radius=0.4)
+        geo.DomainModel(chart_radius=delta)
+

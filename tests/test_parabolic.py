@@ -6,7 +6,6 @@ import pytest
 from boundarylab import parabolic, sde
 from boundarylab.dirichlet import DiskOperator, default_completions, solve_fd
 from boundarylab.errors import ModelError
-from boundarylab.geometry import DomainKind, DomainModel
 from boundarylab.parabolic import StoppedProcessSpec, TimescaleRule, timescale_sweep
 
 
@@ -25,14 +24,21 @@ def test_time_zero_returns_initial_data(zoo):
     assert t == 0.0 and est == pytest.approx(0.7) and se == 0.0
 
 
+@pytest.mark.parametrize("bad", [math.nan, -0.5, math.inf])
+def test_a_time_that_is_negative_or_not_finite_is_named(zoo, bad):
+    spec = spec_for(zoo["A"], 0.7, np.cos)
+    p = sde.SimulationParams(dt=1e-3, seed=1, n_paths=16, max_time=1.0)
+    for times in ([bad], [0.0, bad, 0.5]):
+        with pytest.raises(ModelError, match=f"time {bad} "):
+            parabolic.evolve_mc(spec, 0.2, times, (0.3, 0.0), p)
+
+
 def test_a_start_outside_the_domain_is_rejected_at_every_time(zoo):
     p = sde.SimulationParams(dt=1e-3, seed=1, n_paths=16, max_time=1.0)
-    annulus = DomainModel(kind=DomainKind.ANNULUS, inner_radius=0.4, chart_radius=0.25)
-    for dom, start in ((DomainModel(), (3.0, 0.0)), (annulus, (0.1, 0.0))):
-        spec = StoppedProcessSpec(model=zoo["A"], g=lambda x: x[:, 0], psi_d=np.cos, dom=dom)
-        for times in ([0.0], [0.0, 0.5], [0.5]):
-            with pytest.raises(ModelError, match="outside"):
-                parabolic.evolve_mc(spec, 0.1, times, start, p)
+    spec = StoppedProcessSpec(model=zoo["A"], g=lambda x: x[:, 0], psi_d=np.cos)
+    for times in ([0.0], [0.0, 0.5], [0.5]):
+        with pytest.raises(ModelError, match="outside"):
+            parabolic.evolve_mc(spec, 0.1, times, (3.0, 0.0), p)
 
 
 def test_matching_data_gives_constant(zoo):
@@ -114,16 +120,12 @@ def _bits(values):
     return np.ascontiguousarray(values, dtype=float).view(np.int64)
 
 
-ANNULUS = DomainModel(kind=DomainKind.ANNULUS, inner_radius=0.3, chart_radius=0.3)
-
-
 @pytest.mark.parametrize("chunk", [8192, 7])
-@pytest.mark.parametrize("dom", [DomainModel(), ANNULUS], ids=["disk", "annulus"])
-def test_sweep_matches_the_per_eps_runs_bit_for_bit(zoo, dom, chunk):
+def test_sweep_matches_the_per_eps_runs_bit_for_bit(zoo, chunk):
     # g reads the checkpoint positions and psi_d the exit angles; the log rule gives
     # each eps its own horizon
     spec = StoppedProcessSpec(model=zoo["D"], g=lambda x: x[:, 0] + 0.5 * x[:, 1] ** 2,
-                              psi_d=np.cos, dom=dom)
+                              psi_d=np.cos)
     rules = [TimescaleRule("const", "const", 0.3), TimescaleRule("log", "log", 0.5)]
     eps_list = [0.3, 0.1, 0.05]
     p = sde.SimulationParams(dt=0.005, seed=21, n_paths=40, max_time=2.0, chunk_size=chunk)

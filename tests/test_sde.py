@@ -9,7 +9,6 @@ from boundarylab import dirichlet, sde
 from boundarylab.coefficients import Const, Cosine, Fourier
 from boundarylab.errors import ModelError
 from boundarylab.fields import ChartModel, Flavor, GeneratorCoefficients, assemble
-from boundarylab.geometry import DomainKind, DomainModel
 from boundarylab.halfcyl import radial_oracle
 from boundarylab.sde import SimulationParams
 
@@ -108,15 +107,12 @@ def _run_martingale(zoo, reports, chunk):
     return None, (tr.values, tr.stderrs)
 
 
-def _run_sample_exit(dom, model, start):
-    def run(zoo, reports, chunk):
-        comp = dirichlet.default_completions(zoo[model])[0]
-        op = dirichlet.DiskOperator(model=zoo[model], eps=0.2, completion=comp, dom=dom)
-        p = SimulationParams(dt=2e-3, seed=128, n_paths=90, max_time=0.8, chunk_size=chunk)
-        b = dirichlet.sample_exit(op, start, p, checkpoint_times=[0.1, 0.4, 0.7])
-        return b.exited_mask, (b.exit_theta, b.exit_time, b.exited_mask, b.exit_inner,
-                               b.positions)
-    return run
+def _run_sample_exit(zoo, reports, chunk):
+    comp = dirichlet.default_completions(zoo["D"])[0]
+    op = dirichlet.DiskOperator(model=zoo["D"], eps=0.2, completion=comp)
+    p = SimulationParams(dt=2e-3, seed=128, n_paths=90, max_time=0.8, chunk_size=chunk)
+    b = dirichlet.sample_exit(op, (0.3, 0.2), p, checkpoint_times=[0.1, 0.4, 0.7])
+    return b.exited_mask, (b.exit_theta, b.exit_time, b.exited_mask, b.positions)
 
 
 CHUNKED_SAMPLERS = {
@@ -124,10 +120,7 @@ CHUNKED_SAMPLERS = {
     "simulate_boundary": _run_boundary,
     "attraction_stats": _run_attraction,
     "martingale_trace": _run_martingale,
-    "sample_exit-disk": _run_sample_exit(None, "D", (0.3, 0.2)),
-    "sample_exit-annulus": _run_sample_exit(
-        DomainModel(kind=DomainKind.ANNULUS, inner_radius=0.4, chart_radius=0.25),
-        "A", (0.6, 0.0)),
+    "sample_exit-disk": _run_sample_exit,
 }
 
 
@@ -301,7 +294,6 @@ STOPPING_SAMPLERS = {
     "martingale_trace": _run_martingale,
     "martingale_trace-deep": _deep_martingale,
     "sample_exit-disk": CHUNKED_SAMPLERS["sample_exit-disk"],
-    "sample_exit-annulus": CHUNKED_SAMPLERS["sample_exit-annulus"],
     "sample_exit-stacked": _stacked_sample_exit,
 }
 

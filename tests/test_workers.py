@@ -18,12 +18,10 @@ import pytest
 from boundarylab import dirichlet, sde
 from boundarylab.errors import ConfigError, ModelError
 from boundarylab.fields import Flavor, assemble
-from boundarylab.geometry import DomainKind, DomainModel
 from boundarylab.sde import SimulationParams
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 N = 3 * sde.MIN_ROWS + 50         # three workers of at least MIN_ROWS streams each
-ANNULUS = DomainModel(kind=DomainKind.ANNULUS, inner_radius=0.4, chart_radius=0.25)
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked")
 
@@ -55,10 +53,10 @@ def _simulate(zoo, reports):
     return [b.exit_y, b.exit_time, b.exited_mask, b.unstable_mask]
 
 
-def _sample_exit(dom, stacked):
+def _sample_exit(stacked):
     def run(zoo, reports):
         comp = dirichlet.default_completions(zoo["D"])[0]
-        ops = [dirichlet.DiskOperator(model=zoo["D"], eps=eps, completion=comp, dom=dom)
+        ops = [dirichlet.DiskOperator(model=zoo["D"], eps=eps, completion=comp)
                for eps in (0.3, 0.1)]
         p = SimulationParams(dt=2e-3, seed=205, n_paths=N, max_time=0.6)
         if stacked:
@@ -67,7 +65,7 @@ def _sample_exit(dom, stacked):
         else:
             b = dirichlet.sample_exit(ops[0], (0.55, 0.25), p,
                                       checkpoint_times=[0.1, 0.3, 0.55])
-        return [b.exit_theta, b.exit_time, b.exited_mask, b.exit_inner, b.positions]
+        return [b.exit_theta, b.exit_time, b.exited_mask, b.positions]
     return run
 
 
@@ -76,10 +74,8 @@ SAMPLERS = {
     "martingale_trace": _martingale,
     "simulate_boundary": _boundary,
     "simulate": _simulate,
-    "sample_exit-disk": _sample_exit(DomainModel(), False),
-    "sample_exit-annulus": _sample_exit(ANNULUS, False),
-    "sample_exit-stacked-disk": _sample_exit(DomainModel(), True),
-    "sample_exit-stacked-annulus": _sample_exit(ANNULUS, True),
+    "sample_exit-disk": _sample_exit(False),
+    "sample_exit-stacked-disk": _sample_exit(True),
 }
 
 

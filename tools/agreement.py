@@ -10,9 +10,8 @@ compared:
 * a mean with its standard error (an ergodic average, a martingale
   checkpoint, a near fraction, a mean exit time, a time-scale estimate) by
   the two-sample z = (a - b) / sqrt(se_a^2 + se_b^2);
-* an exit law (exit angle in 16 fixed bins, the annulus' two circles
-  apart, plus one cell for censored paths) by the two-sample chi-square
-  test of the 2 x K table, with K - 1 degrees of freedom.  Cells that the
+* an exit law (exit angle in 16 fixed bins, plus one cell for censored
+  paths) by the two-sample chi-square test of the 2 x K table, with K - 1 degrees of freedom.  Cells that the
   two trees together fill with fewer than ``MIN_CELL`` paths are pooled
   into one, so that every expected count is large enough for the
   chi-square law.  The occupation histogram of ``simulate_boundary`` is
@@ -52,7 +51,7 @@ PATHS = 16384
 BINS = 16
 MIN_CELL = 20       # exit-law cells whose two trees hold fewer paths together are pooled
 # the runs below make exactly this many comparisons, whatever the trees give
-COMPARISONS = 61
+COMPARISONS = 53
 ALPHA = 0.01        # family-wise false-alarm rate
 
 
@@ -65,12 +64,8 @@ def _runs():
     from boundarylab import dirichlet, models, parabolic, sde
     from boundarylab.classifier import classify
     from boundarylab.fields import Flavor, assemble
-    from boundarylab.geometry import DomainKind, DomainModel
 
     zoo = {name: models.get_model(name) for name in models.model_names()}
-    domains = {"disk": DomainModel(),
-               "annulus": DomainModel(kind=DomainKind.ANNULUS, inner_radius=0.3,
-                                      chart_radius=0.3)}
 
     def params(seed, **kw):
         return sde.SimulationParams(**{"seed": seed, "n_paths": PATHS, **kw})
@@ -79,13 +74,11 @@ def _runs():
         values = np.asarray(values, dtype=float)
         return ("z", float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size)))
 
-    def law(angle, exited, inner=None):
-        """Paths per exit-angle bin (the outer circle's bins first), then censored ones."""
-        circles = 1 if inner is None else 2
-        cell = np.full(exited.size, circles * BINS)
-        k = np.minimum((angle[exited] / (2 * math.pi) * BINS).astype(int), BINS - 1)
-        cell[exited] = k if inner is None else k + BINS * inner[exited]
-        return ("chi2", np.bincount(cell, minlength=circles * BINS + 1).tolist())
+    def law(angle, exited):
+        """Paths per exit-angle bin, then censored ones."""
+        cell = np.full(exited.size, BINS)
+        cell[exited] = np.minimum((angle[exited] / (2 * math.pi) * BINS).astype(int), BINS - 1)
+        return ("chi2", np.bincount(cell, minlength=BINS + 1).tolist())
 
     def martingale(mname):
         def run(seed):
@@ -123,16 +116,15 @@ def _runs():
             return {"law": law(b.exit_y, b.exited_mask), "time": z(b.exit_time)}
         return run
 
-    def sample_exit(mname, dname, bridge):
+    def sample_exit(mname, bridge):
         def run(seed):
             m = zoo[mname]
-            op = dirichlet.DiskOperator(model=m, eps=0.3, dom=domains[dname],
+            op = dirichlet.DiskOperator(model=m, eps=0.3,
                                         completion=dirichlet.default_completions(m)[0])
             b = dirichlet.sample_exit(op, (0.55, 0.25),
                                       params(seed, dt=0.002, max_time=1.0,
                                              bridge_absorption=bridge))
-            inner = b.exit_inner.astype(int) if dname == "annulus" else None
-            return {"law": law(b.exit_theta, b.exited_mask, inner), "time": z(b.exit_time)}
+            return {"law": law(b.exit_theta, b.exited_mask), "time": z(b.exit_time)}
         return run
 
     def timescale(seed):
@@ -154,10 +146,9 @@ def _runs():
         for bridge in (True, False):
             runs.append((f"simulate/{mname}/bridge{int(bridge)}", simulate(mname, bridge)))
     for mname in ("D", "tilted"):
-        for dname in domains:
-            for bridge in (True, False):
-                runs.append((f"sample_exit/{mname}/{dname}/bridge{int(bridge)}",
-                             sample_exit(mname, dname, bridge)))
+        for bridge in (True, False):
+            runs.append((f"sample_exit/{mname}/bridge{int(bridge)}",
+                         sample_exit(mname, bridge)))
     runs.append(("timescale_sweep/D", timescale))
     return runs
 

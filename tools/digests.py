@@ -5,8 +5,8 @@ the bundled configs, the operation digests of the benchmark workloads,
 direct runs of every sampler and of the time-scale sweep (small ones, and
 ones with enough paths to be split over worker processes, the horizon
 samplers also at the edges of their split), direct FD
-solves (cross terms, the annulus, transposed solves, the conditioned
-problem and data with signed zeros), the limit value of every zoo model
+solves (cross terms, transposed solves, the conditioned problem and data
+with signed zeros), the limit value of every zoo model
 on constant and varying data, every operator flavor's coefficients, and
 the coefficients and data of inline configs that reach every form of the
 config's coefficient and chart-model parsers.
@@ -28,7 +28,6 @@ temporary directory.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import os
@@ -44,29 +43,12 @@ from boundarylab import config, dirichlet, halfcyl, models, parabolic, runner, s
 from boundarylab.classifier import classify  # noqa: E402
 from boundarylab.coefficients import Const, Cosine, Fourier  # noqa: E402
 from boundarylab.fields import ChartModel, Flavor, assemble  # noqa: E402
-from boundarylab.geometry import DomainKind, DomainModel, RescaledPoint  # noqa: E402
-
-
-# a tree older than ``ChartModel.z_slope`` states the perturbation as a ``PerturbationSpec``
-_HAS_SLOPE = "z_slope" in {f.name for f in dataclasses.fields(ChartModel)}
-
-
-def _sloped(z_slope: float, **coefficients) -> ChartModel:
-    """A chart model whose perturbation profile is rho(y)(1 + z_slope z)."""
-    if _HAS_SLOPE:
-        return ChartModel(**coefficients, z_slope=z_slope)
-    from boundarylab.fields import PerturbationSpec
-    return ChartModel(**coefficients, tilde=PerturbationSpec(coefficients["rho"], z_slope=z_slope))
-
-
-def _profile(m: ChartModel):
-    """The perturbation profile of m as a function of (y, z)."""
-    return m.profile if _HAS_SLOPE else m.tilde.czz
+from boundarylab.geometry import RescaledPoint  # noqa: E402
 
 
 # d != 0 and a sloped perturbation with rho != 1: terms the zoo leaves at zero
-SLOPED = _sloped(2.0, a=Const(1.5), b=Const(-0.25), alpha=Const(0.75), beta=Const(0.5),
-                 d=Const(0.3), rho=Const(1.25), name="sloped")
+SLOPED = ChartModel(a=Const(1.5), b=Const(-0.25), alpha=Const(0.75), beta=Const(0.5),
+                    d=Const(0.3), rho=Const(1.25), z_slope=2.0, name="sloped")
 # a phased Cosine and a two-term Fourier series whose zero and unit coefficients and k = 1
 # term the evaluation skips
 PHASED = ChartModel(a=Const(1.0), b=Fourier(0.1, ((1, 0.0, 0.5), (2, 1.0, 0.0))),
@@ -77,8 +59,8 @@ SIGNED_ZERO = ChartModel(a=Const(1.0), b=Const(-0.0), alpha=Const(0.75), beta=Co
                          d=Const(-0.0), name="signed-zero")
 # Cosine a and d with a perturbation that falls off in z, for the coefficients alone: no
 # sampler or solve here runs it
-VARIED = _sloped(-0.5, a=Cosine(1.5, 0.5), b=Const(-0.25), alpha=Const(0.75), beta=Const(0.5),
-                 d=Cosine(0.2, 0.1), rho=Const(1.25), name="varied")
+VARIED = ChartModel(a=Cosine(1.5, 0.5), b=Const(-0.25), alpha=Const(0.75), beta=Const(0.5),
+                    d=Cosine(0.2, 0.1), rho=Const(1.25), z_slope=-0.5, name="varied")
 # every operator flavor, the perturbed ones at two eps each
 FLAVORS = ((Flavor.LOG, None), (Flavor.LIMIT, None), (Flavor.RESCALED, 0.05),
            (Flavor.RESCALED, 0.3), (Flavor.CHART, 0.0), (Flavor.CHART, 0.1))
@@ -86,16 +68,12 @@ FLAVORS = ((Flavor.LOG, None), (Flavor.LIMIT, None), (Flavor.RESCALED, 0.05),
 COEFF_Y = (0.0, -0.0, 0.7, -2.0, 10.0, np.nan)
 COEFF_V = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 0.3, 1.0, -2.0, 7.5, 1e3, np.nan, np.inf,
            -np.inf)
-DOMAINS = {"disk": DomainModel(),
-           "annulus": DomainModel(kind=DomainKind.ANNULUS, inner_radius=0.3,
-                                  chart_radius=0.3)}
 CHUNKS = (8192, 7)
 # enough paths, and starts deep enough inside, that rows on 512 or more streams are still
 # live after the first noise block in every chunk: the runs are split over worker processes
 # wherever two or more CPUs are usable
 SPLIT_PATHS = 2000
 SPLIT_CHUNKS = (8192, 1000)
-SPLIT_START = {"disk": (0.0, 0.0), "annulus": (0.65, 0.0)}
 # the edges of a horizon run's split before its first step, as (paths, chunk size, steps):
 # a run of one noise block, which never forks however many paths it has; chunks that each
 # split, the last too small to; and an odd stream count
@@ -114,7 +92,8 @@ LIMIT_DATA = {"const": Const(0.7), "cos": np.cos,
 # parsers read, which no bundled config or benchmark operation does: a chart block with
 # every key (bare numbers, an integer one among them, a phased cosine, Fourier series with
 # signed zeros, tilde_z_slope and a name), one with only the required keys, Fourier,
-# cosine and bare-number data, and constant initial data as an object and as a number
+# cosine and bare-number data, a grid block naming one field, and constant initial data
+# as an object and as a number
 _MC = {"dt": 0.01, "n_paths": 4, "max_time": 1.0}
 INLINE_CONFIGS = {
     "chart-full": ("classify", {"chart": {
@@ -125,7 +104,8 @@ INLINE_CONFIGS = {
         "d": {"kind": "fourier", "constant": 0.1, "terms": [[2, 0.2, 0.1]]}}}, {}),
     "chart-required": ("halfcyl", {"chart": {
         "a": 1, "b": 0.0, "alpha": {"kind": "cosine", "mean": 1.0, "amp": 0.25}, "beta": 3}},
-        {"data": {"kind": "fourier", "constant": 0.2, "terms": [[1, 0.0, 0.5], [2, 1.0, 0.3]]}}),
+        {"data": {"kind": "fourier", "constant": 0.2, "terms": [[1, 0.0, 0.5], [2, 1.0, 0.3]]},
+         "grid": {"n_y": 32}}),
     "g-object": ("timescale", {"name": "D"}, {
         "eps_list": [0.1], "rules": [{"kind": "const", "c": 0.5}], "data": -0.5,
         "g": {"kind": "const", "c": 0.25}, "mc": _MC}),
@@ -186,8 +166,8 @@ def _exit_batch(b):
 
 
 def direct_digests(seed):
-    """Direct runs of every sampler and of the time-scale sweep: both domains, bridge on and
-    off, two chunk sizes."""
+    """Direct runs of every sampler and of the time-scale sweep: bridge on and off, two
+    chunk sizes."""
     zoo = _models()
     for chunk in CHUNKS:
         def params(**kw):
@@ -195,18 +175,14 @@ def direct_digests(seed):
 
         for mname, m in zoo.items():
             comp = dirichlet.default_completions(m)[0]
-            for dname, dom in DOMAINS.items():
-                for eps in (0.05, 0.3):
-                    op = dirichlet.DiskOperator(model=m, eps=eps, completion=comp, dom=dom)
-                    for bridge in (True, False):
-                        p = params(dt=0.005, n_paths=40, max_time=1.0,
-                                   bridge_absorption=bridge)
-                        b = dirichlet.sample_exit(op, (0.55, 0.25), p,
-                                                  checkpoint_times=[0.05, 0.5])
-                        yield (f"direct/seed{seed}/chunk{chunk}/sample_exit/{mname}/{dname}/"
-                               f"eps{eps}/bridge{int(bridge)}",
-                               _digest(b.exit_theta, b.exit_time, b.exited_mask,
-                                       b.exit_inner, b.positions))
+            for eps in (0.05, 0.3):
+                op = dirichlet.DiskOperator(model=m, eps=eps, completion=comp)
+                for bridge in (True, False):
+                    p = params(dt=0.005, n_paths=40, max_time=1.0, bridge_absorption=bridge)
+                    b = dirichlet.sample_exit(op, (0.55, 0.25), p, checkpoint_times=[0.05, 0.5])
+                    yield (f"direct/seed{seed}/chunk{chunk}/sample_exit/{mname}/eps{eps}/"
+                           f"bridge{int(bridge)}",
+                           _digest(b.exit_theta, b.exit_time, b.exited_mask, b.positions))
         for mname in ("A", "D", "tilted", "sloped", "phased"):
             m = zoo[mname]
             for flavor, eps in ((Flavor.LIMIT, None), (Flavor.CHART, 0.1)):
@@ -241,22 +217,19 @@ def direct_digests(seed):
         rules = [parabolic.TimescaleRule("const", "const", 0.3),
                  parabolic.TimescaleRule("log", "log", 0.5)]
         for mname in ("D", "sloped"):
-            for dname, dom in DOMAINS.items():
-                spec = parabolic.StoppedProcessSpec(
-                    model=zoo[mname], g=lambda x: x[:, 0] + 0.5 * x[:, 1] ** 2,
-                    psi_d=np.cos, dom=dom)
-                sweep = parabolic.timescale_sweep(spec, [0.3, 0.1, 0.05], rules, (0.55, 0.25),
-                                                  params(dt=0.005, n_paths=40, max_time=2.0),
-                                                  boundary_ref=0.0)
-                yield (f"direct/seed{seed}/chunk{chunk}/timescale_sweep/{mname}/{dname}",
-                       _digest([[r.rule_time, r.estimate, r.stderr] for r in sweep.rows]))
+            spec = parabolic.StoppedProcessSpec(
+                model=zoo[mname], g=lambda x: x[:, 0] + 0.5 * x[:, 1] ** 2, psi_d=np.cos)
+            sweep = parabolic.timescale_sweep(spec, [0.3, 0.1, 0.05], rules, (0.55, 0.25),
+                                              params(dt=0.005, n_paths=40, max_time=2.0),
+                                              boundary_ref=0.0)
+            yield (f"direct/seed{seed}/chunk{chunk}/timescale_sweep/{mname}",
+                   _digest([[r.rule_time, r.estimate, r.stderr] for r in sweep.rows]))
 
 
 def split_digests(seed):
     """Direct runs of every sampler with enough paths still live after the first noise
     block that a machine with two or more CPUs splits them over worker processes: all of
-    them in one chunk, and the fixed-horizon ones and the disk's exit runs also chunk by
-    chunk at 1000 paths a chunk."""
+    them in one chunk, and also chunk by chunk at 1000 paths a chunk."""
     zoo = _models()
     for chunk in SPLIT_CHUNKS:
         def params(**kw):
@@ -264,18 +237,16 @@ def split_digests(seed):
                                            "n_paths": SPLIT_PATHS, **kw})
 
         name = f"split/seed{seed}/chunk{chunk}"
-        for dname, dom in DOMAINS.items():
-            ops = [dirichlet.DiskOperator(model=zoo["D"], eps=eps, dom=dom,
-                                          completion=dirichlet.default_completions(zoo["D"])[0])
-                   for eps in (0.3, 0.1)]
-            p = params(dt=0.002, max_time=0.8)
-            b = dirichlet.sample_exit(ops[1], SPLIT_START[dname], p, checkpoint_times=[0.1, 0.5])
-            yield (f"{name}/sample_exit/{dname}",
-                   _digest(b.exit_theta, b.exit_time, b.exited_mask, b.exit_inner, b.positions))
-            b = dirichlet.sample_exit(ops, SPLIT_START[dname], p,
-                                      checkpoint_times=[[0.2], [0.6, 0.7]])
-            yield (f"{name}/sample_exit-stacked/{dname}",
-                   _digest(b.exit_theta, b.exit_time, b.exited_mask, b.exit_inner, b.positions))
+        ops = [dirichlet.DiskOperator(model=zoo["D"], eps=eps,
+                                      completion=dirichlet.default_completions(zoo["D"])[0])
+               for eps in (0.3, 0.1)]
+        p = params(dt=0.002, max_time=0.8)
+        b = dirichlet.sample_exit(ops[1], (0.0, 0.0), p, checkpoint_times=[0.1, 0.5])
+        yield (f"{name}/sample_exit",
+               _digest(b.exit_theta, b.exit_time, b.exited_mask, b.positions))
+        b = dirichlet.sample_exit(ops, (0.0, 0.0), p, checkpoint_times=[[0.2], [0.6, 0.7]])
+        yield (f"{name}/sample_exit-stacked",
+               _digest(b.exit_theta, b.exit_time, b.exited_mask, b.positions))
         gc = assemble(zoo["D"], None, Flavor.LIMIT)
         yield (f"{name}/simulate",
                _exit_batch(sde.simulate(gc, (0.3, 2.0), params(dt=0.002, max_time=1.0,
@@ -319,7 +290,7 @@ def horizon_split_digests(seed):
 
 def fd_digests():
     """Direct FD solves that no config or workload makes: the polar solve with a cross
-    term (d != 0) and on the annulus, the half-cylinder solve with a cross term, forward
+    term (d != 0), the half-cylinder solve with a cross term, forward
     and transposed (adjoint exit law), and the conditioned problem of B-asym; and the
     polar, half-cylinder and conditioned solves on data whose zeros carry signs."""
     zoo = _models()
@@ -327,11 +298,9 @@ def fd_digests():
         for mname in ("D", "sloped"):
             m = zoo[mname]
             comp = dirichlet.default_completions(m)[0]
-            for domname, dom in DOMAINS.items():
-                op = dirichlet.DiskOperator(model=m, eps=0.2, completion=comp, dom=dom)
-                sol = dirichlet.solve_fd(op, zdata, n_theta=32,
-                                         psi_inner=None if domname == "disk" else zdata)
-                yield f"fd/{dname}/solve_fd/{mname}/{domname}", _digest(sol.u)
+            op = dirichlet.DiskOperator(model=m, eps=0.2, completion=comp)
+            sol = dirichlet.solve_fd(op, zdata, n_theta=32)
+            yield f"fd/{dname}/solve_fd/{mname}", _digest(sol.u)
             sol = halfcyl.solve_u(m, zdata, halfcyl.HalfCylinderGrid(n_y=32, n_z=200))
             yield f"fd/{dname}/solve_u/{mname}", _digest(sol.u_grid, [sol.truncation_estimate])
         sol = halfcyl.solve_conditioned(zoo["B-asym"], zdata,
@@ -342,11 +311,8 @@ def fd_digests():
     for mname in ("D", "sloped"):
         m = zoo[mname]
         comp = dirichlet.default_completions(m)[0]
-        for dname, dom in DOMAINS.items():
-            op = dirichlet.DiskOperator(model=m, eps=0.2, completion=comp, dom=dom)
-            sol = dirichlet.solve_fd(op, data, n_theta=32,
-                                     psi_inner=None if dname == "disk" else 0.25)
-            yield f"fd/solve_fd/{mname}/{dname}", _digest(sol.u)
+        op = dirichlet.DiskOperator(model=m, eps=0.2, completion=comp)
+        yield f"fd/solve_fd/{mname}", _digest(dirichlet.solve_fd(op, data, n_theta=32).u)
     grid = halfcyl.HalfCylinderGrid(n_y=32, n_z=200)
     sol = halfcyl.solve_u(SLOPED, data, grid)
     yield "fd/solve_u/sloped", _digest(sol.u_grid, [sol.truncation_estimate])
@@ -395,15 +361,16 @@ def inline_config_digests():
         m, num = cfg.model, cfg.numerics
         with np.errstate(all="ignore"):
             values = [fn(y) for fn in (m.a, m.b, m.alpha, m.beta, m.d, m.rho)]
-            values.append(_profile(m)(y, v))
+            values.append(m.profile(y, v))
             if "data" in num:
                 values.append(num["data"](y))
             if "g" in num:
                 values.append(num["g"](np.zeros((3, 2))))
         yield f"config/{cname}/values", _digest(*values)
         rest = {k: val for k, val in num.items() if not callable(val)}
+        # a grid block is hashed by its fields (``vars`` of the HalfCylinderGrid)
         yield (f"config/{cname}/fields", hashlib.sha256(json.dumps(
-            {"name": m.name, "numerics": rest}, sort_keys=True).encode()).hexdigest())
+            {"name": m.name, "numerics": rest}, sort_keys=True, default=vars).encode()).hexdigest())
 
 
 def main(argv=None):
@@ -418,9 +385,8 @@ def main(argv=None):
             lines += direct_digests(seed)
             lines += split_digests(seed)
             lines += horizon_split_digests(seed)
-    # first, so that a diff between two trees shows why their Monte Carlo lines moved; a
-    # tree older than the constant draws version 1's streams
-    print("stream_version", getattr(sde, "STREAM_VERSION", 1))
+    # first, so that a diff between two trees shows why their Monte Carlo lines moved
+    print("stream_version", sde.STREAM_VERSION)
     for name, sha in lines:
         print(name, sha)
     print(json.dumps({"digests": len(lines)}), file=sys.stderr)
