@@ -12,14 +12,14 @@ __version__ = "0.1.0"
 
 from .classifier import ClassificationReport, InvariantMeasure, Verdict, classify
 from .fields import ChartModel, Flavor, assemble
-from .geometry import DomainModel, RescaledPoint
+from .geometry import RescaledPoint
 from .halfcyl import HalfCylinderGrid, HalfCylinderSolution, radial_oracle
 from .models import get_model, model_names
 from .sde import ExitSampleBatch, SimulationParams, simulate
 
 __all__ = [
-    "ChartModel", "ClassificationReport", "DomainModel", "ExitSampleBatch",
-    "Flavor", "HalfCylinderGrid", "HalfCylinderSolution", "InvariantMeasure",
-    "RescaledPoint", "SimulationParams", "Verdict", "assemble", "classify",
-    "get_model", "model_names", "radial_oracle", "simulate", "__version__",
+    "ChartModel", "ClassificationReport", "ExitSampleBatch", "Flavor",
+    "HalfCylinderGrid", "HalfCylinderSolution", "InvariantMeasure", "RescaledPoint",
+    "SimulationParams", "Verdict", "assemble", "classify", "get_model",
+    "model_names", "radial_oracle", "simulate", "__version__",
 ]

@@ -1,11 +1,11 @@
 """Experiment configuration: parsing, validation, canonical hashing.
 
 Configs are JSON objects with a version, an experiment kind, a model
-block (built-in name or chart coefficients), an optional domain block,
-a mandatory seed, and a numerics block whose schema depends on the kind.
-This module is the one reader of the format: every block, the model's
-coefficient functions among them, is parsed here, and a failed check of
-the library's own (a chart model, a domain, a grid, a martingale band or
+block (built-in name or chart coefficients), a mandatory seed, and a
+numerics block whose schema depends on the kind.  This module is the one
+reader of the format: every block, the model's coefficient functions
+among them, is parsed here, and a failed check of the library's own (a
+chart model, a point of the disk, a grid, a martingale band or
 checkpoints) is reported as a ``ConfigError`` naming its field.
 Serialization is canonical (sorted keys, compact separators), and the
 sha256 of the canonical form identifies a run in its manifest.
@@ -22,11 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import models, parabolic, sde
+from . import dirichlet, models, parabolic, sde
 from .coefficients import CoefficientFn, Const, Cosine, Fourier
-from .errors import ChartRangeError, ConfigError, ModelError
+from .errors import ConfigError, ModelError
 from .fields import ChartModel
-from .geometry import DomainModel
 from .halfcyl import HalfCylinderGrid
 
 EXPERIMENT_KINDS = ("classify", "halfcyl", "dirichlet-convergence",
@@ -41,7 +40,6 @@ class ExperimentConfig:
     seed: int
     output_dir: str
     model: ChartModel
-    dom: DomainModel
     numerics: dict
     raw: dict
 
@@ -195,16 +193,6 @@ def coefficient_from_config(spec, field: str) -> CoefficientFn:
     raise ConfigError(field, f"unknown coefficient kind {kind!r}")
 
 
-def _parse_domain(block, field: str = "domain") -> DomainModel:
-    if block is None:
-        return DomainModel()
-    _expect(isinstance(block, dict), field, "expected object")
-    _only(block, field, ("chart_radius",))
-    chart_radius = _get_number(block, field, "chart_radius", default=0.5, positive=True)
-    with _reported_at(field, ChartRangeError):
-        return DomainModel(chart_radius=chart_radius)
-
-
 def _parse_mc(block, field: str) -> dict:
     _expect(isinstance(block, dict), field, "expected object")
     _only(block, field, ("dt", "n_paths", "max_time"))
@@ -215,6 +203,8 @@ def _parse_mc(block, field: str) -> dict:
     }
     _expect(out["dt"] <= 1e-2, f"{field}.dt",
             f"must be <= 0.01 to resolve the height dynamics, got {out['dt']}")
+    with _reported_at(f"{field}.max_time"):
+        sde._checkpoint_steps([out["max_time"]], out["dt"], "max_time")
     return out
 
 
@@ -413,26 +403,24 @@ def parse_config(obj) -> ExperimentConfig:
             and ".." not in output_dir.replace("\\", "/").split("/"), "output_dir",
             f"expected a relative path inside the output root, got {output_dir!r}")
     model = _parse_model(obj.get("model"))
-    dom = _parse_domain(obj.get("domain"))
     numerics = obj.get("numerics", {})
     _expect(isinstance(numerics, dict), "numerics", "expected object")
     keys, validate = _KIND_VALIDATORS[experiment]
     _only(numerics, "numerics", keys)
     validated = validate(numerics)
     for field, point in _domain_points(experiment, validated):
-        _expect(dom.contains(*point), field,
-                f"point {list(point)} lies outside the closed disk")
-    known = {"version", "experiment", "seed", "output_dir", "model", "domain",
-             "numerics"}
+        with _reported_at(field):
+            dirichlet.check_start(point)
+    known = {"version", "experiment", "seed", "output_dir", "model", "numerics"}
     extra = sorted(set(obj) - known)
     if extra:
         raise ConfigError(extra[0], "unknown top-level key")
     return ExperimentConfig(experiment=experiment, seed=seed, output_dir=output_dir,
-                            model=model, dom=dom, numerics=validated, raw=obj)
+                            model=model, numerics=validated, raw=obj)
 
 
 def _domain_points(experiment: str, num: dict):
-    """(field, point) for every point of the domain that a validated block names."""
+    """(field, point) for every point of the disk that a validated block names."""
     if experiment == "dirichlet-convergence":
         return [(f"numerics.probes[{i}]", p) for i, p in enumerate(num["probes"])]
     if experiment == "timescale":

@@ -26,7 +26,7 @@ from .coefficients import Const, folded, is_plus_zero
 from .errors import ExtensionUndefined, ModelError, NoConvergence
 from .fd import Elimination, boundary_values, level_bands, within_data
 from .fields import ChartModel, Flavor, assemble
-from .geometry import DomainModel, TWO_PI, wrap_angle
+from .geometry import TWO_PI, wrap_angle
 from .halfcyl import HalfCylinderGrid, _conditioned, conditioned_default_grid, solve_u
 
 
@@ -62,7 +62,6 @@ class DiskOperator:
     model: ChartModel
     eps: float
     completion: InteriorCompletion
-    dom: DomainModel = DomainModel()
 
     def __post_init__(self):
         if self.eps < 0:
@@ -78,10 +77,9 @@ class DiskOperator:
             not is_plus_zero(m.d),
             not (is_plus_zero(m.b) and is_plus_zero(m.beta) and is_plus_zero(m.d))))
 
-    # ramp: 1 inside z <= delta/2, 0 outside z >= delta
+    # ramp: 1 inside z <= CHART_RADIUS/2, 0 outside z >= CHART_RADIUS
     def chart_weight(self, z):
-        delta = self.dom.chart_radius
-        return _smoothstep((delta - np.asarray(z, dtype=float)) / (delta / 2.0))
+        return _smoothstep((CHART_RADIUS - np.asarray(z, dtype=float)) / (CHART_RADIUS / 2.0))
 
     def polar_coefficients(self, theta, r):
         """Operator-form (Ctt, Ctr, Crr, bt, br) at polar points (theta, r)."""
@@ -176,6 +174,7 @@ class DiskOperator:
 # Polar finite differences
 # ---------------------------------------------------------------------------
 
+CHART_RADIUS = 0.5   # width of the chart strip z = 1 - r, blended into the completion
 LAYER_CELLS = 22     # radial cells within the boundary layer 1 - r < eps
 GROWTH = 1.1         # ratio of neighbouring radial steps, from the boundary to the pole
 STEP_CAP = 0.02      # the longest radial step
@@ -315,7 +314,7 @@ def sample_exit(op: DiskOperator | list[DiskOperator], start, params: sde.Simula
     else:
         ops, horizons, checkpoint_times = _stack(list(op), checkpoint_times, dt, n_steps)
         op = ops[0]
-    x0 = check_start(op.dom, start)
+    x0 = check_start(start)
     rows = n * len(ops)
     cp = None
     positions = None
@@ -399,20 +398,21 @@ def sample_exit(op: DiskOperator | list[DiskOperator], start, params: sde.Simula
                             checkpoints=cp, positions=positions, n_paths=rows, seed=params.seed)
 
 
-def check_start(dom: DomainModel, start) -> np.ndarray:
+def check_start(start) -> np.ndarray:
     """The start point as an array; ``ModelError`` unless it lies in the closed disk."""
     x0 = np.asarray(start, dtype=float)
-    if not dom.contains(*x0):
-        raise ModelError(f"start {tuple(x0.tolist())} lies outside the closed disk")
+    x1, x2 = x0
+    if not math.hypot(x1, x2) <= 1.0:
+        raise ModelError(f"point {tuple(x0.tolist())} lies outside the closed disk")
     return x0
 
 
 def _stack(ops, checkpoint_times, dt: float, n_steps: int):
     """sample_exit's stacked form checked: the operators, their horizons (one step past
     each list's last checkpoint) and the union of the checkpoint lists."""
-    if not ops or any((o.model, o.completion, o.dom) != (ops[0].model, ops[0].completion,
-                                                          ops[0].dom) for o in ops):
-        raise ModelError("stacked operators must share model, completion and domain")
+    if not ops or any((o.model, o.completion) != (ops[0].model, ops[0].completion)
+                      for o in ops):
+        raise ModelError("stacked operators must share model and completion")
     if checkpoint_times is None or len(checkpoint_times) != len(ops):
         raise ModelError("stacked operators need one checkpoint list each")
     horizons = [float(sde._checkpoint_steps(ts, dt)[0][-1]) + dt for ts in checkpoint_times]
@@ -521,8 +521,7 @@ def limit_value(m: ChartModel, f, grid: HalfCylinderGrid | None = None) -> float
 
 
 def convergence_experiment(m: ChartModel, psi_d, eps_list, probes,
-                           completion: InteriorCompletion | None = None,
-                           dom: DomainModel | None = None, n_theta: int = 64,
+                           completion: InteriorCompletion | None = None, n_theta: int = 64,
                            mc_params: sde.SimulationParams | None = None,
                            ubar: float | None = None) -> ConvergenceTable:
     """Table of |u^eps(probe) - ubar| across a decreasing eps list.
@@ -535,13 +534,12 @@ def convergence_experiment(m: ChartModel, psi_d, eps_list, probes,
     eps_list = list(eps_list)
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise ModelError("eps_list must be strictly decreasing")
-    dom = dom or DomainModel()
     completion = completion or default_completions(m)[0]
     if ubar is None:
         ubar = limit_value(m, psi_d)
     rows = []
     for eps in eps_list:
-        op = DiskOperator(model=m, eps=eps, completion=completion, dom=dom)
+        op = DiskOperator(model=m, eps=eps, completion=completion)
         sol = solve_fd(op, psi_d, n_theta=n_theta)
         if not sol.max_principle_ok:
             raise NoConvergence(f"maximum principle violated at eps={eps}")

@@ -12,7 +12,7 @@ class GeometryError(BoundaryLabError):
 
 
 class ChartRangeError(GeometryError):
-    """Chart coordinate outside the valid range [0, chart_radius)."""
+    """Half-cylinder point with a negative rescaled height."""
 
 
 class InvalidEpsilon(GeometryError):

@@ -3,12 +3,11 @@
 The boundary of the domain is the unit circle.  Near it, a point is
 described by the chart pair (y, z): y is the counterclockwise angle of the
 nearest boundary point (our fixed orientation convention) and z >= 0 is
-the distance to the circle, measured into the domain; the chart is valid
-for z below the chart radius delta.  The solvers never convert single
-points between these coordinates: ``fields.Flavor`` carries the chart,
-the boundary-layer rescaling zz = z/eps and the log height w = ln zz into
-the coefficients it assembles.  This module holds the domain model and
-the half-cylinder start point ``RescaledPoint``.
+the distance to the circle, measured into the domain.  The solvers never
+convert single points between these coordinates: ``fields.Flavor``
+carries the chart, the boundary-layer rescaling zz = z/eps and the log
+height w = ln zz into the coefficients it assembles.  This module holds
+the angle wrap and the half-cylinder start point ``RescaledPoint``.
 """
 
 from __future__ import annotations
@@ -26,21 +25,6 @@ TWO_PI = 2.0 * math.pi
 def wrap_angle(y):
     """Canonical wrap of angles into [0, 2*pi). Works on scalars and arrays."""
     return np.mod(y, TWO_PI)
-
-
-@dataclass(frozen=True)
-class DomainModel:
-    """The unit disk, with a boundary chart of radius delta."""
-
-    chart_radius: float = 0.5
-
-    def __post_init__(self):
-        if not 0.0 < self.chart_radius < 1.0:
-            raise ChartRangeError(f"chart_radius must be in (0, 1), got {self.chart_radius}")
-
-    def contains(self, x1: float, x2: float) -> bool:
-        """Whether (x1, x2) lies in the closed disk."""
-        return math.hypot(x1, x2) <= 1.0
 
 
 @dataclass(frozen=True)

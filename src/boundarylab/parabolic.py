@@ -17,16 +17,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import sde
-from .dirichlet import (DiskOperator, InteriorCompletion, check_start, default_completions,
-                        sample_exit)
+from .dirichlet import DiskOperator, check_start, default_completions, sample_exit
 from .errors import ModelError
 from .fields import ChartModel
-from .geometry import DomainModel
 
 PLATEAU_MARGIN = 0.05   # a row is on a plateau within 3 sigma plus this of its value
 
@@ -38,12 +36,10 @@ class StoppedProcessSpec:
     model: ChartModel
     g: object                      # callable: points (n, 2) -> values (n,)
     psi_d: object                  # callable: boundary angle -> values
-    completion: InteriorCompletion | None = None
-    dom: DomainModel = field(default_factory=DomainModel)
 
     def operator(self, eps: float) -> DiskOperator:
-        comp = self.completion or default_completions(self.model)[0]
-        return DiskOperator(model=self.model, eps=eps, completion=comp, dom=self.dom)
+        return DiskOperator(model=self.model, eps=eps,
+                            completion=default_completions(self.model)[0])
 
 
 @dataclass(frozen=True)
@@ -118,7 +114,7 @@ def _evolve(spec: StoppedProcessSpec, runs, start, params: sde.SimulationParams)
     its last time; path p reads the same noise stream under every eps, so the
     estimates are coupled across eps as they are across t.
     """
-    check_start(spec.dom, start)
+    check_start(start)
     dt = params.dt
     runs = [(eps, sorted(set(float(t) for t in np.atleast_1d(times)))) for eps, times in runs]
     bad = [t for _, times in runs for t in times if not 0.0 <= t < math.inf]

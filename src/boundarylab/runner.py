@@ -169,7 +169,7 @@ def _run_convergence(cfg: ExperimentConfig, out_dir: str) -> list:
     ubar = dirichlet.limit_value(cfg.model, psi_d, num["grid"])
     tables = [dirichlet.convergence_experiment(
         cfg.model, psi_d, num["eps_list"], num["probes"], completion=comp,
-        dom=cfg.dom, n_theta=num["n_theta"], mc_params=mc_params, ubar=ubar)
+        n_theta=num["n_theta"], mc_params=mc_params, ubar=ubar)
         for comp in use]
     rows = []
     flags = []
@@ -245,7 +245,7 @@ def _run_martingale(cfg: ExperimentConfig, out_dir: str) -> list:
 def _run_timescale(cfg: ExperimentConfig, out_dir: str) -> list:
     num = cfg.numerics
     psi_d = num["data"]
-    spec = parabolic.StoppedProcessSpec(model=cfg.model, g=num["g"], psi_d=psi_d, dom=cfg.dom)
+    spec = parabolic.StoppedProcessSpec(model=cfg.model, g=num["g"], psi_d=psi_d)
     rules = [parabolic.TimescaleRule(name=r["name"], kind=r["kind"], c=r["c"],
                                      p=r["p"]) for r in num["rules"]]
     params = _mc_params(cfg, num["mc"])

@@ -91,6 +91,8 @@ class SimulationParams:
             raise ModelError("chunk_size must be >= 1")
         if self.max_time <= 0:
             raise ModelError("max_time must be > 0")
+        # the samplers run round(max_time / dt) steps, so max_time must be whole steps of dt
+        _checkpoint_steps([self.max_time], self.dt, "max_time")
         if self.wall is not None:
             if self.wall <= 0:
                 raise ModelError(f"wall must be a positive height, got {self.wall}")
@@ -647,15 +649,14 @@ def attraction_stats(m: ChartModel, starts, horizon: float, params: SimulationPa
 
 def martingale_trace(m: ChartModel, report: ClassificationReport, start,
                      params: SimulationParams, band: tuple,
-                     checkpoint_times, rho_weight: float = 1.0) -> MartingaleTrace:
+                     checkpoint_times) -> MartingaleTrace:
     """Estimate the stopped drift-compensated height functional at checkpoints.
 
     The functional is psi(Y) + ln Z + int rho(Y) Z^-2 ds + gap * t with
     gap = alpha_bar - beta_bar, evaluated along the limit-flavor process
     and frozen when the height leaves the band [band[0], band[1]].  Its
     expectation is constant in t; the trace reports the per-checkpoint
-    Monte Carlo mean and standard error.  rho_weight scales the integrand
-    (0 reduces the functional to psi + ln Z + gap*t, a bookkeeping check).
+    Monte Carlo mean and standard error.
     """
     y0, zz0 = _resolve_start(start)
     _check_band(band, zz0)
@@ -678,7 +679,7 @@ def martingale_trace(m: ChartModel, report: ClassificationReport, start,
         y, w, integral = state
         e2w = np.exp(-2.0 * w)
         by, bw, ayy, ayw, aww = gc.ito(y, w, cross, e2w)
-        integrand = rho_weight * folded(m.rho, rho_angle(y)) * e2w
+        integrand = folded(m.rho, rho_angle(y)) * e2w
         noise_y, noise_w = _increments(sqdt, ayy, ayw, aww, noise)
         y_new = y + by * dt + noise_y
         w_new = w + bw * dt + noise_w

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from boundarylab import geometry as geo
-from boundarylab.errors import ChartRangeError
 
 
 def test_wrap_angle_canonical():
@@ -12,10 +11,4 @@ def test_wrap_angle_canonical():
     assert geo.wrap_angle(-0.1) == pytest.approx(2 * math.pi - 0.1)
     arr = geo.wrap_angle(np.array([7.0, -7.0]))
     assert np.all((arr >= 0) & (arr < 2 * math.pi))
-
-
-@pytest.mark.parametrize("delta", [0.0, 1.0, -0.2])
-def test_a_chart_radius_outside_the_unit_interval_is_rejected(delta):
-    with pytest.raises(ChartRangeError):
-        geo.DomainModel(chart_radius=delta)
 

@@ -35,6 +35,10 @@ def test_params_validation():
                 {"max_time": math.inf}, {"wall": math.nan}, {"wall": math.inf}):
         with pytest.raises(ModelError, match="must be finite"):
             SimulationParams(**{"dt": 1e-3, "seed": 1, "n_paths": 10, "max_time": 1.0, **bad})
+    # the samplers run round(max_time / dt) steps: 0.002 would run none, 0.0123 two
+    for max_time in (0.002, 0.0123):
+        with pytest.raises(ModelError, match="max_time"):
+            SimulationParams(dt=0.005, seed=1, n_paths=10, max_time=max_time)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True, np.float64(2.0), "1", None])
@@ -589,23 +593,22 @@ def test_martingale_drift_rate_far_from_wall(zoo, reports):
     # measure E[ln Z_t] - ln Z_0 directly over a short horizon from deep start
     times = [0.1, 0.2, 0.3, 0.4]
     trace = sde.martingale_trace(m, rep, (0.0, 50.0), p, band=(20.0, 125.0),
-                                 checkpoint_times=times, rho_weight=0.0)
-    # with rho off, h = ln Z + (abar-bbar) t is a martingale only up to the
-    # e^{-2w} correction, negligible at these heights; so
-    # E[ln Z_t] = ln 50 + (bbar-abar) t
+                                 checkpoint_times=times)
+    # the compensated functional is a martingale, and its rho Z^-2 integral is
+    # negligible at these heights; so E[ln Z_t] = ln 50 + (bbar-abar) t
     slope = (trace.values[-1] - trace.values[0]) / (times[-1] - times[0])
     assert slope == pytest.approx(0.0, abs=0.15)  # compensated trace stays flat
     gap = rep.beta_bar - rep.alpha_bar
     assert gap == pytest.approx(2.0)
 
 
-def test_martingale_reduction_without_rho(zoo, reports):
-    # rho_weight = 0 and flat corrector: the functional is ln Z + gap * t
+def test_a_flat_corrector_starts_the_trace_at_the_log_height(zoo, reports):
+    # model B's corrector is flat, so the functional starts at ln Z_0 = ln 5
     m = zoo["B"]
     rep = reports["B"]
     p = SimulationParams(dt=1e-3, seed=54, n_paths=64, max_time=0.2)
     trace = sde.martingale_trace(m, rep, (0.0, 5.0), p, band=(1.0, 25.0),
-                                 checkpoint_times=[0.1, 0.2], rho_weight=0.0)
+                                 checkpoint_times=[0.1, 0.2])
     assert np.max(np.abs(rep.corrector)) < 1e-10
     assert trace.start_value == pytest.approx(math.log(5.0))
 
